@@ -10,6 +10,7 @@ weights and whether the split is worth doing.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,9 @@ def tangency_markets(vals: Valuations, k: float) -> tuple[Market, Market]:
     mu1 = mu2 * math.exp(-d / k)
     c2 = math.exp(-w1 / k) * em_d / em_w2  # 1 - mu2, no cancellation
     c1 = c2 - mu2 * em_d                   # 1 - mu1, likewise
+    # subnormal entries keep too few digits for the likelihood-ratio check;
+    # exact zeros are what the certificate's zero-mass rule accepts
+    c1, mu1, c2, mu2 = (x if x >= sys.float_info.min else 0.0 for x in (c1, mu1, c2, mu2))
     return Market((c1, mu1)), Market((c2, mu2))
 
 

@@ -5,6 +5,9 @@ a linear program over a simplex grid (three types), each followed by a
 derivative-free local polish. Nothing here shares likelihood-ratio
 machinery with the solvers; tests sandwich solver values between oracle
 values to catch agreement-by-shared-bug.
+
+scipy is imported inside the functions that call it, so that importing the
+package (and starting every CLI process) does not pay for loading it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize
 
 from .market import (
     Market,
@@ -113,6 +115,8 @@ def brute_force_binary(inst: MarketInstance, grid_n: int = 4000, refine: bool = 
     grid_value = best_v - k * prior_ent
 
     if refine and best_pair is not None:
+        from scipy.optimize import minimize
+
         def neg(p: np.ndarray) -> float:
             x1, x2 = float(p[0]), float(p[1])
             if not (0.0 <= x1 <= mu <= x2 <= 1.0) or x2 - x1 < 1e-12:
@@ -183,6 +187,8 @@ def brute_force_small(inst: MarketInstance, grid_n: int = 100, refine: bool = Tr
     k = inst.k
     mu = inst.mu_star.as_array()
 
+    from scipy.optimize import linprog
+
     P = _simplex_grid(grid_n)
     g = _net_value_points(v, k, P)
     res = linprog(-g, A_eq=P.T, b_eq=mu, bounds=(0.0, None), method="highs-ds")
@@ -247,6 +253,8 @@ def brute_force_small(inst: MarketInstance, grid_n: int = 100, refine: bool = Tr
 
 def _refine_small(posts: np.ndarray, weights: np.ndarray, mu: np.ndarray, gval) -> tuple[float, list, list] | None:
     """Polish an LP solution; parameterizations keep Bayes exact by design."""
+    from scipy.optimize import minimize
+
     s = len(weights)
     if s == 1:
         return None

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .binary import solve_binary
 from .market import (
@@ -92,6 +91,20 @@ def payoff_matrix(vals: Valuations) -> np.ndarray:
     """S[i, t] = revenue extracted from a type-i buyer at price vals[t]."""
     v = vals.as_array()
     return np.where(v[:, None] >= v[None, :], v[None, :], 0.0)
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a nonempty 1-D array, as scipy.special.logsumexp does it.
+
+    The maxima are taken out of the sum and counted, and each step follows
+    scipy 1.17's arithmetic, so certificate slacks keep the bytes they had
+    when scipy computed them, without loading scipy.special.
+    """
+    a_max = a.max()
+    top = a == a_max
+    m = top.sum(dtype=a.dtype)
+    rest = np.exp(np.where(top, -np.inf, a) - a_max).sum() / m
+    return float(np.log1p(rest) + np.log(m) + a_max)
 
 
 def verify_optimality(
@@ -167,7 +180,7 @@ def verify_optimality(
     price_slacks = []
     for t in range(K):
         if active.any():
-            slack_log = float(logsumexp(base_log[active] + S[active, t] / k))
+            slack_log = _logsumexp(base_log[active] + S[active, t] / k)
             price_slacks.append(math.expm1(min(slack_log, 700.0)))
         else:
             price_slacks.append(-1.0)

@@ -10,7 +10,6 @@ self-contained SVG chart.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -140,6 +139,9 @@ def sweep_k(
             raise ValidationError("k_grid", "grid must be positive and strictly increasing")
     work = [(vals.values, mu_star.weights, float(k), options) for k in ks]
     if max_workers > 1:
+        # imported here: multiprocessing is costly to load on every start
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             rows = list(pool.map(_sweep_row, work))
     else:

@@ -21,6 +21,7 @@ from segmentix import (
     solve_binary,
     tangency_markets,
     tangency_posteriors,
+    verify_optimality,
     welfare,
 )
 
@@ -157,14 +158,26 @@ def test_solve_zero_cost_perfect_discrimination():
     assert rep.ps_gross == pytest.approx(1.6, abs=1e-15)
 
 
-def test_solve_tiny_cost_degrades_to_point_masses():
+@pytest.mark.parametrize(
+    "vals, k",
+    [
+        (V12, 1e-3),
+        # w1/k ~ 740: the closed forms land on subnormals, which must be
+        # flushed to zero for the certificate to accept the split
+        (V12, 0.0013503878341926767),
+        (Valuations((1.0, 8.0)), 0.00947254509131529),
+    ],
+    ids=["w12-k1e-3", "w12-subnormal", "w18-subnormal"],
+)
+def test_solve_tiny_cost_degrades_to_point_masses(vals, k):
     # closed forms underflow gracefully: segments become exact point masses
-    seg = solve_binary(MarketInstance(V12, MU46, 1e-3))
+    seg = solve_binary(MarketInstance(vals, MU46, k))
     low, high = seg.segments
     assert low.market[1] == 0.0
     assert high.market[1] == 1.0
-    rep = welfare(seg, V12, 1e-3)
-    assert rep.ts_gross == pytest.approx(1.6, abs=1e-12)
+    assert verify_optimality(seg, vals, k).passed
+    rep = welfare(seg, vals, k)
+    assert rep.ts_gross == pytest.approx(0.4 * vals[0] + 0.6 * vals[1], abs=1e-12)
 
 
 @given(st.floats(0.02, 0.98), st.floats(-2.0, 1.5))

@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, payload shapes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import segmentix
 from segmentix import cli
 from segmentix.sweeps import CSV_HEADER
 
@@ -245,3 +250,18 @@ def test_unknown_command_is_usage_error(capsys):
 def test_input_flag_required(capsys):
     with pytest.raises(SystemExit):
         cli.main(["solve"])
+
+
+# -------------------- start-up cost --------------------
+
+@pytest.mark.parametrize("module", ["segmentix", "segmentix.cli", "segmentix.files"])
+def test_import_loads_no_scipy(module):
+    # scipy costs most of a CLI process's start; only the oracle may load it
+    src = str(Path(segmentix.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        f"import sys, {module}; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

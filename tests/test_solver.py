@@ -21,6 +21,7 @@ from segmentix import (
     verify_optimality,
     welfare,
 )
+from segmentix.solver import _logsumexp
 
 V12 = Valuations((1.0, 2.0))
 V123 = Valuations((1.0, 2.0, 3.0))
@@ -160,3 +161,18 @@ def test_certificate_flags_duplicate_price_split():
     report = verify_optimality(seg, V12, 0.8, tol=1e-8)
     assert not report.passed
     assert "likelihood_ratio_invariance" in report.failures
+
+
+def test_logsumexp_matches_scipy_bit_for_bit():
+    # the certificate's price slacks must keep the bytes scipy gave them
+    from scipy.special import logsumexp
+
+    rng = np.random.default_rng(20240611)
+    for n in range(1, 41):
+        for scale in (1e-3, 0.1, 1.0, 30.0, 300.0):
+            for _ in range(6):
+                a = rng.normal(size=n) * scale
+                if n > 1 and rng.random() < 0.4:
+                    # tied maxima, the case scipy counts separately
+                    a[rng.choice(n, size=rng.integers(2, n + 1), replace=False)] = a.max()
+                assert _logsumexp(a) == float(logsumexp(a)), a
