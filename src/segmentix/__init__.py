@@ -17,6 +17,7 @@ from .market import (
     MarketInstance,
     Segment,
     Segmentation,
+    SurplusTriangle,
     ValidationError,
     Valuations,
     WelfareReport,
@@ -32,6 +33,7 @@ from .market import (
     price_region,
     revenue,
     seller_payoff,
+    surplus_triangle,
     uniform_report,
     welfare,
 )
@@ -59,13 +61,11 @@ from .solver import (
 from .sweeps import (
     BoundaryReport,
     KGridSpec,
-    SurplusTriangle,
     SweepRow,
     SweepTable,
     boundary_always_segments,
     classify_monotonicity,
     default_k_grid,
-    surplus_triangle,
     sweep_k,
     to_csv,
     to_svg,

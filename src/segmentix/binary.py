@@ -198,15 +198,15 @@ class EnvelopeResult:
     gap_tol: float
 
 
-def _upper_concave_envelope(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Upper concave envelope of points sampled on an increasing grid.
+def upper_concave_hull(x: np.ndarray, y: np.ndarray) -> tuple[list[float], list[float]]:
+    """Vertices of the upper concave hull of points sampled on an increasing grid.
 
-    Monotone-chain scan keeping only vertices with decreasing slopes, then
-    linear interpolation back onto the grid. O(n).
+    Monotone-chain scan keeping only vertices with decreasing slopes, from
+    the first point to the last. O(n).
     """
     hull_x: list[float] = []
     hull_y: list[float] = []
-    for xi, yi in zip(x, y):
+    for xi, yi in zip(x.tolist(), y.tolist()):  # Python floats: same values, faster arithmetic
         while len(hull_x) >= 2:
             # drop the middle vertex if it lies on or below the new chord
             x0, y0 = hull_x[-2], hull_y[-2]
@@ -216,9 +216,9 @@ def _upper_concave_envelope(x: np.ndarray, y: np.ndarray) -> np.ndarray:
                 hull_y.pop()
             else:
                 break
-        hull_x.append(float(xi))
-        hull_y.append(float(yi))
-    return np.interp(x, hull_x, hull_y)
+        hull_x.append(xi)
+        hull_y.append(yi)
+    return hull_x, hull_y
 
 
 def net_value_curve(vals: Valuations, k: float, grid: np.ndarray) -> np.ndarray:
@@ -252,7 +252,7 @@ def concave_envelope(
         raise ValidationError("cost_scale", f"k must be >= 0, got {k}")
     x = np.linspace(0.0, 1.0, grid_n + 1)
     y = net_value_curve(vals, k, x)
-    env = _upper_concave_envelope(x, y)
+    env = np.interp(x, *upper_concave_hull(x, y))
     gap = env - y > gap_tol
     interval: tuple[float, float] | None = None
     if gap.any():

@@ -325,6 +325,37 @@ def uniform_report(mu_star: Market, vals: Valuations) -> WelfareReport:
     return WelfareReport(cs=cs, ps_gross=ps, info_cost=0.0, ps_net=ps, ts_gross=cs + ps, ts_net=cs + ps, segmented=False)
 
 
+@dataclass(frozen=True)
+class SurplusTriangle:
+    """Feasible (CS, PS) region: CS ≥ 0, PS ≥ uniform profit, CS + PS ≤ full surplus."""
+
+    uniform_profit: float
+    full_surplus: float
+    max_cs: float
+
+    @property
+    def vertices(self) -> tuple[tuple[float, float], tuple[float, float], tuple[float, float]]:
+        return (
+            (0.0, self.uniform_profit),
+            (self.max_cs, self.uniform_profit),
+            (0.0, self.full_surplus),
+        )
+
+    def contains(self, cs: float, ps: float, cs_tol: float = 1e-12, ps_tol: float = 1e-9) -> bool:
+        return (
+            cs >= -cs_tol
+            and ps >= self.uniform_profit - ps_tol
+            and cs + ps <= self.full_surplus + ps_tol
+        )
+
+
+def surplus_triangle(mu_star: Market, vals: Valuations) -> SurplusTriangle:
+    """Bounds on (CS, gross PS) under any segmentation of the prior."""
+    uniform = float(np.max(all_revenues(mu_star, vals)))
+    full = math.fsum(w * v for w, v in zip(mu_star.weights, vals.values))
+    return SurplusTriangle(uniform_profit=uniform, full_surplus=full, max_cs=full - uniform)
+
+
 def welfare(seg: Segmentation, vals: Valuations, k: float, price_tol: float = PRICE_OPT_TOL) -> WelfareReport:
     """Split total surplus of a priced segmentation into its welfare accounts.
 

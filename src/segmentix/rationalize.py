@@ -8,29 +8,32 @@ pins down a unique segment pair and mixing weight; a one-knot
 piecewise-quadratic cost then makes that pair globally optimal. Global
 optimality needs the cost's derivative gap across the segments to equal the
 high valuation together with a chord condition: both are built in exactly,
-and verify_rationalization re-checks the outcome by brute force.
+and verify_rationalization re-checks the outcome with the exact best chord
+over the grid, through the upper concave hull, in O(grid_n).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .binary import upper_concave_hull
 from .market import (
     Market,
     Segment,
     Segmentation,
+    SurplusTriangle,
     ValidationError,
     Valuations,
+    surplus_triangle,
     welfare,
 )
-from .sweeps import SurplusTriangle, surplus_triangle
 
 SLOPE_FLOOR = 1e-6
-_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -251,7 +254,7 @@ def foc_residuals(spec: ConvexCostSpec, seg: InducedSegments, vals: Valuations) 
 
 @dataclass(frozen=True)
 class RationalizationReport:
-    """Outcome of brute-force re-optimization under a constructed cost."""
+    """Outcome of grid re-optimization under a constructed cost."""
 
     passed: bool
     best_is_pair: bool
@@ -266,6 +269,22 @@ class RationalizationReport:
     messages: tuple[str, ...]
 
 
+def _best_chord(x: np.ndarray, phi: np.ndarray, mu: float) -> tuple[float, tuple[float, float]]:
+    """Best chord value at ``mu`` over grid pairs a <= mu <= b, and its pair.
+
+    That is the upper concave hull of (x, phi) at ``mu``. On a hull vertex
+    every pair with an end at ``mu`` scores phi(mu); the first in grid
+    order, (x[0], mu), is returned.
+    """
+    hull_x, hull_y = upper_concave_hull(x, phi)
+    j = bisect.bisect_left(hull_x, mu)  # hull_x[0] = 0 < mu < 1 = hull_x[-1]
+    if hull_x[j] == mu:
+        return hull_y[j], (hull_x[0], mu)
+    a, b = hull_x[j - 1], hull_x[j]
+    tau = (b - mu) / (b - a)
+    return tau * hull_y[j - 1] + (1.0 - tau) * hull_y[j], (a, b)
+
+
 def verify_rationalization(
     spec: ConvexCostSpec,
     target: RationalizationTarget,
@@ -275,7 +294,8 @@ def verify_rationalization(
     """Re-optimize from scratch under the constructed cost and compare.
 
     Maximizes the seller's objective (revenue minus expected cost, plus the
-    constant cost at the prior) over every grid pair straddling the prior
+    constant cost at the prior) over the grid pairs straddling the prior,
+    as the exact best chord through the upper concave hull in O(grid_n),
     and the no-segmentation candidate. Passes when the argmax lands within
     two grid steps of the intended segments and reproduces the target
     welfare within ``cs_ps_tol``.
@@ -293,23 +313,7 @@ def verify_rationalization(
     c_prior = float(spec.value(mu))
     no_seg_value = max(w1, w2 * mu)  # phi(mu) + c(mu)
 
-    lo_mask = x <= mu
-    hi_mask = x >= mu
-    xl, pl = x[lo_mask], phi[lo_mask]
-    xh, ph = x[hi_mask], phi[hi_mask]
-    best_v = -math.inf
-    best_pair = (0.0, 0.0)
-    for start in range(0, len(xl), _CHUNK):
-        xb = xl[start : start + _CHUNK, None]
-        pb = pl[start : start + _CHUNK, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tau = np.where(xh[None, :] > xb, (xh[None, :] - mu) / (xh[None, :] - xb), np.nan)
-        V = tau * pb + (1.0 - tau) * ph[None, :]
-        V = np.where(np.isnan(V), -np.inf, V)
-        i, j = np.unravel_index(int(np.argmax(V)), V.shape)
-        if V[i, j] > best_v:
-            best_v = float(V[i, j])
-            best_pair = (float(xb[i, 0]), float(xh[j]))
+    best_v, best_pair = _best_chord(x, phi, mu)
     best_v += c_prior
 
     messages: list[str] = []

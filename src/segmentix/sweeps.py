@@ -1,10 +1,10 @@
 """Cost sweeps and welfare geometry.
 
 Runs the solver across a ladder of information-cost scales, classifies how
-each welfare account moves with the cost, checks the boundary-prior
-always-segments property, and provides the surplus-triangle bounds that
-every sweep locus must respect. Output is tabular (CSV) with an optional
-self-contained SVG chart.
+each welfare account moves with the cost, and checks the boundary-prior
+always-segments property. The surplus-triangle bounds that every sweep
+locus must respect live in ``market`` and are re-exported here. Output is
+tabular (CSV) with an optional self-contained SVG chart.
 """
 
 from __future__ import annotations
@@ -19,10 +19,12 @@ from .binary import tangency_posteriors
 from .market import (
     Market,
     MarketInstance,
+    SurplusTriangle,
     ValidationError,
     Valuations,
     WelfareReport,
     all_revenues,
+    surplus_triangle,
     welfare,
 )
 from .solver import OptimalityReport, SolveOptions, SolverError, solve, verify_optimality
@@ -234,37 +236,6 @@ def boundary_always_segments(vals: Valuations, k_grid: Sequence[float]) -> Bound
         min_gain=min_gain,
         argmin_k=argmin_k,
     )
-
-
-@dataclass(frozen=True)
-class SurplusTriangle:
-    """Feasible (CS, PS) region: CS ≥ 0, PS ≥ uniform profit, CS + PS ≤ full surplus."""
-
-    uniform_profit: float
-    full_surplus: float
-    max_cs: float
-
-    @property
-    def vertices(self) -> tuple[tuple[float, float], tuple[float, float], tuple[float, float]]:
-        return (
-            (0.0, self.uniform_profit),
-            (self.max_cs, self.uniform_profit),
-            (0.0, self.full_surplus),
-        )
-
-    def contains(self, cs: float, ps: float, cs_tol: float = 1e-12, ps_tol: float = 1e-9) -> bool:
-        return (
-            cs >= -cs_tol
-            and ps >= self.uniform_profit - ps_tol
-            and cs + ps <= self.full_surplus + ps_tol
-        )
-
-
-def surplus_triangle(mu_star: Market, vals: Valuations) -> SurplusTriangle:
-    """Bounds on (CS, gross PS) under any segmentation of the prior."""
-    uniform = float(np.max(all_revenues(mu_star, vals)))
-    full = math.fsum(w * v for w, v in zip(mu_star.weights, vals.values))
-    return SurplusTriangle(uniform_profit=uniform, full_surplus=full, max_cs=full - uniform)
 
 
 def to_csv(table: SweepTable) -> str:

@@ -228,6 +228,53 @@ def test_envelope_values_dominate_curve():
     assert np.all(res.envelope >= res.values - 1e-12)
 
 
+def _interpolated_envelope(x, y):
+    """Reference: the monotone-chain scan with its interpolation fused in."""
+    hull_x, hull_y = [], []
+    for xi, yi in zip(x, y):
+        while len(hull_x) >= 2:
+            x0, y0 = hull_x[-2], hull_y[-2]
+            x1, y1 = hull_x[-1], hull_y[-1]
+            if (y1 - y0) * (xi - x0) <= (yi - y0) * (x1 - x0):
+                hull_x.pop()
+                hull_y.pop()
+            else:
+                break
+        hull_x.append(float(xi))
+        hull_y.append(float(yi))
+    return np.interp(x, hull_x, hull_y)
+
+
+def _gap_run_around(x, gap, mu):
+    """Reference: the maximal run of gap points whose span contains mu."""
+    start = None
+    for i, g in enumerate(list(gap) + [False]):
+        if g and start is None:
+            start = i
+        elif not g and start is not None:
+            if x[start] <= mu <= x[i - 1]:
+                return (float(x[start]), float(x[i - 1]))
+            start = None
+    return None
+
+
+def test_envelope_bytes_match_interpolated_scan():
+    from test_acceptance import ENVELOPE_PAIRS
+
+    grid_n = 10_000
+    mu = Market((0.6, 0.4))
+    x = np.linspace(0.0, 1.0, grid_n + 1)
+    for w1, w2, k in ENVELOPE_PAIRS:
+        vals = Valuations((w1, w2))
+        res = concave_envelope(vals, k, grid_n, mu_star=mu)
+        y = net_value_curve(vals, k, x)
+        env = _interpolated_envelope(x, y)
+        assert res.grid.tobytes() == x.tobytes()
+        assert res.values.tobytes() == y.tobytes()
+        assert res.envelope.tobytes() == env.tobytes(), (w1, w2, k)
+        assert res.interval == _gap_run_around(x, env - y > res.gap_tol, mu[1]), (w1, w2, k)
+
+
 def test_binary_net_value_equals_objective():
     inst = MarketInstance(V12, MU46, 0.8)
     seg = solve_binary(inst)

@@ -1,11 +1,14 @@
 """Inverse problem: build a convex cost that makes a welfare target optimal."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from segmentix import rationalize
 from segmentix import (
     ConvexCostSpec,
     InducedSegments,
@@ -174,11 +177,13 @@ def test_foc_residuals_vanish_on_worked_target():
 
 # -------------------- verification --------------------
 
-def test_verify_worked_target_passes():
+@pytest.mark.parametrize("grid_n", [4000, 32000])
+def test_verify_worked_target_passes(grid_n):
+    # 32000 is cheap only because the best chord comes from the hull in O(n)
     target = worked_target()
     seg = induced_segments(target)
     spec = construct_cost(seg.mu1, seg.mu2, seg.tau1, V12, LOW_PRIOR)
-    rep = verify_rationalization(spec, target, grid_n=4000)
+    rep = verify_rationalization(spec, target, grid_n=grid_n)
     assert rep.passed
     assert rep.best_is_pair
     assert rep.posterior_steps <= 2.0
@@ -202,6 +207,110 @@ def test_verify_flags_cost_that_misses_target():
     bowl = ConvexCostSpec(knots=(0.0, 1.0), quadratics=((0.05, -0.05, 0.0),))
     rep = verify_rationalization(bowl, target, grid_n=4000)
     assert not rep.passed
+
+
+# -------------------- hull against the pair scan --------------------
+
+def _pair_scan_best_chord(x, phi, mu, chunk=256):
+    """Reference: the O(n^2) scan over every grid pair straddling ``mu``.
+
+    Pairs are scored in row-major (x_lo, x_hi) order and the first maximum
+    wins, so the tie-breaking is the one the hull must reproduce.
+    """
+    xl, pl = x[x <= mu], phi[x <= mu]
+    xh, ph = x[x >= mu], phi[x >= mu]
+    best_v = -math.inf
+    best_pair = (0.0, 0.0)
+    for start in range(0, len(xl), chunk):
+        xb = xl[start : start + chunk, None]
+        pb = pl[start : start + chunk, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau = np.where(xh[None, :] > xb, (xh[None, :] - mu) / (xh[None, :] - xb), np.nan)
+        V = tau * pb + (1.0 - tau) * ph[None, :]
+        V = np.where(np.isnan(V), -np.inf, V)
+        i, j = np.unravel_index(int(np.argmax(V)), V.shape)
+        if V[i, j] > best_v:
+            best_v = float(V[i, j])
+            best_pair = (float(xb[i, 0]), float(xh[j]))
+    return best_v, best_pair
+
+
+def _seeded_targets(n, seed):
+    """Constructible targets drawn through their segments, w2/w1 in [1.05, 12].
+
+    Every fifth prior is snapped onto the verification grid. Priors within
+    rounding of a grid point without sitting on it (0.35 against linspace's
+    0.35000000000000003) are avoided by drawing off round numbers: where the
+    cost is concave around such a prior, every pair ending at that grid
+    point scores within an ulp of the same value, and the scan's pick among
+    them is rounding noise rather than a best chord.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        grid_n = 2000 if rng.uniform() < 0.65 else 4000
+        w2 = float(rng.uniform(1.05, 12.0))
+        r = 1.0 / w2
+        mu1 = r * rng.uniform(0.05, 0.95)
+        mu2 = r + (1.0 - r) * rng.uniform(0.05, 0.95)
+        tau_min = (mu2 - r) / (mu2 - mu1)
+        tau1 = tau_min + (1.0 - tau_min) * rng.uniform(0.05, 0.95)
+        mu = tau1 * mu1 + (1.0 - tau1) * mu2
+        if len(out) % 5 == 4:
+            mu = float(np.linspace(0.0, 1.0, grid_n + 1)[round(mu * grid_n)])
+        prior = Market((1.0 - mu, mu))
+        if prior[1] != mu or not mu1 < mu < min(mu2, r):
+            continue
+        tau1 = (mu2 - mu) / (mu2 - mu1)
+        vals = Valuations((1.0, w2))
+        cs, ps = realized_welfare(InducedSegments(mu1=mu1, mu2=mu2, tau1=tau1), vals)
+        try:
+            target = RationalizationTarget(cs=cs, ps=ps, vals=vals, mu_star=prior)
+            seg = induced_segments(target)
+            spec = construct_cost(seg.mu1, seg.mu2, seg.tau1, vals, prior)
+        except ValidationError:
+            continue
+        out.append((target, spec, grid_n))
+    return out
+
+
+def _same_report(target, spec, grid_n, monkeypatch):
+    got = verify_rationalization(spec, target, grid_n=grid_n)
+    with monkeypatch.context() as m:
+        m.setattr(rationalize, "_best_chord", _pair_scan_best_chord)
+        want = verify_rationalization(spec, target, grid_n=grid_n)
+    # argmax, best_value, posterior_steps, passed and messages, bit for bit
+    assert got == want
+    return got
+
+
+def test_hull_matches_pair_scan_on_seeded_targets(monkeypatch):
+    cases = _seeded_targets(200, seed=3)
+    for target, spec, grid_n in cases:
+        _same_report(target, spec, grid_n, monkeypatch)
+    # every fifth prior is on the grid, and both grid sizes are covered
+    assert sum(t.mu_star[1] in np.linspace(0.0, 1.0, n + 1) for t, _, n in cases) >= 40
+    assert {n for _, _, n in cases} == {2000, 4000}
+
+
+@pytest.mark.parametrize(
+    "curvature,pair_wins",
+    [(0.05, True), (10.0, False)],  # the bowl of the test above; a steep one where no segmentation wins
+)
+def test_hull_matches_pair_scan_on_bowl_costs(curvature, pair_wins, monkeypatch):
+    bowl = ConvexCostSpec(knots=(0.0, 1.0), quadratics=((curvature, -0.05, 0.0),))
+    rep = _same_report(worked_target(), bowl, 4000, monkeypatch)
+    assert not rep.passed
+    assert rep.best_is_pair == pair_wins
+    for target, _, grid_n in _seeded_targets(10, seed=5):
+        assert not _same_report(target, bowl, grid_n, monkeypatch).passed
+
+
+def test_rationalize_imports_only_market_and_binary():
+    # the inverse check must not pull in the sweeps, and through them the solver
+    tree = ast.parse(Path(rationalize.__file__).read_text())
+    relative = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+    assert relative == {"market", "binary"}
 
 
 # -------------------- consistency with the forward solver --------------------
