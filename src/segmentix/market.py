@@ -9,7 +9,7 @@ rationalization) is built on the primitives defined here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -138,11 +138,14 @@ class Segmentation:
     Invariants enforced at construction: segment weights sum to one within
     ``SEGMENT_WEIGHT_SUM_TOL``, the weighted segment markets average back to
     the prior within ``BAYES_TOL`` per coordinate, and there are at most as
-    many segments as buyer types.
+    many segments as buyer types. ``bayes_residual``, the largest coordinate
+    gap between the weighted segments and the prior, is computed once, at
+    construction, and stored.
     """
 
     prior: Market
     segments: tuple[Segment, ...]
+    bayes_residual: float = field(init=False, repr=False, compare=False)
 
     def __init__(self, prior: Market, segments: Sequence[Segment]):
         segs = tuple(segments)
@@ -156,21 +159,16 @@ class Segmentation:
         total = math.fsum(s.weight for s in segs)
         if abs(total - 1.0) > SEGMENT_WEIGHT_SUM_TOL:
             raise ValidationError("segmentation_weight_sum", f"segment weights sum to {total!r}")
-        mixed = np.zeros(k)
+        mixed = [0.0] * k
         for s in segs:
-            mixed += s.weight * s.market.as_array()
-        resid = float(np.max(np.abs(mixed - prior.as_array())))
+            for i, x in enumerate(s.market.weights):
+                mixed[i] += s.weight * x
+        resid = max(abs(m - x) for m, x in zip(mixed, prior.weights))
         if resid > BAYES_TOL:
             raise ValidationError("bayes_plausibility", f"weighted segments miss the prior by {resid:.3e}")
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "segments", segs)
-
-    @property
-    def bayes_residual(self) -> float:
-        mixed = np.zeros(len(self.prior))
-        for s in self.segments:
-            mixed += s.weight * s.market.as_array()
-        return float(np.max(np.abs(mixed - self.prior.as_array())))
+        object.__setattr__(self, "bayes_residual", resid)
 
     def price_indices(self) -> tuple[int, ...]:
         return tuple(s.price_index for s in self.segments)
@@ -231,13 +229,21 @@ def revenue(market: Market, vals: Valuations, price_index: int) -> float:
     return p * tail
 
 
+def _tail_revenues(weights: Sequence[float], values: Sequence[float]) -> list[float]:
+    """values[j] times the mass at or above it, tails summed from the top down as np.cumsum sums them."""
+    if len(weights) != len(values):
+        raise ValidationError("instance_shape", f"{len(weights)} weights against {len(values)} valuations")
+    tail = -0.0  # the additive identity, so the first tail is the top weight itself
+    rev = [0.0] * len(values)
+    for j in reversed(range(len(values))):
+        tail += weights[j]
+        rev[j] = values[j] * tail
+    return rev
+
+
 def all_revenues(market: Market, vals: Valuations) -> np.ndarray:
-    """Revenue at every candidate price (vectorized tail sums)."""
-    w = market.as_array()
-    v = vals.as_array()
-    # tail mass at price v[j] = sum of weights with valuation >= v[j]
-    tails = np.cumsum(w[::-1])[::-1]
-    return v * tails
+    """Revenue at every candidate price (running tail sums)."""
+    return np.array(_tail_revenues(market.weights, vals.values))
 
 
 def optimal_price(market: Market, vals: Valuations) -> int:
@@ -256,19 +262,40 @@ def price_region(market: Market, vals: Valuations, tol: float = PRICE_OPT_TOL) -
 def check_segment_prices(seg: Segmentation, vals: Valuations, tol: float = PRICE_OPT_TOL) -> None:
     """Reject any segment whose assigned price is not revenue-maximal within ``tol``."""
     for idx, s in enumerate(seg.segments):
-        rev = all_revenues(s.market, vals)
-        if rev[s.price_index] < float(np.max(rev)) - tol:
+        rev = _tail_revenues(s.market.weights, vals.values)
+        best = max(rev)
+        if rev[s.price_index] < best - tol:
             raise ValidationError(
                 "segment_price_optimality",
-                f"segment {idx} charges index {s.price_index} but better prices exist (gap {float(np.max(rev)) - rev[s.price_index]:.3e})",
+                f"segment {idx} charges index {s.price_index} but better prices exist (gap {best - rev[s.price_index]:.3e})",
             )
+
+
+def _numpy_order_sum(terms: list[float]) -> float:
+    """The bytes np.sum gives: it adds left to right below 8 terms, in pairwise blocks from 8 on."""
+    if len(terms) >= 8:
+        return float(np.sum(terms))
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
+def _entropies(rows: Sequence[Sequence[float]]) -> list[float]:
+    """Shannon entropies of weight rows in nats, from one np.log call over every positive weight.
+
+    A row's entropy has the bytes of ``-np.sum(pos * np.log(pos))`` over
+    its positive weights.
+    """
+    pos = [[x for x in row if x > 0.0] for row in rows]
+    logs = iter(np.log([x for p in pos for x in p]).tolist())
+    return [-_numpy_order_sum([x * next(logs) for x in p]) for p in pos]
 
 
 def entropy(market: Market | Sequence[float] | np.ndarray) -> float:
     """Shannon entropy of a weight vector in nats, with 0*log(0) = 0."""
-    w = market.as_array() if isinstance(market, Market) else np.asarray(market, dtype=float)
-    pos = w[w > 0.0]
-    return float(-np.sum(pos * np.log(pos)))
+    w = market.weights if isinstance(market, Market) else np.asarray(market, dtype=float).ravel().tolist()
+    return _entropies([w])[0]
 
 
 def net_segment_value(market: Market, vals: Valuations, k: float) -> float:
@@ -373,15 +400,16 @@ def welfare(seg: Segmentation, vals: Valuations, k: float, price_tol: float = PR
     if seg.bayes_residual > BAYES_TOL:
         raise ValidationError("bayes_plausibility", f"residual {seg.bayes_residual:.3e} exceeds {BAYES_TOL}")
     check_segment_prices(seg, vals, price_tol)
+    h_prior, *h_segments = _entropies([seg.prior.weights, *(s.market.weights for s in seg.segments)])
     cs = 0.0
     ps_gross = 0.0
     avg_entropy = 0.0
-    for s in seg.segments:
+    for s, h in zip(seg.segments, h_segments):
         p = vals[s.price_index]
         cs += s.weight * math.fsum(w * buyer_payoff(p, v) for w, v in zip(s.market.weights, vals.values))
         ps_gross += s.weight * revenue(s.market, vals, s.price_index)
-        avg_entropy += s.weight * entropy(s.market)
-    info_cost = k * (entropy(seg.prior) - avg_entropy)
+        avg_entropy += s.weight * h
+    info_cost = k * (h_prior - avg_entropy)
     ps_net = ps_gross - info_cost
     return WelfareReport(
         cs=cs,

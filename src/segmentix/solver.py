@@ -32,8 +32,10 @@ from .market import (
     Segmentation,
     ValidationError,
     Valuations,
+    _numpy_order_sum,
     no_segmentation,
     perfect_discrimination,
+    seller_payoff,
 )
 
 VERIFY_TOL = 1e-8
@@ -89,22 +91,24 @@ class OptimalityReport:
 
 def payoff_matrix(vals: Valuations) -> np.ndarray:
     """S[i, t] = revenue extracted from a type-i buyer at price vals[t]."""
-    v = vals.as_array()
-    return np.where(v[:, None] >= v[None, :], v[None, :], 0.0)
+    return np.array([[seller_payoff(p, v) for p in vals.values] for v in vals.values])
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) of a nonempty 1-D array, as scipy.special.logsumexp does it.
+def _logsumexp_rows(rows: list[list[float]]) -> list[float]:
+    """log(sum(exp(row))) of each row of a nonempty rectangular table, as scipy.special.logsumexp does it.
 
-    The maxima are taken out of the sum and counted, and each step follows
-    scipy 1.17's arithmetic, so certificate slacks keep the bytes they had
-    when scipy computed them, without loading scipy.special.
+    Each row's maxima are taken out of its sum and counted, and each step
+    follows scipy 1.17's arithmetic, so certificate slacks keep the bytes
+    they had when scipy computed them, without loading scipy.special. One
+    np.exp call covers the whole table, and each row is summed in numpy's
+    order.
     """
-    a_max = a.max()
-    top = a == a_max
-    m = top.sum(dtype=a.dtype)
-    rest = np.exp(np.where(top, -np.inf, a) - a_max).sum() / m
-    return float(np.log1p(rest) + np.log(m) + a_max)
+    tops = [max(row) for row in rows]
+    counts = [float(row.count(top)) for row, top in zip(rows, tops)]
+    shifted = [[(-math.inf if x == top else x) - top for x in row] for row, top in zip(rows, tops)]
+    rest = [_numpy_order_sum(row) for row in np.exp(shifted).tolist()]
+    log1p = np.log1p([r / m for r, m in zip(rest, counts)]).tolist()
+    return [a + b + top for a, b, top in zip(log1p, np.log(counts).tolist(), tops)]
 
 
 def verify_optimality(
@@ -122,6 +126,15 @@ def verify_optimality(
 
     For k = 0 the optimum is full discrimination, so every segment must be
     a point mass charged exactly its own valuation.
+
+    Arithmetic: numpy is called only for log, exp and log1p, whose SIMD
+    code differs from the math module's in the last bit on a few percent of
+    inputs; each is called once over all its entries (the posterior matrix,
+    then the K price slacks). Sums keep np.sum's order, left to right below
+    8 terms and pairwise from 8 on, where they stay np.sum calls. Products,
+    quotients, differences, max, min and comparisons are correctly rounded
+    either way and run on Python floats, so the report has the bytes the
+    all-numpy certificate gave it.
     """
     if k < 0.0:
         raise ValidationError("cost_scale", f"k must be >= 0, got {k}")
@@ -144,46 +157,41 @@ def verify_optimality(
         )
 
     K = len(vals)
-    mu = seg.prior.as_array()
-    price_idx = list(seg.price_indices())
-    P = np.stack([s.market.as_array() for s in seg.segments], axis=1)  # K x J
-    S = payoff_matrix(vals)
-    Ssel = S[:, price_idx]  # payoff at each segment's assigned price
-
-    with np.errstate(divide="ignore"):
-        L = np.where(P > 0.0, np.log(np.where(P > 0.0, P, 1.0)) - Ssel / k, -np.inf)
+    if len(seg.prior) != K:
+        raise ValidationError("instance_shape", f"{len(seg.prior)} types in the segmentation against {K} valuations")
+    S = payoff_matrix(vals).tolist()
+    posts = [s.market.weights for s in seg.segments]
+    price_idx = seg.price_indices()
+    # zero entries are logged as 1.0 and masked to -inf below
+    logs = np.log([[x if x > 0.0 else 1.0 for x in post] for post in posts]).tolist()
 
     ilr = 0.0
-    base_log = np.full(K, -np.inf)  # per-type invariant value, log scale
-    for i in range(K):
-        if mu[i] <= 0.0:
+    base_log = []  # (type, invariant value on log scale) of each served type
+    for i, (mass, S_i, post_i, log_i) in enumerate(zip(seg.prior.weights, S, zip(*posts), zip(*logs))):
+        if mass <= 0.0:
             continue
-        row = L[i]
-        finite = np.isfinite(row)
-        if not finite.any():
+        row = [lp - S_i[p] / k if x > 0.0 else -math.inf for x, lp, p in zip(post_i, log_i, price_idx)]
+        finite = [x for x in row if math.isfinite(x)]
+        if not finite:
             failures.append(f"type_{i}_unserved")
             continue
-        lmax = float(row[finite].max())
-        lmin = float(row[finite].min())
+        lmax = max(finite)
+        lmin = min(finite)
         ilr = max(ilr, -math.expm1(lmin - lmax))
-        base_log[i] = lmax
-        for j in np.nonzero(~finite)[0]:
+        base_log.append((i, lmax))
+        for j, x in enumerate(row):
             # a zero entry is fine only if the invariant would put its mass
             # below what doubles can represent next to the other entries
-            implied = lmax + Ssel[i, j] / k
-            if implied >= _LOG_ZERO_MASS_TOL:
+            if not math.isfinite(x) and lmax + S_i[price_idx[j]] / k >= _LOG_ZERO_MASS_TOL:
                 failures.append(f"zero_mass_type_{i}_segment_{j}")
     if ilr > tol:
         failures.append("likelihood_ratio_invariance")
 
-    active = base_log > -np.inf
-    price_slacks = []
-    for t in range(K):
-        if active.any():
-            slack_log = _logsumexp(base_log[active] + S[active, t] / k)
-            price_slacks.append(math.expm1(min(slack_log, 700.0)))
-        else:
-            price_slacks.append(-1.0)
+    if base_log:
+        slack_logs = _logsumexp_rows([[b + S[i][t] / k for i, b in base_log] for t in range(K)])
+        price_slacks = [math.expm1(min(x, 700.0)) for x in slack_logs]
+    else:
+        price_slacks = [-1.0] * K
     slack_excess = max(price_slacks)
     if slack_excess > tol:
         failures.append("price_slack")
@@ -222,7 +230,7 @@ def solve_ri(inst: MarketInstance, options: SolveOptions | None = None) -> Segme
     mu = mu_full[support]
     v = inst.vals.as_array()[support]
     n = len(support)
-    S = np.where(v[:, None] >= v[None, :], v[None, :], 0.0)
+    S = payoff_matrix(inst.vals)[np.ix_(support, support)]
     k = inst.k
     zt = np.exp((S - v[:, None]) / k)  # rows scaled so diagonals are 1; entries in (0, 1]
 

@@ -99,10 +99,8 @@ class SweepTable:
         return out
 
 
-def _sweep_row(args: tuple) -> SweepRow:
-    vals_t, mu_t, k, opt = args
-    vals = Valuations(vals_t)
-    prior = Market(mu_t)
+def _sweep_row(args: tuple[Valuations, Market, float, SolveOptions | None]) -> SweepRow:
+    vals, prior, k, opt = args
     try:
         seg = solve(MarketInstance(vals, prior, k), opt)
     except SolverError as e:
@@ -139,7 +137,11 @@ def sweep_k(
             raise ValidationError("k_grid", "grid must be non-empty")
         if np.any(ks <= 0.0) or np.any(np.diff(ks) <= 0.0):
             raise ValidationError("k_grid", "grid must be positive and strictly increasing")
-    work = [(vals.values, mu_star.weights, float(k), options) for k in ks]
+    # Market(weights) renormalizes, which can move a normalized prior's last
+    # bit again; rows solve that rebuilt prior, as they did when each row
+    # rebuilt it from tuples, so sweep bytes do not change
+    prior = Market(mu_star.weights)
+    work = [(vals, prior, float(k), options) for k in ks]
     if max_workers > 1:
         # imported here: multiprocessing is costly to load on every start
         from concurrent.futures import ProcessPoolExecutor

@@ -1,0 +1,429 @@
+"""The certificate, the welfare accounts and sweeps against the all-numpy code they replaced.
+
+``verify_optimality`` and ``welfare`` compute on Python floats and call numpy
+only for log, exp and log1p. The ``_reference_*`` functions below are the
+earlier all-numpy versions, kept with the helpers they used. On thousands of
+seeded segmentations, passing and failing, the reports and the exceptions
+must match byte for byte. Both sides run in this process, so the comparison
+holds whatever SIMD code this CPU's numpy picks for log and exp; frozen
+hashes would not.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from segmentix import market, sweeps
+from segmentix import (
+    KGridSpec,
+    Market,
+    MarketInstance,
+    OptimalityReport,
+    Segment,
+    Segmentation,
+    SolveOptions,
+    SolverError,
+    ValidationError,
+    Valuations,
+    WelfareReport,
+    all_revenues,
+    buyer_payoff,
+    entropy,
+    no_segmentation,
+    perfect_discrimination,
+    revenue,
+    solve,
+    sweep_k,
+    to_csv,
+    verify_optimality,
+    welfare,
+)
+from segmentix.market import BAYES_TOL, PRICE_OPT_TOL
+from segmentix.solver import _LOG_ZERO_MASS_TOL, VERIFY_TOL
+from segmentix.sweeps import SWEEP_PRICE_TOL
+
+# -------------------- the replaced all-numpy code --------------------
+
+
+def _reference_bayes_residual(seg):
+    mixed = np.zeros(len(seg.prior))
+    for s in seg.segments:
+        mixed += s.weight * s.market.as_array()
+    return float(np.max(np.abs(mixed - seg.prior.as_array())))
+
+
+def _reference_logsumexp(a):
+    a_max = a.max()
+    top = a == a_max
+    m = top.sum(dtype=a.dtype)
+    rest = np.exp(np.where(top, -np.inf, a) - a_max).sum() / m
+    return float(np.log1p(rest) + np.log(m) + a_max)
+
+
+def _reference_verify_optimality(seg, vals, k, tol=VERIFY_TOL):
+    if k < 0.0:
+        raise ValidationError("cost_scale", f"k must be >= 0, got {k}")
+    failures = []
+    bayes = _reference_bayes_residual(seg)
+    if bayes > BAYES_TOL:
+        failures.append("bayes_plausibility")
+
+    if k == 0.0:
+        for j, s in enumerate(seg.segments):
+            w = s.market.weights
+            if max(w) < 1.0 - 1e-12 or w[s.price_index] < 1.0 - 1e-12:
+                failures.append(f"discrimination_limit_segment_{j}")
+        return OptimalityReport(
+            ilr_residual=0.0,
+            slack_excess=0.0,
+            bayes_residual=bayes,
+            passed=not failures,
+            failures=tuple(failures),
+        )
+
+    K = len(vals)
+    mu = seg.prior.as_array()
+    price_idx = list(seg.price_indices())
+    P = np.stack([s.market.as_array() for s in seg.segments], axis=1)
+    v = vals.as_array()
+    S = np.where(v[:, None] >= v[None, :], v[None, :], 0.0)
+    Ssel = S[:, price_idx]
+
+    with np.errstate(divide="ignore"):
+        L = np.where(P > 0.0, np.log(np.where(P > 0.0, P, 1.0)) - Ssel / k, -np.inf)
+
+    ilr = 0.0
+    base_log = np.full(K, -np.inf)
+    for i in range(K):
+        if mu[i] <= 0.0:
+            continue
+        row = L[i]
+        finite = np.isfinite(row)
+        if not finite.any():
+            failures.append(f"type_{i}_unserved")
+            continue
+        lmax = float(row[finite].max())
+        lmin = float(row[finite].min())
+        ilr = max(ilr, -math.expm1(lmin - lmax))
+        base_log[i] = lmax
+        for j in np.nonzero(~finite)[0]:
+            implied = lmax + Ssel[i, j] / k
+            if implied >= _LOG_ZERO_MASS_TOL:
+                failures.append(f"zero_mass_type_{i}_segment_{j}")
+    if ilr > tol:
+        failures.append("likelihood_ratio_invariance")
+
+    active = base_log > -np.inf
+    price_slacks = []
+    for t in range(K):
+        if active.any():
+            slack_log = _reference_logsumexp(base_log[active] + S[active, t] / k)
+            price_slacks.append(math.expm1(min(slack_log, 700.0)))
+        else:
+            price_slacks.append(-1.0)
+    slack_excess = max(price_slacks)
+    if slack_excess > tol:
+        failures.append("price_slack")
+
+    return OptimalityReport(
+        ilr_residual=ilr,
+        slack_excess=slack_excess,
+        bayes_residual=bayes,
+        passed=not failures,
+        failures=tuple(failures),
+        price_slacks=tuple(price_slacks),
+    )
+
+
+def _reference_all_revenues(m, vals):
+    w = m.as_array()
+    v = vals.as_array()
+    tails = np.cumsum(w[::-1])[::-1]
+    return v * tails
+
+
+def _reference_entropy(m):
+    w = m.as_array()
+    pos = w[w > 0.0]
+    return float(-np.sum(pos * np.log(pos)))
+
+
+def _reference_welfare(seg, vals, k, price_tol=PRICE_OPT_TOL):
+    if k < 0.0:
+        raise ValidationError("cost_scale", f"k must be >= 0, got {k}")
+    bayes = _reference_bayes_residual(seg)
+    if bayes > BAYES_TOL:
+        raise ValidationError("bayes_plausibility", f"residual {bayes:.3e} exceeds {BAYES_TOL}")
+    for idx, s in enumerate(seg.segments):
+        rev = _reference_all_revenues(s.market, vals)
+        if rev[s.price_index] < float(np.max(rev)) - price_tol:
+            raise ValidationError(
+                "segment_price_optimality",
+                f"segment {idx} charges index {s.price_index} but better prices exist (gap {float(np.max(rev)) - rev[s.price_index]:.3e})",
+            )
+    cs = 0.0
+    ps_gross = 0.0
+    avg_entropy = 0.0
+    for s in seg.segments:
+        p = vals[s.price_index]
+        cs += s.weight * math.fsum(w * buyer_payoff(p, v) for w, v in zip(s.market.weights, vals.values))
+        ps_gross += s.weight * revenue(s.market, vals, s.price_index)
+        avg_entropy += s.weight * _reference_entropy(s.market)
+    info_cost = k * (_reference_entropy(seg.prior) - avg_entropy)
+    ps_net = ps_gross - info_cost
+    return WelfareReport(
+        cs=cs,
+        ps_gross=ps_gross,
+        info_cost=info_cost,
+        ps_net=ps_net,
+        ts_gross=cs + ps_gross,
+        ts_net=cs + ps_net,
+        segmented=len(seg.segments) > 1,
+    )
+
+
+# -------------------- seeded segmentations --------------------
+
+FAILURE_NAMES = (
+    "bayes_plausibility",
+    "type_i_unserved",
+    "zero_mass_type_i_segment_j",
+    "likelihood_ratio_invariance",
+    "price_slack",
+)
+
+
+def _segmentation(prior, joint, prices):
+    """Segments from a joint mass table joint[i][j] = weight_j * posterior_j[i]."""
+    segs = []
+    for j, p in enumerate(prices):
+        col = [row[j] for row in joint]
+        w = math.fsum(col)
+        segs.append(Segment(Market([x / w for x in col]), w, p))
+    return Segmentation(prior, segs)
+
+
+def _joint(seg):
+    return [[s.weight * s.market[i] for s in seg.segments] for i in range(len(seg.prior))]
+
+
+def _variants(seg, rng):
+    """The segmentation itself and perturbed copies aimed at each failure."""
+    prior = seg.prior
+    K, J = len(prior), len(seg.segments)
+    prices = list(seg.price_indices())
+    out = [seg]
+    joint = _joint(seg)
+    served = [i for i in range(K) if prior[i] > 0.0]
+    i = int(rng.choice(served))
+    if J >= 2:
+        a, b = (int(x) for x in rng.choice(J, size=2, replace=False))
+        # likelihood ratios: move part of type i's mass between two segments
+        moved = [row[:] for row in joint]
+        d = moved[i][a] * rng.uniform(0.05, 0.5)
+        moved[i][a] -= d
+        moved[i][b] += d
+        out.append(_segmentation(prior, moved, prices))
+        # a zero entry whose implied mass is not negligible
+        zeroed = [row[:] for row in joint]
+        zeroed[i][b] += zeroed[i][a]
+        zeroed[i][a] = 0.0
+        if all(math.fsum(row[j] for row in zeroed) > 0.0 for j in range(J)):
+            out.append(_segmentation(prior, zeroed, prices))
+    # Bayes plausibility: part of type i's mass in one segment handed to another type
+    j = int(rng.integers(J))
+    post = list(seg.segments[j].market.weights)
+    d = post[i] * rng.uniform(1e-6, 0.1)
+    post[i] -= d
+    post[(i + 1) % K] += d
+    missed = list(seg.segments)
+    missed[j] = Segment(Market(post), missed[j].weight, missed[j].price_index)
+    if seg.segments[j].weight * d > BAYES_TOL:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(market, "BAYES_TOL", 1.0)
+            out.append(Segmentation(prior, missed))
+    # an unserved type: its prior mass below the Bayes tolerance, no segment holds it
+    if len(served) < K:
+        i0 = next(t for t in range(K) if prior[t] <= 0.0)
+        tiny = Market([1e-13 if t == i0 else x for t, x in enumerate(prior.weights)])
+        out.append(Segmentation(tiny, seg.segments))
+    # a segment charged another price
+    j = int(rng.integers(J))
+    repriced = list(seg.segments)
+    repriced[j] = Segment(repriced[j].market, repriced[j].weight, int(rng.integers(K)))
+    out.append(Segmentation(prior, repriced))
+    # a random joint table over random prices: wrong marginal, wrong ratios
+    n_seg = int(rng.integers(1, K + 1))
+    rand = [[x * prior[t] for x in rng.dirichlet(np.ones(n_seg))] for t in range(K)]
+    if all(math.fsum(row[j] for row in rand) > 0.0 for j in range(n_seg)):
+        out.append(_segmentation(prior, rand, [int(p) for p in rng.integers(K, size=n_seg)]))
+    return out
+
+
+def _seeded_cases(n_instances, seed):
+    """(segmentation, vals, k) triples from seeded instances with K from 2 to 10."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for c in range(n_instances):
+        K = 2 + c % 9
+        vals = Valuations(np.cumsum(rng.uniform(0.05, 3.0, K)))
+        mu = rng.dirichlet(np.full(K, rng.choice([0.3, 1.0, 5.0])))
+        if K >= 3 and rng.random() < 0.25:
+            mu[rng.integers(K)] = 0.0
+            mu = mu / math.fsum(mu)
+        prior = Market(mu)
+        k = 0.0 if c % 40 == 39 else float(10.0 ** rng.uniform(-4.0, 2.0))
+        try:
+            seg = solve(MarketInstance(vals, prior, k), SolveOptions(max_iters=3000))
+        except SolverError:
+            seg = no_segmentation(prior, vals)
+        variants = _variants(seg, rng)
+        if k > 0.0:
+            variants.append(no_segmentation(prior, vals))
+        else:
+            variants.append(perfect_discrimination(prior, vals))
+        cases.extend((s, vals, k) for s in variants)
+    return cases
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return repr(fn(*args, **kwargs))
+    except ValidationError as e:
+        return ("ValidationError", e.invariant, str(e))
+
+
+def _failure_kind(name):
+    """zero_mass_type_2_segment_1 -> zero_mass_type_i_segment_j."""
+    return re.sub(r"segment_\d+", "segment_j", re.sub(r"type_\d+", "type_i", name))
+
+
+def test_certificate_and_welfare_match_reference_on_seeded_segmentations():
+    cases = _seeded_cases(450, seed=20261018)
+    assert len(cases) >= 2000
+    kinds = set()
+    welfare_errors = set()
+    for seg, vals, k in cases:
+        assert repr(seg.bayes_residual) == repr(_reference_bayes_residual(seg))
+        for m in (seg.prior, *(s.market for s in seg.segments)):
+            assert repr(all_revenues(m, vals).tolist()) == repr(_reference_all_revenues(m, vals).tolist())
+            assert repr(entropy(m)) == repr(_reference_entropy(m))
+        got = verify_optimality(seg, vals, k)
+        want = _reference_verify_optimality(seg, vals, k)
+        # repr tells every float apart, -0.0 from 0.0 included
+        assert repr(got) == repr(want), (seg, vals, k)
+        kinds.update(_failure_kind(f) for f in got.failures)
+        for tol in (PRICE_OPT_TOL, SWEEP_PRICE_TOL):
+            w_got = _outcome(welfare, seg, vals, k, price_tol=tol)
+            assert w_got == _outcome(_reference_welfare, seg, vals, k, price_tol=tol), (seg, vals, k)
+            if isinstance(w_got, tuple):
+                welfare_errors.add(w_got[1])
+    assert set(FAILURE_NAMES) <= kinds
+    assert {"bayes_plausibility", "segment_price_optimality"} <= welfare_errors
+    assert any(k == 0.0 for _, _, k in cases)
+    assert {len(vals) for _, vals, _ in cases} == set(range(2, 11))
+
+
+def test_certificate_matches_reference_on_subnormal_flushed_posteriors():
+    # at tiny k the closed form's posteriors underflow and are flushed to 0.0
+    flushed = 0
+    for w2 in (1.5, 2.0, 6.0, 12.0):
+        vals = Valuations((1.0, w2))
+        for mu1 in (0.2, 0.5, 0.8):
+            prior = Market((1.0 - mu1, mu1))
+            for k in np.geomspace(1e-4, 0.05, 40):
+                seg = solve(MarketInstance(vals, prior, float(k)))
+                flushed += any(x == 0.0 for s in seg.segments for x in s.market.weights)
+                got = verify_optimality(seg, vals, float(k))
+                assert got.passed, got.failures
+                assert repr(got) == repr(_reference_verify_optimality(seg, vals, float(k)))
+                assert _outcome(welfare, seg, vals, float(k)) == _outcome(_reference_welfare, seg, vals, float(k))
+    assert flushed > 0
+
+
+def test_certificate_matches_reference_on_wide_supports():
+    # K >= 8 with every entry positive: the slack rows and the entropies are
+    # numpy pairwise sums, not left-to-right ones
+    rng = np.random.default_rng(8)
+    wide = 0
+    for _ in range(60):
+        K = int(rng.integers(8, 11))
+        vals = Valuations(np.cumsum(rng.uniform(0.05, 1.0, K)))
+        prior = Market(rng.dirichlet(np.ones(K)))
+        n_seg = int(rng.integers(1, K + 1))
+        joint = [[x * prior[t] for x in rng.dirichlet(np.ones(n_seg))] for t in range(K)]
+        seg = _segmentation(prior, joint, [int(p) for p in rng.integers(K, size=n_seg)])
+        wide += all(x > 0.0 for s in seg.segments for x in s.market.weights)
+        for k in (1e-4, 0.03, 1.0, 100.0):
+            assert repr(verify_optimality(seg, vals, k)) == repr(_reference_verify_optimality(seg, vals, k))
+            assert _outcome(welfare, seg, vals, k, price_tol=10.0) == _outcome(
+                _reference_welfare, seg, vals, k, price_tol=10.0
+            )
+    assert wide >= 50
+
+
+# -------------------- sweeps --------------------
+
+
+def _sweep_bytes(vals, prior, grid, options=None, max_workers=1):
+    table = sweep_k(vals, prior, grid, options, max_workers=max_workers)
+    return to_csv(table), [repr(r.verify) for r in table.rows]
+
+
+def _seeded_markets(K, n, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        (Valuations(np.cumsum(rng.uniform(0.2, 2.0, K))), Market(rng.dirichlet(np.ones(K))))
+        for _ in range(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "K,n_points,options",
+    [(2, 200, None), (3, 30, SolveOptions(max_iters=5000))],
+)
+def test_sweep_bytes_match_reference_kernels(K, n_points, options, monkeypatch):
+    for vals, prior in _seeded_markets(K, 4, seed=40 + K):
+        grid = KGridSpec(1e-3 * vals[0], 1e2 * vals[-1], n_points)
+        got = _sweep_bytes(vals, prior, grid, options)
+        with monkeypatch.context() as m:
+            m.setattr(sweeps, "verify_optimality", _reference_verify_optimality)
+            m.setattr(sweeps, "welfare", _reference_welfare)
+            want = _sweep_bytes(vals, prior, grid, options)
+        assert got == want
+
+
+def test_pooled_sweep_matches_serial():
+    # the pool pickles the Valuations and Market objects each row receives
+    for vals, prior in _seeded_markets(2, 2, seed=7) + _seeded_markets(3, 1, seed=8):
+        grid = KGridSpec(1e-2 * vals[0], 10.0 * vals[-1], 24)
+        options = SolveOptions(max_iters=5000)
+        assert _sweep_bytes(vals, prior, grid, options, max_workers=2) == _sweep_bytes(vals, prior, grid, options)
+
+
+def test_length_mismatch_is_rejected():
+    # the all-numpy code failed to broadcast here; the float loops must not truncate instead
+    seg = no_segmentation(Market((0.2, 0.3, 0.5)), Valuations((1.0, 2.0, 3.0)))
+    short = Valuations((1.0, 2.0))
+    for fn in (_reference_verify_optimality, _reference_welfare):
+        with pytest.raises(ValueError):
+            fn(seg, short, 0.5)
+    for fn in (verify_optimality, welfare):
+        with pytest.raises(ValidationError, match="instance_shape"):
+            fn(seg, short, 0.5)
+    with pytest.raises(ValidationError, match="instance_shape"):
+        all_revenues(seg.prior, short)
+
+
+def test_sweep_rows_solve_the_rebuilt_prior():
+    # renormalizing this prior moves its last bit; rows solve Market(prior.weights),
+    # as they did when every row rebuilt the market from tuples
+    vals = Valuations((2.2580222068777105, 3.3759214995278573))
+    prior = Market((0.8172438280513341, 0.18275617194866606))
+    assert Market(prior.weights) != prior
+    grid = [0.03703337939781618, 0.03878768383436372, 0.042549538299436994]
+    for row, k in zip(sweep_k(vals, prior, grid).rows, grid):
+        seg = solve(MarketInstance(vals, Market(prior.weights), k))
+        assert repr(row.report) == repr(welfare(seg, vals, k, price_tol=SWEEP_PRICE_TOL))

@@ -21,7 +21,7 @@ from segmentix import (
     verify_optimality,
     welfare,
 )
-from segmentix.solver import _logsumexp
+from segmentix.solver import _logsumexp_rows
 
 V12 = Valuations((1.0, 2.0))
 V123 = Valuations((1.0, 2.0, 3.0))
@@ -170,9 +170,15 @@ def test_logsumexp_matches_scipy_bit_for_bit():
     rng = np.random.default_rng(20240611)
     for n in range(1, 41):
         for scale in (1e-3, 0.1, 1.0, 30.0, 300.0):
+            rows = []
             for _ in range(6):
                 a = rng.normal(size=n) * scale
                 if n > 1 and rng.random() < 0.4:
                     # tied maxima, the case scipy counts separately
                     a[rng.choice(n, size=rng.integers(2, n + 1), replace=False)] = a.max()
-                assert _logsumexp(a) == float(logsumexp(a)), a
+                rows.append(a)
+            # a table of rows, as the certificate passes them, and each row alone
+            got = _logsumexp_rows([a.tolist() for a in rows])
+            for a, g in zip(rows, got):
+                assert g == float(logsumexp(a)), a
+                assert _logsumexp_rows([a.tolist()]) == [g], a
