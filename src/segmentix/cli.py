@@ -4,107 +4,84 @@ segmentations, rationalize welfare targets, and run grid oracles.
 Exit codes: 0 success, 2 validation failure (the violated invariant is
 named on stderr), 3 solver non-convergence. Outputs are deterministic:
 identical inputs produce byte-identical artifacts.
+
+argparse checks flag names, types and choices. Every other argument check
+lives in ``_check_args``, which runs before any file is read and reports
+the first failure in this order: ``SEGMENTIX_THREADS``, ``--k-grid``, the
+format each command allows, distinct paths, then the ranges of ``--tol``,
+``--max-iters`` and ``--grid-n``. The handlers read the checked namespace.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
+from collections.abc import Callable
 
 from . import files
 from .market import Segment, Segmentation, ValidationError
 from .oracle import brute_force
 from .rationalize import construct_cost, induced_segments, verify_rationalization
-from .solver import SolveOptions, SolverError, solve, verify_optimality
+from .solver import VERIFY_TOL, SolveOptions, SolverError, solve, verify_optimality
 from .sweeps import KGridSpec, default_k_grid, sweep_k, to_csv, to_svg
 
-_FORMATS = {
-    "solve": ("json",),
-    "sweep": ("csv", "svg"),
-    "verify": ("json",),
-    "rationalize": ("json",),
-    "oracle": ("json",),
-}
+
+def _check_args(ns: argparse.Namespace) -> None:
+    """Complete ``ns`` in place: thread cap, parsed --k-grid and output format.
+
+    Paths must be pairwise distinct so no command can clobber its own input.
+    """
+    try:
+        ns.threads = max(1, int(os.environ.get("SEGMENTIX_THREADS", "1")))
+    except ValueError:
+        raise ValidationError("threads", "SEGMENTIX_THREADS must be an integer") from None
+    ns.k_grid = parse_k_grid(ns.k_grid) if ns.k_grid else None
+    ns.format = ns.format or ns.formats[0]
+    if ns.format not in ns.formats:
+        raise ValidationError(
+            "output_format", f"format {ns.format!r} is not valid for {ns.command} (choose from {ns.formats})"
+        )
+    paths = [p for p in (ns.input, ns.instance, ns.output) if p is not None]
+    if len(set(map(os.path.abspath, paths))) != len(paths):
+        raise ValidationError("distinct_paths", f"input/instance/output paths must differ, got {paths}")
+    if ns.tol is not None and not ns.tol > 0.0:
+        raise ValidationError("tolerance", f"--tol must be > 0, got {ns.tol}")
+    if ns.max_iters is not None and ns.max_iters < 1:
+        raise ValidationError("max_iters", f"--max-iters must be >= 1, got {ns.max_iters}")
+    if ns.grid_n is not None and ns.grid_n < 4:
+        raise ValidationError("grid_size", f"--grid-n must be >= 4, got {ns.grid_n}")
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation. Paths must be pairwise distinct so no command
-    can clobber its own input; the output format must fit the command."""
-
-    command: str
-    input: str
-    output: str | None = None
-    format: str | None = None
-    instance: str | None = None
-    tol: float | None = None
-    max_iters: int | None = None
-    k_grid: KGridSpec | None = None
-    grid_n: int | None = None
-    threads: int = 1
-
-    def __post_init__(self):
-        if self.command not in _FORMATS:
-            raise ValidationError("command", f"unknown command {self.command!r}")
-        fmt = self.format or _FORMATS[self.command][0]
-        if fmt not in _FORMATS[self.command]:
-            raise ValidationError(
-                "output_format",
-                f"format {fmt!r} is not valid for {self.command} (choose from {_FORMATS[self.command]})",
-            )
-        object.__setattr__(self, "format", fmt)
-        paths = [p for p in (self.input, self.instance, self.output) if p is not None]
-        if len(set(map(os.path.abspath, paths))) != len(paths):
-            raise ValidationError("distinct_paths", f"input/instance/output paths must differ, got {paths}")
-        if self.tol is not None and not self.tol > 0.0:
-            raise ValidationError("tolerance", f"--tol must be > 0, got {self.tol}")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValidationError("max_iters", f"--max-iters must be >= 1, got {self.max_iters}")
-        if self.grid_n is not None and self.grid_n < 4:
-            raise ValidationError("grid_size", f"--grid-n must be >= 4, got {self.grid_n}")
-        if self.threads < 1:
-            raise ValidationError("threads", f"thread cap must be >= 1, got {self.threads}")
+def _solve_options(ns: argparse.Namespace) -> SolveOptions:
+    overrides = {"max_iters": ns.max_iters, "convergence_tol": ns.tol}
+    return SolveOptions(**{name: v for name, v in overrides.items() if v is not None})
 
 
-def _solve_options(config: RunConfig, default_tol: float | None = None) -> SolveOptions:
-    opts = SolveOptions()
-    overrides = {}
-    if config.max_iters is not None:
-        overrides["max_iters"] = config.max_iters
-    tol = config.tol if config.tol is not None else default_tol
-    if tol is not None:
-        overrides["convergence_tol"] = tol
-    return dataclasses.replace(opts, **overrides) if overrides else opts
-
-
-def _emit(config: RunConfig, text: str) -> None:
-    if config.output is None:
+def _emit(ns: argparse.Namespace, text: str) -> None:
+    if ns.output is None:
         sys.stdout.write(text)
     else:
-        with open(config.output, "w", encoding="utf-8", newline="") as fh:
+        with open(ns.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 
-def _run_solve(config: RunConfig) -> int:
-    inst = files.load_market_instance(config.input)
-    seg = solve(inst, _solve_options(config))
-    _emit(config, files.dump_json(files.segmentation_to_dict(seg, inst.vals)))
-    return 0
+def _run_solve(ns: argparse.Namespace) -> None:
+    inst = files.load_market_instance(ns.input)
+    seg = solve(inst, _solve_options(ns))
+    _emit(ns, files.dump_json(files.segmentation_to_dict(seg, inst.vals)))
 
 
-def _run_sweep(config: RunConfig) -> int:
-    vals, mu = files.load_sweep_instance(config.input)
-    grid = config.k_grid if config.k_grid is not None else default_k_grid(vals)
-    table = sweep_k(vals, mu, grid, _solve_options(config), max_workers=config.threads)
-    _emit(config, to_csv(table) if config.format == "csv" else to_svg(table))
-    return 0
+def _run_sweep(ns: argparse.Namespace) -> None:
+    vals, mu = files.load_sweep_instance(ns.input)
+    grid = ns.k_grid if ns.k_grid is not None else default_k_grid(vals)
+    table = sweep_k(vals, mu, grid, _solve_options(ns), max_workers=ns.threads)
+    _emit(ns, to_csv(table) if ns.format == "csv" else to_svg(table))
 
 
-def _run_verify(config: RunConfig) -> int:
-    if config.instance is None:
-        prior, triples = files.parse_segmentation_structure(files.read_json(config.input), config.input)
+def _run_verify(ns: argparse.Namespace) -> None:
+    if ns.instance is None:
+        prior, triples = files.parse_segmentation_structure(files.read_json(ns.input), ns.input)
         # price indices are unknown without the valuation ladder; index 0 is a
         # placeholder so the construction-time weight and Bayes checks run
         seg = Segmentation(prior, [Segment(m, w, 0) for m, w, _ in triples])
@@ -114,11 +91,11 @@ def _run_verify(config: RunConfig) -> int:
             "checks": ["segment_weights", "bayes_plausibility"],
             "note": "structural checks only; pass --instance for the optimality certificate",
         }
-        _emit(config, files.dump_json(payload))
-        return 0
-    inst = files.load_market_instance(config.instance)
-    seg = files.load_segmentation(config.input, inst.vals)
-    tol = config.tol if config.tol is not None else 1e-8
+        _emit(ns, files.dump_json(payload))
+        return
+    inst = files.load_market_instance(ns.instance)
+    seg = files.load_segmentation(ns.input, inst.vals)
+    tol = ns.tol if ns.tol is not None else VERIFY_TOL
     report = verify_optimality(seg, inst.vals, inst.k, tol=tol)
     payload = {
         "passed": report.passed,
@@ -128,26 +105,24 @@ def _run_verify(config: RunConfig) -> int:
         "failures": list(report.failures),
         "tolerance": tol,
     }
-    _emit(config, files.dump_json(payload))
+    _emit(ns, files.dump_json(payload))
     if not report.passed:
         raise ValidationError(report.failures[0], f"optimality certificate failed at tolerance {tol}")
-    return 0
 
 
-def _run_rationalize(config: RunConfig) -> int:
-    target = files.load_rationalization_target(config.input)
+def _run_rationalize(ns: argparse.Namespace) -> None:
+    target = files.load_rationalization_target(ns.input)
     seg = induced_segments(target)
     cost = construct_cost(seg.mu1, seg.mu2, seg.tau1, target.vals, target.mu_star)
-    report = verify_rationalization(cost, target, grid_n=config.grid_n or 4000)
+    report = verify_rationalization(cost, target, grid_n=ns.grid_n or 4000)
     if not report.passed:
         raise ValidationError("rationalization_verification", "; ".join(report.messages))
-    _emit(config, files.dump_json(files.cost_spec_to_dict(cost)))
-    return 0
+    _emit(ns, files.dump_json(files.cost_spec_to_dict(cost)))
 
 
-def _run_oracle(config: RunConfig) -> int:
-    inst = files.load_market_instance(config.input)
-    result = brute_force(inst, grid_n=config.grid_n)
+def _run_oracle(ns: argparse.Namespace) -> None:
+    inst = files.load_market_instance(ns.input)
+    result = brute_force(inst, grid_n=ns.grid_n)
     payload = {
         "value": result.value,
         "grid_value": result.grid_value,
@@ -156,28 +131,7 @@ def _run_oracle(config: RunConfig) -> int:
         "method": result.method,
         "segmentation": files.segmentation_to_dict(result.segmentation, inst.vals),
     }
-    _emit(config, files.dump_json(payload))
-    return 0
-
-
-_HANDLERS = {
-    "solve": _run_solve,
-    "sweep": _run_sweep,
-    "verify": _run_verify,
-    "rationalize": _run_rationalize,
-    "oracle": _run_oracle,
-}
-
-
-def run(config: RunConfig) -> int:
-    try:
-        return _HANDLERS[config.command](config)
-    except ValidationError as exc:
-        sys.stderr.write(f"error [{exc.invariant}]: {exc.message}\n")
-        return 2
-    except SolverError as exc:
-        sys.stderr.write(f"error [no_convergence]: {exc}\n")
-        return 3
+    _emit(ns, files.dump_json(payload))
 
 
 def parse_k_grid(text: str) -> KGridSpec:
@@ -196,32 +150,35 @@ def build_parser() -> argparse.ArgumentParser:
         prog="segmentix",
         description="Optimal market segmentation under entropy information costs.",
     )
+    parser.set_defaults(instance=None, tol=None, max_iters=None, k_grid=None, grid_n=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, handler: Callable[[argparse.Namespace], None],
+            formats: tuple[str, ...] = ("json",)) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler, formats=formats)
         p.add_argument("--input", required=True, help="input JSON file")
         p.add_argument("--output", default=None, help="output file (default: stdout)")
         p.add_argument("--format", default=None, choices=("json", "csv", "svg"))
         return p
 
-    p = add("solve", "solve one instance; writes the optimal segmentation")
+    p = add("solve", "solve one instance; writes the optimal segmentation", _run_solve)
     p.add_argument("--tol", type=float, default=None, help="solver stationarity tolerance")
     p.add_argument("--max-iters", type=int, default=None)
 
-    p = add("sweep", "solve across a grid of cost scales; writes CSV or SVG curves")
+    p = add("sweep", "solve across a grid of cost scales; writes CSV or SVG curves", _run_sweep, ("csv", "svg"))
     p.add_argument("--k-grid", default=None, metavar="MIN:MAX:N", help="log-spaced cost grid")
     p.add_argument("--tol", type=float, default=None, help="solver stationarity tolerance")
     p.add_argument("--max-iters", type=int, default=None)
 
-    p = add("verify", "check a segmentation file against the optimality certificate")
+    p = add("verify", "check a segmentation file against the optimality certificate", _run_verify)
     p.add_argument("--instance", default=None, help="market instance the segmentation solves")
     p.add_argument("--tol", type=float, default=None, help="certificate tolerance (default 1e-8)")
 
-    p = add("rationalize", "build a convex cost making a (CS, PS) target optimal")
+    p = add("rationalize", "build a convex cost making a (CS, PS) target optimal", _run_rationalize)
     p.add_argument("--grid-n", type=int, default=None, help="verification grid resolution")
 
-    p = add("oracle", "exhaustive grid search; writes the certified best value")
+    p = add("oracle", "exhaustive grid search; writes the certified best value", _run_oracle)
     p.add_argument("--grid-n", type=int, default=None, help="search grid resolution")
 
     return parser
@@ -230,27 +187,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        threads = int(os.environ.get("SEGMENTIX_THREADS", "1"))
-    except ValueError:
-        sys.stderr.write("error [threads]: SEGMENTIX_THREADS must be an integer\n")
-        return 2
-    try:
-        config = RunConfig(
-            command=ns.command,
-            input=ns.input,
-            output=ns.output,
-            format=ns.format,
-            instance=getattr(ns, "instance", None),
-            tol=getattr(ns, "tol", None),
-            max_iters=getattr(ns, "max_iters", None),
-            k_grid=parse_k_grid(ns.k_grid) if getattr(ns, "k_grid", None) else None,
-            grid_n=getattr(ns, "grid_n", None),
-            threads=max(1, threads),
-        )
+        _check_args(ns)
+        ns.handler(ns)
     except ValidationError as exc:
         sys.stderr.write(f"error [{exc.invariant}]: {exc.message}\n")
         return 2
-    return run(config)
+    except SolverError as exc:
+        sys.stderr.write(f"error [no_convergence]: {exc}\n")
+        return 3
+    return 0
 
 
 if __name__ == "__main__":

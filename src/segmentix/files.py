@@ -18,8 +18,10 @@ resolves them back against the instance's ladder.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+from collections.abc import Iterator
 from typing import Any
 
 from .market import (
@@ -92,33 +94,43 @@ def _number_list(data: dict, field: str, where: str) -> list[float]:
     return out
 
 
-def _rewrap(exc: ValidationError, where: str) -> FileFormatError:
-    return FileFormatError(exc.invariant, f"{where}: {exc.message}")
+@contextlib.contextmanager
+def _located(where: str) -> Iterator[None]:
+    """Re-raise a constructor's ValidationError as a FileFormatError naming ``where``.
+
+    The invariant name is kept; a FileFormatError already names its place
+    and passes through unchanged.
+    """
+    try:
+        yield
+    except FileFormatError:
+        raise
+    except ValidationError as exc:
+        raise FileFormatError(exc.invariant, f"{where}: {exc.message}") from exc
+
+
+def _ladder_and_prior(obj: dict, where: str) -> tuple[Valuations, Market]:
+    with _located(where):
+        vals = Valuations(_number_list(obj, "valuations", where))
+        mu = Market(_number_list(obj, "mu", where))
+    if len(mu) != len(vals):
+        raise _fail(where, f"'mu' has {len(mu)} entries but 'valuations' has {len(vals)}")
+    return vals, mu
 
 
 def parse_instance_fields(data: Any, where: str, require_k: bool) -> tuple[Valuations, Market, float | None]:
     fields = ("valuations", "mu", "k") if require_k else ("valuations", "mu")
     optional = () if require_k else ("k",)
     obj = _require_object(data, where, fields, optional)
-    try:
-        vals = Valuations(_number_list(obj, "valuations", where))
-        mu = Market(_number_list(obj, "mu", where))
-    except FileFormatError:
-        raise
-    except ValidationError as exc:
-        raise _rewrap(exc, where) from exc
-    if len(mu) != len(vals):
-        raise _fail(where, f"'mu' has {len(mu)} entries but 'valuations' has {len(vals)}")
+    vals, mu = _ladder_and_prior(obj, where)
     k = _number(obj, "k", where) if "k" in obj else None
     return vals, mu, k
 
 
 def load_market_instance(path: str) -> MarketInstance:
     vals, mu, k = parse_instance_fields(read_json(path), path, require_k=True)
-    try:
+    with _located(path):
         return MarketInstance(vals, mu, k)
-    except ValidationError as exc:
-        raise _rewrap(exc, path) from exc
 
 
 def load_sweep_instance(path: str) -> tuple[Valuations, Market]:
@@ -145,36 +157,31 @@ def _resolve_price(price: float, vals: Valuations, where: str) -> int:
     raise _fail(where, f"price {price} does not match any valuation in {tuple(vals.values)}")
 
 
-def parse_segmentation(data: Any, vals: Valuations, where: str) -> Segmentation:
-    obj = _require_object(data, where, ("prior", "segments"))
-    try:
-        prior = Market(_number_list(obj, "prior", where))
-    except FileFormatError:
-        raise
-    except ValidationError as exc:
-        raise _rewrap(exc, where) from exc
-    if len(prior) != len(vals):
-        raise _fail(where, f"'prior' has {len(prior)} entries but the valuation ladder has {len(vals)}")
+def _segment_objects(obj: dict, where: str) -> Iterator[tuple[str, dict]]:
+    """Yield (location, object) per entry of 'segments', each checked as it is reached."""
     raw_segments = obj["segments"]
     if not isinstance(raw_segments, list) or not raw_segments:
         raise _fail(where, "field 'segments' must be a non-empty array")
-    segments = []
     for j, raw in enumerate(raw_segments):
         sub = f"{where}: segments[{j}]"
-        seg_obj = _require_object(raw, sub, ("mu", "weight", "price"))
-        try:
+        yield sub, _require_object(raw, sub, ("mu", "weight", "price"))
+
+
+def parse_segmentation(data: Any, vals: Valuations, where: str) -> Segmentation:
+    obj = _require_object(data, where, ("prior", "segments"))
+    with _located(where):
+        prior = Market(_number_list(obj, "prior", where))
+    if len(prior) != len(vals):
+        raise _fail(where, f"'prior' has {len(prior)} entries but the valuation ladder has {len(vals)}")
+    segments = []
+    for sub, seg_obj in _segment_objects(obj, where):
+        with _located(sub):
             market = Market(_number_list(seg_obj, "mu", sub))
             weight = _number(seg_obj, "weight", sub)
             price_index = _resolve_price(_number(seg_obj, "price", sub), vals, sub)
             segments.append(Segment(market, weight, price_index))
-        except FileFormatError:
-            raise
-        except ValidationError as exc:
-            raise _rewrap(exc, sub) from exc
-    try:
+    with _located(where):
         return Segmentation(prior, segments)
-    except ValidationError as exc:
-        raise _rewrap(exc, where) from exc
 
 
 def load_segmentation(path: str, vals: Valuations) -> Segmentation:
@@ -188,25 +195,12 @@ def parse_segmentation_structure(data: Any, where: str) -> tuple[Market, list[tu
     against; callers get (prior, [(market, weight, price_value), ...]).
     """
     obj = _require_object(data, where, ("prior", "segments"))
-    try:
+    with _located(where):
         prior = Market(_number_list(obj, "prior", where))
-    except FileFormatError:
-        raise
-    except ValidationError as exc:
-        raise _rewrap(exc, where) from exc
-    raw_segments = obj["segments"]
-    if not isinstance(raw_segments, list) or not raw_segments:
-        raise _fail(where, "field 'segments' must be a non-empty array")
     triples = []
-    for j, raw in enumerate(raw_segments):
-        sub = f"{where}: segments[{j}]"
-        seg_obj = _require_object(raw, sub, ("mu", "weight", "price"))
-        try:
+    for sub, seg_obj in _segment_objects(obj, where):
+        with _located(sub):
             market = Market(_number_list(seg_obj, "mu", sub))
-        except FileFormatError:
-            raise
-        except ValidationError as exc:
-            raise _rewrap(exc, sub) from exc
         triples.append((market, _number(seg_obj, "weight", sub), _number(seg_obj, "price", sub)))
         if len(market) != len(prior):
             raise _fail(sub, f"'mu' has {len(market)} entries but the prior has {len(prior)}")
@@ -215,18 +209,11 @@ def parse_segmentation_structure(data: Any, where: str) -> tuple[Market, list[tu
 
 def load_rationalization_target(path: str) -> RationalizationTarget:
     obj = _require_object(read_json(path), path, ("cs", "ps", "valuations", "mu"))
-    try:
-        vals = Valuations(_number_list(obj, "valuations", path))
-        mu = Market(_number_list(obj, "mu", path))
-        if len(mu) != len(vals):
-            raise _fail(path, f"'mu' has {len(mu)} entries but 'valuations' has {len(vals)}")
+    vals, mu = _ladder_and_prior(obj, path)
+    with _located(path):
         return RationalizationTarget(
             cs=_number(obj, "cs", path), ps=_number(obj, "ps", path), vals=vals, mu_star=mu
         )
-    except FileFormatError:
-        raise
-    except ValidationError as exc:
-        raise _rewrap(exc, path) from exc
 
 
 def cost_spec_to_dict(spec: ConvexCostSpec) -> dict:
@@ -252,10 +239,8 @@ def parse_cost_spec(data: Any, where: str) -> ConvexCostSpec:
                 raise _fail(where, f"field 'quadratics[{i}][{j}]' must be a number")
             row.append(float(item))
         quads.append(tuple(row))
-    try:
+    with _located(where):
         return ConvexCostSpec(knots=tuple(knots), quadratics=tuple(quads))
-    except ValidationError as exc:
-        raise _rewrap(exc, where) from exc
 
 
 def load_cost_spec(path: str) -> ConvexCostSpec:

@@ -224,6 +224,8 @@ def revenue(market: Market, vals: Valuations, price_index: int) -> float:
     """
     if price_index < 0 or price_index >= len(vals):
         raise ValidationError("price_index", f"price index {price_index} out of range")
+    if len(market) != len(vals):
+        raise ValidationError("instance_shape", f"{len(market)} weights against {len(vals)} valuations")
     p = vals[price_index]
     tail = math.fsum(w for w, v in zip(market.weights, vals.values) if v >= p)
     return p * tail

@@ -127,9 +127,19 @@ def test_sweep_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
     args = ["sweep", "--input", inp, "--format", "csv", "--k-grid", "0.2:5:12"]
     monkeypatch.setenv("SEGMENTIX_THREADS", "1")
     assert cli.main(args + ["--output", serial]) == 0
-    monkeypatch.setenv("SEGMENTIX_THREADS", "3")
-    assert cli.main(args + ["--output", parallel]) == 0
-    assert open(serial, "rb").read() == open(parallel, "rb").read()
+    # values below 1 mean serial
+    for threads in ("3", "0", "-3"):
+        monkeypatch.setenv("SEGMENTIX_THREADS", threads)
+        assert cli.main(args + ["--output", parallel]) == 0
+        assert Path(serial).read_bytes() == Path(parallel).read_bytes()
+
+
+def test_sweep_empty_k_grid_means_default(tmp_path):
+    inp = write(tmp_path, "inst.json", {"valuations": [1.0, 2.0], "mu": [0.4, 0.6]})
+    default, empty = str(tmp_path / "d.csv"), str(tmp_path / "e.csv")
+    assert cli.main(["sweep", "--input", inp, "--output", default]) == 0
+    assert cli.main(["sweep", "--input", inp, "--output", empty, "--k-grid", ""]) == 0
+    assert Path(default).read_bytes() == Path(empty).read_bytes()
 
 
 def test_bad_thread_env_exit_2(tmp_path, monkeypatch, capsys):
@@ -137,6 +147,42 @@ def test_bad_thread_env_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SEGMENTIX_THREADS", "many")
     assert cli.main(["solve", "--input", inp]) == 2
     assert "threads" in capsys.readouterr().err
+
+
+# each list holds one failure per argument check, in the order they are
+# reported; a case keeps the failures from its index on
+_SWEEP_FAILURES = [
+    ("threads", None),
+    ("k_grid", ["--k-grid", "1:2"]),
+    ("output_format", ["--format", "json"]),
+    ("distinct_paths", ["--output", "INPUT"]),
+    ("tolerance", ["--tol", "0"]),
+    ("max_iters", ["--max-iters", "0"]),
+]
+_ORACLE_FAILURES = [
+    ("threads", None),
+    ("output_format", ["--format", "csv"]),
+    ("distinct_paths", ["--output", "INPUT"]),
+    ("grid_size", ["--grid-n", "2"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command,failures",
+    [("sweep", _SWEEP_FAILURES[i:]) for i in range(len(_SWEEP_FAILURES))]
+    + [("oracle", _ORACLE_FAILURES[i:]) for i in range(len(_ORACLE_FAILURES))],
+    ids=lambda v: v if isinstance(v, str) else v[0][0],
+)
+def test_first_failed_check_is_reported(tmp_path, monkeypatch, capsys, command, failures):
+    inp = write(tmp_path, "inst.json", WORKED)
+    argv = [command, "--input", inp]
+    for _, args in failures:
+        if args is None:
+            monkeypatch.setenv("SEGMENTIX_THREADS", "many")
+        else:
+            argv += [inp if a == "INPUT" else a for a in args]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error [{failures[0][0]}]: ")
 
 
 # -------------------- verify --------------------
@@ -162,6 +208,21 @@ def test_verify_structural_only_without_instance(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] is True
     assert "note" in report
+
+
+@pytest.mark.parametrize(
+    "with_instance,message",
+    [(True, "'prior' has 3 entries but the valuation ladder has 2"), (False, "field 'segments' must be a non-empty array")],
+    ids=["certificate", "structural"],
+)
+def test_verify_prior_length_checked_before_segments(tmp_path, capsys, with_instance, message):
+    # only the certificate path knows the ladder, so only it can check the prior's length first
+    seg_path = write(tmp_path, "seg.json", {"prior": [0.2, 0.3, 0.5], "segments": []})
+    argv = ["verify", "--input", seg_path]
+    if with_instance:
+        argv += ["--instance", write(tmp_path, "inst.json", WORKED)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error [file_format]: {seg_path}: {message}\n"
 
 
 def test_verify_flags_tampered_weights(tmp_path, capsys):

@@ -58,7 +58,7 @@ def test_instance_type_error_names_entry(tmp_path):
     path = write(tmp_path, "inst.json", {"valuations": [1, "two"], "mu": [0.4, 0.6], "k": 0.8})
     with pytest.raises(FileFormatError) as err:
         files.load_market_instance(path)
-    assert "'valuations[1]'" in str(err.value)
+    assert err.value.message == f"{path}: field 'valuations[1]' must be a number, got str"
 
 
 def test_instance_bool_is_not_a_number(tmp_path):
@@ -73,6 +73,7 @@ def test_instance_semantic_error_keeps_invariant(tmp_path):
     with pytest.raises(FileFormatError) as err:
         files.load_market_instance(path)
     assert err.value.invariant == "valuations_increasing"
+    assert err.value.message.startswith(f"{path}: valuations must be strictly increasing")
 
 
 def test_instance_length_mismatch(tmp_path):

@@ -16,6 +16,7 @@ from segmentix import (
     all_revenues,
     buyer_payoff,
     entropy,
+    net_objective,
     net_segment_value,
     no_segmentation,
     optimal_price,
@@ -88,6 +89,15 @@ def test_revenue_high_price_serves_high_types():
 def test_revenue_three_types_middle_price():
     m = Market((0.2, 0.3, 0.5))
     assert revenue(m, V123, 1) == pytest.approx(1.6, abs=1e-15)
+
+
+def test_revenue_and_net_objective_reject_length_mismatch():
+    # a 3-type market priced against a 2-type ladder used to score 0.6
+    m = Market((0.2, 0.3, 0.5))
+    with pytest.raises(ValidationError, match="instance_shape"):
+        revenue(m, V12, 1)
+    with pytest.raises(ValidationError, match="instance_shape"):
+        net_objective(no_segmentation(m, V123), V12, 0.5)
 
 
 @given(st.integers(2, 5), st.data())
