@@ -38,6 +38,12 @@ INPUTS = {
     "inst2_zero.json": {"valuations": [1.0, 2.0], "mu": [0.4, 0.6], "k": 0.0},
     "inst3.json": {"valuations": [1.0, 2.0, 3.0], "mu": [0.3, 0.4, 0.3], "k": 3.0},
     "inst3_slow.json": {"valuations": [1.0, 2.0, 3.0], "mu": [0.3, 0.4, 0.3], "k": 0.5},
+    "inst3_near.json": {"valuations": [1.0, 2.0, 3.0], "mu": [0.3, 0.4, 0.3], "k": 1.4425},
+    "inst4_smallk.json": {
+        "valuations": [1.1850924593921786, 3.8020827553407517, 4.048053720371515, 4.689562813494701],
+        "mu": [0.0286410808980551, 4.340621750876239e-11, 0.47790271474479623, 0.4934562043137425],
+        "k": 0.00016120592382723196,
+    },
     "sweep2.json": {"valuations": [1.0, 2.0], "mu": [0.4, 0.6]},
     "sweep2k.json": {"valuations": [1.0, 4.0], "mu": [0.5, 0.5], "k": 0.1},
     "sweep3.json": {"valuations": [1.0, 2.0, 3.0], "mu": [0.3, 0.4, 0.3]},
@@ -132,6 +138,8 @@ def invocations() -> list[tuple[str | None, list[str], str | None]]:
     add("solve", "--input", "inst3_slow.json", "--max-iters", "2")
     add("solve", "--input", "inst3_slow.json", "--max-iters", "5", "--tol", "1e-3")
     add("solve", "--input", "inst2.json", "--tol", "inf")
+    add("solve", "--input", "inst3_near.json")
+    add("solve", "--input", "inst4_smallk.json")
 
     # sweep
     add("sweep", "--input", "sweep2.json", out="sweep_default.csv")
@@ -143,6 +151,7 @@ def invocations() -> list[tuple[str | None, list[str], str | None]]:
     add("sweep", "--input", "inst2.json", "--k-grid", "0.1:10:2")
     add("sweep", "--input", "sweep3.json", "--k-grid", "1.5:10:8", "--format", "csv")
     add("sweep", "--input", "sweep3.json", "--k-grid", "2:10:5", "--max-iters", "3")
+    add("sweep", "--input", "sweep3.json", "--k-grid", "0.5:2:9")
     add("sweep", "--input", "sweep2.json", "--k-grid", "0.1:10:12", "--tol", "1e-9", "--max-iters", "1000")
     for grid in ("1:2", "1:2:3:4", "a:b:c", "0.1:10:x", "0.1:10:2.5", "0:1:5", "-1:1:5",
                  "5:1:5", "0.1:inf:5", "0.1:10:1", "0.1:10:0", ":::", "nan:1:5"):

@@ -9,7 +9,8 @@ argparse checks flag names, types and choices. Every other argument check
 lives in ``_check_args``, which runs before any file is read and reports
 the first failure in this order: ``SEGMENTIX_THREADS``, ``--k-grid``, the
 format each command allows, distinct paths, then the ranges of ``--tol``,
-``--max-iters`` and ``--grid-n``. The handlers read the checked namespace.
+``--max-iters`` and ``--grid-n`` (from 2000 for ``rationalize``, which
+verifies on that grid). The handlers read the checked namespace.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from collections.abc import Callable
 from . import files
 from .market import Segment, Segmentation, ValidationError
 from .oracle import brute_force
-from .rationalize import construct_cost, induced_segments, verify_rationalization
+from .rationalize import MIN_VERIFY_GRID_N, construct_cost, induced_segments, verify_rationalization
 from .solver import VERIFY_TOL, SolveOptions, SolverError, solve, verify_optimality
 from .sweeps import KGridSpec, default_k_grid, sweep_k, to_csv, to_svg
 
@@ -49,8 +50,9 @@ def _check_args(ns: argparse.Namespace) -> None:
         raise ValidationError("tolerance", f"--tol must be > 0, got {ns.tol}")
     if ns.max_iters is not None and ns.max_iters < 1:
         raise ValidationError("max_iters", f"--max-iters must be >= 1, got {ns.max_iters}")
-    if ns.grid_n is not None and ns.grid_n < 4:
-        raise ValidationError("grid_size", f"--grid-n must be >= 4, got {ns.grid_n}")
+    grid_min = MIN_VERIFY_GRID_N if ns.command == "rationalize" else 4
+    if ns.grid_n is not None and ns.grid_n < grid_min:
+        raise ValidationError("grid_size", f"--grid-n must be >= {grid_min}, got {ns.grid_n}")
 
 
 def _solve_options(ns: argparse.Namespace) -> SolveOptions:

@@ -34,6 +34,7 @@ from .market import (
 )
 
 SLOPE_FLOOR = 1e-6
+MIN_VERIFY_GRID_N = 2000  # coarser grids cannot place the argmax within two steps of the target
 
 
 @dataclass(frozen=True)
@@ -300,8 +301,8 @@ def verify_rationalization(
     two grid steps of the intended segments and reproduces the target
     welfare within ``cs_ps_tol``.
     """
-    if grid_n < 2000:
-        raise ValidationError("grid_size", f"verification needs grid_n >= 2000, got {grid_n}")
+    if grid_n < MIN_VERIFY_GRID_N:
+        raise ValidationError("grid_size", f"verification needs grid_n >= {MIN_VERIFY_GRID_N}, got {grid_n}")
     w1, w2 = target.vals[0], target.vals[1]
     mu = target.mu_star[1]
     intended = induced_segments(target)

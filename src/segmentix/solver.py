@@ -1,19 +1,12 @@
 """Iterative solver for markets with any number of buyer types.
 
-The segmentation problem can be read as designing a noisy channel from
-buyer types to price recommendations: conditional on type, a buyer is
-routed to a recommendation, the seller pays ``k`` times the mutual
-information between type and recommendation and collects the posted-price
-revenue. The value is a concave function of the recommendation marginal,
-and the classic alternating-maximization scheme from rate-distortion
-theory (Blahut-Arimoto) climbs it monotonically. Posteriors derived from
-any marginal are exactly Bayes-plausible by construction, so convergence
-only has to settle which prices survive and with what mass.
-
-Candidate recommendations are the valuations of types the prior actually
-contains: a price equal to a zero-mass type's valuation is strictly
-revenue-dominated by the next supported valuation above it, so dropping
-those rows and columns up front loses nothing.
+With ``Z = exp((S - v) / k)`` (rows are buyer types, columns prices) and price
+masses ``q >= 0``, the seller's net value is affine in the concave ``gain(q) =
+sum_i mu_i log (Z q)_i - sum(q)``, whose maximizer sums to one: the log-optimal
+portfolio problem, with the optimality conditions of Caplin, Dean & Leahy
+(2022). Posteriors derived from any ``q`` are Bayes-plausible by construction.
+Candidate prices are the valuations of types the prior contains: a zero-mass
+type's valuation is strictly revenue-dominated by the next supported one above.
 """
 
 from __future__ import annotations
@@ -46,6 +39,7 @@ VERIFY_TOL = 1e-8
 # not genuine misallocations. Genuine violations imply order-one masses.
 ZERO_MASS_TOL = 1e-12
 _LOG_ZERO_MASS_TOL = math.log(ZERO_MASS_TOL)
+_TINY = np.finfo(float).tiny
 
 
 class SolverError(RuntimeError):
@@ -54,18 +48,17 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs for the fixed-point solver.
+    """Knobs for the iterative solver.
 
-    ``convergence_tol`` bounds the stationarity residual |r - 1| on the
-    surviving support, where r is the mass-update ratio; ``support_prune_tol``
-    is the marginal mass below which a recommendation is dropped and the
-    iteration restarted; ``verify_tol`` is the default tolerance for post-hoc
-    optimality verification.
+    ``max_iters`` caps the passes of ``solve_ri``'s loop. ``convergence_tol``
+    bounds the stationarity residual: |r - 1| at prices with mass and r - 1
+    at the others, where r - 1 is the gradient of the concave gain.
+    ``verify_tol`` is the certificate tolerance at which the no-segmentation
+    and perfect-discrimination candidates are accepted without iterating.
     """
 
     max_iters: int = 200_000
     convergence_tol: float = 1e-12
-    support_prune_tol: float = 1e-9
     verify_tol: float = VERIFY_TOL
 
 
@@ -207,93 +200,95 @@ def verify_optimality(
 
 
 def solve_ri(inst: MarketInstance, options: SolveOptions | None = None) -> Segmentation:
-    """Solve the segmentation problem by alternating maximization.
+    """Solve the segmentation problem by ascent on the price masses.
 
-    The no-segmentation candidate is accepted outright when it already
-    passes the optimality certificate (sufficient by concavity; this covers
-    every instance whose cost scale exceeds its segmentation threshold).
-    Otherwise the mass-update map runs on the supported price ladder,
-    pruning recommendations whose mass decays below ``support_prune_tol``
-    and reconverging until the surviving support is stationary.
-
-    Raises :class:`SolverError` when the iteration budget runs out.
+    No segmentation, then perfect discrimination, is accepted outright when
+    it passes the optimality certificate (sufficient by concavity): above
+    the segmentation threshold, at k = 0 and where ``Z`` is the identity to
+    double precision. Otherwise each pass takes a multiplicative step and a
+    Newton step on the prices with mass, where a price the Newton step
+    exhausts leaves; or, when the largest violation of stationarity is a
+    price without mass (as once the rest are stationary), that price enters.
+    Raises :class:`SolverError`, naming the last residual and the prices
+    with mass, when the iteration budget runs out.
     """
     opts = options or SolveOptions()
-    if inst.k == 0.0:
-        return perfect_discrimination(inst.mu_star, inst.vals)
-    cand = no_segmentation(inst.mu_star, inst.vals)
-    if verify_optimality(cand, inst.vals, inst.k, opts.verify_tol).passed:
-        return cand
+    for cand in (no_segmentation(inst.mu_star, inst.vals), perfect_discrimination(inst.mu_star, inst.vals)):
+        if verify_optimality(cand, inst.vals, inst.k, opts.verify_tol).passed:
+            return cand
 
     mu_full = inst.mu_star.as_array()
     support = np.nonzero(mu_full > 0.0)[0]
     mu = mu_full[support]
-    v = inst.vals.as_array()[support]
-    n = len(support)
     S = payoff_matrix(inst.vals)[np.ix_(support, support)]
-    k = inst.k
-    zt = np.exp((S - v[:, None]) / k)  # rows scaled so diagonals are 1; entries in (0, 1]
+    zt = np.exp((S - inst.vals.as_array()[support, None]) / inst.k)  # rows scaled so diagonals are 1
 
-    def objective(q: np.ndarray) -> float:
-        # concave potential the update ascends; its max is the net payoff
-        return float(mu @ v + k * (mu @ np.log(zt @ q)))
+    def gain(q: np.ndarray) -> float:
+        Z = zt @ q
+        return float(mu @ np.log(Z) - q.sum()) if Z.min() >= _TINY else -math.inf
 
-    actions = support.copy()
-    q = np.full(n, 1.0 / n)
-    total_iters = 0
-    while True:  # each pass converges on the current support or prunes it
-        converged = False
-        f_prev = -math.inf
-        resid = math.inf
-        while total_iters < opts.max_iters:
-            Z = zt @ q
-            r = zt.T @ (mu / Z)
-            live = q >= opts.support_prune_tol
-            resid = max(float(np.max(r)) - 1.0, float(np.max(np.abs(r[live] - 1.0))))
-            if resid <= opts.convergence_tol:
-                converged = True
-                break
-            q = q * r
-            total_iters += 1
-            if total_iters % 50 == 0:
-                q = q / q.sum()
-                f = objective(q)
-                if f < f_prev - 1e-9 * max(1.0, abs(f)):
-                    raise SolverError(f"objective decreased from {f_prev!r} to {f!r}")
-                f_prev = f
-        if converged:
-            keep = q >= opts.support_prune_tol
-            if keep.all():
-                break
+    def newton(q: np.ndarray) -> np.ndarray:
+        # Newton step on the prices with mass, cut where it exhausts one of
+        # them and halved until gain falls by no more than rounding
+        act = np.flatnonzero(q)
+        Z, za, qa = zt @ q, zt[:, act], q[act]
+        root = za * (np.sqrt(mu) / Z)[:, None]  # minus the Hessian is root.T @ root
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                R = np.linalg.qr(root, mode="r")
+                d = np.linalg.solve(R, np.linalg.solve(R.T, za.T @ (mu / Z) - 1.0))
+        except np.linalg.LinAlgError:
+            return q
+        if not np.isfinite(d).all():
+            return q
+        floor = gain(q) - 4.0 * np.spacing(mu @ np.abs(np.log(Z)) + q.sum())
+        ratios = np.divide(qa, -d, out=np.ones_like(qa), where=qa + d < 0.0)
+        j = int(np.argmin(ratios))
+        t = float(ratios[j])
+        for _ in range(60):
+            trial = q.copy()
+            trial[act] = np.maximum(qa + t * d, 0.0)
+            if t == ratios[j] < 1.0:
+                trial[act[j]] = 0.0  # the step exhausts this price: it leaves if gain stays finite
+            if gain(trial) >= floor:
+                return trial
+            t *= 0.5
+        return q
+
+    q = np.full(len(support), 1.0 / len(support))
+    for iters in range(opts.max_iters + 1):
+        Z = zt @ q
+        r = zt.T @ (mu / Z)  # r - 1 is the gradient of gain
+        stationary = float(np.max(np.abs(r[q > 0.0] - 1.0)))
+        resid = max(stationary, float(np.max(r)) - 1.0)
+        if resid <= opts.convergence_tol:
+            break
+        if iters == opts.max_iters:
+            prices = [inst.vals[i] for i in support[q > 0.0]]
+            raise SolverError(f"no convergence after {iters} iterations (residual {resid:.3e}, active prices {prices})")
+        if resid > stationary:
+            # a price without mass enters by a 1-D Newton step, which cannot overshoot
+            # on this ray, where the gradient is convex; w / top keeps w**2 finite
+            a = int(np.argmax(r))
+            w = zt[:, a] / Z
+            top = w.max()
+            q[a] = (r[a] - 1.0) / top / (mu @ (w / top) ** 2) / top
         else:
-            # residual pinned by a slowly dying recommendation: drop clearly
-            # decaying mass and give the loop another chance
-            Z = zt @ q
-            r = zt.T @ (mu / Z)
-            keep = ~((q < 1e-5) & (r < 1.0 - 1e-9))
-            if keep.all():
-                raise SolverError(
-                    f"no convergence after {total_iters} iterations (residual {resid:.3e})"
-                )
-        q = q[keep]
-        q = q / q.sum()
-        zt = zt[:, keep]
-        actions = actions[keep]
+            q = newton(q * r if gain(q * r) > -math.inf else q)  # the multiplicative step, unless Z underflows
 
+    keep = q > 0.0
+    actions, zt, q = support[keep], zt[:, keep], q[keep]
     if len(actions) == 1:
         return no_segmentation(inst.mu_star, inst.vals)
     # assemble: posteriors renormalized per recommendation, weights carry the
     # residual column mass so Bayes plausibility holds to float accuracy
-    Z = zt @ q
-    cols = (mu[:, None] * zt) / Z[:, None]
+    cols = zt * (mu / (zt @ q))[:, None]  # mu / Z first: mu * zt can underflow
     sums = cols.sum(axis=0)
-    weights = q * sums
-    weights = weights / math.fsum(weights)
-    segments = []
-    for a in range(len(actions)):
-        post = np.zeros(len(mu_full))
-        post[support] = cols[:, a] / sums[a]
-        segments.append(Segment(Market(post), float(weights[a]), int(actions[a])))
+    weights = q * sums / math.fsum(q * sums)
+    posts = np.zeros((len(mu_full), len(actions)))
+    posts[support] = cols / sums
+    posts[posts < _TINY] = 0.0  # subnormals are too coarse for the likelihood-ratio check
+    segments = [Segment(Market(p), float(w), int(a)) for p, w, a in zip(posts.T, weights, actions)]
     return Segmentation(inst.mu_star, segments)
 
 

@@ -281,6 +281,19 @@ def test_rationalize_grid_floor(tmp_path, capsys):
     assert "grid_size" in capsys.readouterr().err
 
 
+def test_rationalize_grid_floor_checked_before_reading(tmp_path, capsys):
+    # verification needs 2000 grid points; the floor is checked with the other
+    # arguments, so a missing target reports the grid, not the file
+    missing = str(tmp_path / "missing.json")
+    assert cli.main(["rationalize", "--input", missing, "--grid-n", "1999"]) == 2
+    assert capsys.readouterr().err.startswith("error [grid_size]: --grid-n must be >= 2000, got 1999")
+    assert cli.main(["rationalize", "--input", missing, "--grid-n", "2000"]) == 2
+    assert capsys.readouterr().err.startswith("error [file_format]: ")
+    # the oracle's own floor stays 4
+    assert cli.main(["oracle", "--input", missing, "--grid-n", "50"]) == 2
+    assert capsys.readouterr().err.startswith("error [file_format]: ")
+
+
 # -------------------- oracle --------------------
 
 def test_oracle_matches_frozen_value(tmp_path):

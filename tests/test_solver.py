@@ -1,6 +1,7 @@
-"""Fixed-point solver and first-order optimality certificate tests."""
+"""Iterative solver and first-order optimality certificate tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from segmentix import (
     Valuations,
     net_objective,
     payoff_matrix,
+    segmentation_threshold,
     solve,
     solve_binary,
     solve_ri,
@@ -93,6 +95,58 @@ def test_iterative_deterministic():
     a = solve_ri(inst)
     b = solve_ri(inst)
     assert a.segments == b.segments
+
+
+def test_solver_error_names_last_residual_and_active_prices():
+    # a starved budget: the message carries a finite residual and the prices
+    # that still have mass
+    inst = MarketInstance(V123, Market((0.3, 0.4, 0.3)), 0.5)
+    with pytest.raises(SolverError) as exc:
+        solve_ri(inst, SolveOptions(max_iters=2))
+    m = re.fullmatch(r"no convergence after 2 iterations \(residual (\S+), active prices \[(.+)\]\)", str(exc.value))
+    assert m, str(exc.value)
+    assert math.isfinite(float(m.group(1)))
+    assert {float(p) for p in m.group(2).split(", ")} <= set(V123.values)
+
+
+def test_small_cost_with_tiny_type_is_certified():
+    # exp((S - v) / k) is the identity to double precision; perfect
+    # discrimination passes the certificate and is returned
+    vals = Valuations((1.1850924593921786, 3.8020827553407517, 4.048053720371515, 4.689562813494701))
+    prior = Market((0.0286410808980551, 4.340621750876239e-11, 0.47790271474479623, 0.4934562043137425))
+    k = 0.00016120592382723196
+    seg = solve(MarketInstance(vals, prior, k))
+    assert verify_optimality(seg, vals, k, tol=1e-8).passed
+
+
+# -------------------- regime changes --------------------
+# Near a cost scale where the optimal set of prices changes, the entering
+# price's optimal mass vanishes; each solve must pass its certificate.
+
+
+def _assert_certified(vals, prior, k):
+    seg = solve_ri(MarketInstance(vals, prior, k))
+    report = verify_optimality(seg, vals, k, tol=1e-8)
+    assert report.passed, (k, report.failures)
+
+
+@pytest.mark.parametrize("j", range(1, 7))
+def test_two_types_just_below_threshold(j):
+    prior = Market((0.6, 0.4))
+    _assert_certified(V12, prior, (1.0 - 10.0**-j) * segmentation_threshold(V12, prior))
+
+
+@pytest.mark.parametrize("k", [1.4425] + [(1.0 - 10.0**-j) / math.log(2.0) for j in range(1, 7)])
+def test_three_types_just_below_threshold(k):
+    # the threshold of (1, 2, 3)/(0.3, 0.4, 0.3) is 1/ln 2
+    _assert_certified(V123, Market((0.3, 0.4, 0.3)), float(k))
+
+
+def test_three_type_sweep_across_support_changes():
+    vals = Valuations((3.313, 3.991, 4.537))
+    prior = Market((0.138, 0.125, 0.737))
+    for k in np.geomspace(0.04537, 45.37, 100):
+        _assert_certified(vals, prior, float(k))
 
 
 # -------------------- certificate --------------------
