@@ -29,12 +29,14 @@ from .sweeps import KGridSpec, default_k_grid, sweep_k, to_csv, to_svg
 
 
 def _check_args(ns: argparse.Namespace) -> None:
-    """Complete ``ns`` in place: thread cap, parsed --k-grid and output format.
+    """Complete ``ns`` in place: parsed --k-grid and output format.
 
-    Paths must be pairwise distinct so no command can clobber its own input.
+    ``SEGMENTIX_THREADS`` must be an integer if set, though sweeps run in one
+    process whatever its value. Paths must be pairwise distinct so no
+    command can clobber its own input.
     """
     try:
-        ns.threads = max(1, int(os.environ.get("SEGMENTIX_THREADS", "1")))
+        int(os.environ.get("SEGMENTIX_THREADS", "1"))
     except ValueError:
         raise ValidationError("threads", "SEGMENTIX_THREADS must be an integer") from None
     ns.k_grid = parse_k_grid(ns.k_grid) if ns.k_grid else None
@@ -77,7 +79,7 @@ def _run_solve(ns: argparse.Namespace) -> None:
 def _run_sweep(ns: argparse.Namespace) -> None:
     vals, mu = files.load_sweep_instance(ns.input)
     grid = ns.k_grid if ns.k_grid is not None else default_k_grid(vals)
-    table = sweep_k(vals, mu, grid, _solve_options(ns), max_workers=ns.threads)
+    table = sweep_k(vals, mu, grid, _solve_options(ns))
     _emit(ns, to_csv(table) if ns.format == "csv" else to_svg(table))
 
 
@@ -144,7 +146,7 @@ def parse_k_grid(text: str) -> KGridSpec:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ValidationError("k_grid", f"--k-grid wants numeric MIN:MAX:N, got {text!r}") from exc
-    return KGridSpec(lo=lo, hi=hi, n=n, log=True)
+    return KGridSpec(lo=lo, hi=hi, n=n)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -347,11 +347,7 @@ def perfect_discrimination(mu_star: Market, vals: Valuations) -> Segmentation:
 
 def uniform_report(mu_star: Market, vals: Valuations) -> WelfareReport:
     """Welfare when the seller does not segment and charges the single best price."""
-    p_idx = optimal_price(mu_star, vals)
-    p = vals[p_idx]
-    cs = math.fsum(w * buyer_payoff(p, v) for w, v in zip(mu_star.weights, vals.values))
-    ps = revenue(mu_star, vals, p_idx)
-    return WelfareReport(cs=cs, ps_gross=ps, info_cost=0.0, ps_net=ps, ts_gross=cs + ps, ts_net=cs + ps, segmented=False)
+    return welfare(no_segmentation(mu_star, vals), vals, 0.0)
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,7 @@ def _resolution_bound(h: float, top_value: float, k: float) -> float:
     return 2.0 * h * (top_value + k * max(1.0, -math.log(h)))
 
 
-def brute_force_binary(inst: MarketInstance, grid_n: int = 4000, refine: bool = True) -> OracleResult:
+def brute_force_binary(inst: MarketInstance, grid_n: int = 4000) -> OracleResult:
     """Exhaustive pair search over a uniform grid of two-type posteriors.
 
     Every pair (x1, x2) with x1 <= prior share <= x2 is a feasible
@@ -114,7 +114,7 @@ def brute_force_binary(inst: MarketInstance, grid_n: int = 4000, refine: bool = 
         best_v = best_pair_v
     grid_value = best_v - k * prior_ent
 
-    if refine and best_pair is not None:
+    if best_pair is not None:
         from scipy.optimize import minimize
 
         def neg(p: np.ndarray) -> float:
@@ -169,7 +169,7 @@ def _simplex_grid(m: int) -> np.ndarray:
     return np.asarray(pts, dtype=float) / m
 
 
-def brute_force_small(inst: MarketInstance, grid_n: int = 100, refine: bool = True) -> OracleResult:
+def brute_force_small(inst: MarketInstance, grid_n: int = 100) -> OracleResult:
     """LP-over-grid oracle for three-type markets.
 
     Candidate posteriors are every point of a resolution-``grid_n`` simplex
@@ -217,10 +217,9 @@ def brute_force_small(inst: MarketInstance, grid_n: int = 100, refine: bool = Tr
     value = math.fsum(w * gval(p) for w, p in zip(weights, posts))
     grid_value = value - k * entropy(inst.mu_star)
 
-    if refine:
-        refined = _refine_small(np.array(posts), np.array(weights), mu, gval)
-        if refined is not None and refined[0] > value:
-            value, posts, weights = refined
+    refined = _refine_small(np.array(posts), np.array(weights), mu, gval)
+    if refined is not None and refined[0] > value:
+        value, posts, weights = refined
 
     base = gval(mu)
     if base >= value:
@@ -315,10 +314,10 @@ def _refine_small(posts: np.ndarray, weights: np.ndarray, mu: np.ndarray, gval) 
     return None
 
 
-def brute_force(inst: MarketInstance, grid_n: int | None = None, refine: bool = True) -> OracleResult:
+def brute_force(inst: MarketInstance, grid_n: int | None = None) -> OracleResult:
     """Dispatch to the pair oracle (2 types) or the simplex LP oracle (3 types)."""
     if len(inst.vals) == 2:
-        return brute_force_binary(inst, grid_n or 4000, refine)
+        return brute_force_binary(inst, grid_n or 4000)
     if len(inst.vals) == 3:
-        return brute_force_small(inst, grid_n or 100, refine)
+        return brute_force_small(inst, grid_n or 100)
     raise ValidationError("oracle_size", "oracles cover markets with 2 or 3 types only")

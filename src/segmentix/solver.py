@@ -53,13 +53,10 @@ class SolveOptions:
     ``max_iters`` caps the passes of ``solve_ri``'s loop. ``convergence_tol``
     bounds the stationarity residual: |r - 1| at prices with mass and r - 1
     at the others, where r - 1 is the gradient of the concave gain.
-    ``verify_tol`` is the certificate tolerance at which the no-segmentation
-    and perfect-discrimination candidates are accepted without iterating.
     """
 
     max_iters: int = 200_000
     convergence_tol: float = 1e-12
-    verify_tol: float = VERIFY_TOL
 
 
 @dataclass(frozen=True)
@@ -214,7 +211,7 @@ def solve_ri(inst: MarketInstance, options: SolveOptions | None = None) -> Segme
     """
     opts = options or SolveOptions()
     for cand in (no_segmentation(inst.mu_star, inst.vals), perfect_discrimination(inst.mu_star, inst.vals)):
-        if verify_optimality(cand, inst.vals, inst.k, opts.verify_tol).passed:
+        if verify_optimality(cand, inst.vals, inst.k).passed:
             return cand
 
     mu_full = inst.mu_star.as_array()

@@ -38,12 +38,11 @@ SWEEP_PRICE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class KGridSpec:
-    """Cost-scale ladder: ``n`` points from ``lo`` to ``hi``, log-spaced by default."""
+    """Cost-scale ladder: ``n`` log-spaced points from ``lo`` to ``hi``."""
 
     lo: float
     hi: float
     n: int
-    log: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.lo < self.hi) or not math.isfinite(self.hi):
@@ -52,9 +51,7 @@ class KGridSpec:
             raise ValidationError("k_grid", f"need at least 2 points, got {self.n}")
 
     def as_array(self) -> np.ndarray:
-        if self.log:
-            return np.geomspace(self.lo, self.hi, self.n)
-        return np.linspace(self.lo, self.hi, self.n)
+        return np.geomspace(self.lo, self.hi, self.n)
 
 
 def default_k_grid(vals: Valuations) -> KGridSpec:
@@ -99,10 +96,9 @@ class SweepTable:
         return out
 
 
-def _sweep_row(args: tuple[Valuations, Market, float, SolveOptions | None]) -> SweepRow:
-    vals, prior, k, opt = args
+def _sweep_row(vals: Valuations, prior: Market, k: float, options: SolveOptions | None) -> SweepRow:
     try:
-        seg = solve(MarketInstance(vals, prior, k), opt)
+        seg = solve(MarketInstance(vals, prior, k), options)
     except SolverError as e:
         return SweepRow(k=k, report=None, n_segments=0, prices=(), verify=None, error=str(e))
     rep = welfare(seg, vals, k, price_tol=SWEEP_PRICE_TOL)
@@ -118,11 +114,10 @@ def sweep_k(
     options: SolveOptions | None = None,
     max_workers: int = 1,
 ) -> SweepTable:
-    """Solve one market at every cost scale on the grid.
+    """Solve one market at every cost scale on the grid, in grid order, in this process.
 
     Rows that fail to converge are recorded with their error and the sweep
-    continues. ``max_workers`` > 1 fans rows out to worker processes; row
-    order always follows the grid either way.
+    continues. ``max_workers`` is accepted and ignored.
     """
     grid_spec = None
     if k_grid is None:
@@ -138,19 +133,11 @@ def sweep_k(
         if np.any(ks <= 0.0) or np.any(np.diff(ks) <= 0.0):
             raise ValidationError("k_grid", "grid must be positive and strictly increasing")
     # Market(weights) renormalizes, which can move a normalized prior's last
-    # bit again; rows solve that rebuilt prior, as they did when each row
-    # rebuilt it from tuples, so sweep bytes do not change
+    # bit again; rows solve that rebuilt prior, so sweep bytes stay those of
+    # earlier releases
     prior = Market(mu_star.weights)
-    work = [(vals, prior, float(k), options) for k in ks]
-    if max_workers > 1:
-        # imported here: multiprocessing is costly to load on every start
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(_sweep_row, work))
-    else:
-        rows = [_sweep_row(w) for w in work]
-    return SweepTable(rows=tuple(rows), grid=grid_spec)
+    rows = tuple(_sweep_row(vals, prior, float(k), options) for k in ks)
+    return SweepTable(rows=rows, grid=grid_spec)
 
 
 def classify_monotonicity(values: Iterable[float], tol: float | None = None) -> str:

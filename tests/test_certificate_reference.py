@@ -396,7 +396,7 @@ def test_sweep_bytes_match_reference_kernels(K, n_points, options, monkeypatch):
 
 
 def test_pooled_sweep_matches_serial():
-    # the pool pickles the Valuations and Market objects each row receives
+    # max_workers is accepted and ignored: the bytes are those of the serial sweep
     for vals, prior in _seeded_markets(2, 2, seed=7) + _seeded_markets(3, 1, seed=8):
         grid = KGridSpec(1e-2 * vals[0], 10.0 * vals[-1], 24)
         options = SolveOptions(max_iters=5000)
@@ -418,8 +418,7 @@ def test_length_mismatch_is_rejected():
 
 
 def test_sweep_rows_solve_the_rebuilt_prior():
-    # renormalizing this prior moves its last bit; rows solve Market(prior.weights),
-    # as they did when every row rebuilt the market from tuples
+    # renormalizing this prior moves its last bit; rows solve Market(prior.weights)
     vals = Valuations((2.2580222068777105, 3.3759214995278573))
     prior = Market((0.8172438280513341, 0.18275617194866606))
     assert Market(prior.weights) != prior

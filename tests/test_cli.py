@@ -127,11 +127,29 @@ def test_sweep_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
     args = ["sweep", "--input", inp, "--format", "csv", "--k-grid", "0.2:5:12"]
     monkeypatch.setenv("SEGMENTIX_THREADS", "1")
     assert cli.main(args + ["--output", serial]) == 0
-    # values below 1 mean serial
+    # any integer is accepted; every sweep runs in this process
     for threads in ("3", "0", "-3"):
         monkeypatch.setenv("SEGMENTIX_THREADS", threads)
         assert cli.main(args + ["--output", parallel]) == 0
         assert Path(serial).read_bytes() == Path(parallel).read_bytes()
+
+
+def test_sweeps_start_no_worker_process(tmp_path):
+    inp = write(tmp_path, "inst.json", {"valuations": [1.0, 2.0], "mu": [0.4, 0.6]})
+    src = str(Path(segmentix.__file__).resolve().parents[1])
+    env = dict(os.environ, SEGMENTIX_THREADS="3",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    loaded = "print('concurrent.futures.process' in sys.modules)"
+    code = "\n".join([
+        "import sys",
+        "from segmentix import KGridSpec, Market, Valuations, cli, sweep_k",
+        "sweep_k(Valuations((1.0, 2.0)), Market((0.4, 0.6)), KGridSpec(0.2, 5.0, 12), max_workers=3)",
+        loaded,
+        f"assert cli.main(['sweep', '--input', {inp!r}, '--output', {str(tmp_path / 'out.csv')!r}]) == 0",
+        loaded,
+    ])
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "False"]
 
 
 def test_sweep_empty_k_grid_means_default(tmp_path):

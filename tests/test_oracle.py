@@ -95,7 +95,6 @@ def test_dispatcher_selects_by_type_count():
 
 def test_refine_improves_on_grid():
     inst = MarketInstance(V12, MU46, 0.8)
-    coarse = brute_force_binary(inst, grid_n=200, refine=False)
-    polished = brute_force_binary(inst, grid_n=200, refine=True)
-    assert polished.value >= coarse.value - 1e-15
-    assert polished.value == pytest.approx(1.2631339314688932, abs=1e-7)
+    result = brute_force_binary(inst, grid_n=200)
+    assert result.value >= result.grid_value - 1e-15
+    assert result.value == pytest.approx(1.2631339314688932, abs=1e-7)
