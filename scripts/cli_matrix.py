@@ -195,6 +195,7 @@ def invocations() -> list[tuple[str | None, list[str], str | None]]:
     add("oracle", "--input", "inst2b.json", "--grid-n", "1000")
     add("oracle", "--input", "inst2_pool.json", "--grid-n", "300")
     add("oracle", "--input", "inst3.json", "--grid-n", "20")
+    add("oracle", "--input", "inst3_slow.json")
     add("oracle", "--input", "inst2.json", "--grid-n", "4")
     add("oracle", "--input", "inst2.json", "--grid-n", "3")
     add("oracle", "--input", "inst3.json", "--grid-n", "-1")

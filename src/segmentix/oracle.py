@@ -6,8 +6,9 @@ derivative-free local polish. Nothing here shares likelihood-ratio
 machinery with the solvers; tests sandwich solver values between oracle
 values to catch agreement-by-shared-bug.
 
-scipy is imported inside the functions that call it, so that importing the
-package (and starting every CLI process) does not pay for loading it.
+The two numerical methods are textbook ones written out here: Nelder-Mead
+(1965) for the polish and Dantzig's primal simplex for the three-row grid
+LP. Neither needs scipy, so an oracle run loads nothing beyond numpy.
 """
 
 from __future__ import annotations
@@ -29,6 +30,92 @@ from .market import (
 )
 
 _CHUNK = 256
+_LP_MAX_PIVOTS = 1000  # 600 seeded K=3 grid LPs took at most 18
+
+
+def _nelder_mead(f, x0: np.ndarray, xatol: float, fatol: float, maxiter: int) -> tuple[np.ndarray, float]:
+    """Minimise ``f`` from ``x0``; returns the best vertex and its value.
+
+    Step for step the unbounded, non-adaptive Nelder-Mead of scipy 1.17's
+    ``minimize``: the same coefficients, start simplex, vertex ordering and
+    stop test, so oracle results keep the bytes scipy gave them.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    N = len(x0)
+    sim = np.empty((N + 1, N))
+    sim[0] = x0
+    for k in range(N):
+        y = x0.copy()
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.array([f(x.copy()) for x in sim], dtype=float)
+    # scipy sorts twice before the first pass; argsort is not stable, so do too
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    iterations = 1
+    while iterations < maxiter:
+        if np.max(np.abs(sim[1:] - sim[0])) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = 2 * xbar - sim[-1]  # reflect the worst vertex through the centroid
+        fxr = f(xr.copy())
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]  # expand
+            fxe = f(xe.copy())
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # contract outside
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc.copy())
+                shrink = not fxc <= fxr
+            else:  # contract inside
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc.copy())
+                shrink = not fxc < fsim[-1]
+            if not shrink:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # halve every vertex's distance to the best
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j].copy())
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim)
+
+
+def _grid_lp(P: np.ndarray, g: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Maximise ``g @ lam`` subject to ``P.T @ lam = mu``, ``lam >= 0``.
+
+    Primal simplex on the three rows. The grid holds the simplex's corner
+    points, whose basis is feasible with ``lam = mu``. Dantzig pricing picks
+    the entering point and stops once no reduced cost exceeds
+    1e-12 * max(1, |g|_inf); the ratio test breaks ties on the lowest point
+    index. Each pass re-solves the 3x3 basis, so no error accumulates.
+    """
+    basis = [int(np.flatnonzero(P[:, i] == 1.0)[0]) for i in range(3)]
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(g))))
+    for pivots in range(_LP_MAX_PIVOTS + 1):
+        B = P[basis]  # rows are the basic points, so the basis matrix is B.T
+        d = g - P @ np.linalg.solve(B, g[basis])
+        j = int(np.argmax(d))
+        if d[j] <= tol:
+            lam = np.zeros(len(P))
+            lam[basis] = np.maximum(np.linalg.solve(B.T, mu), 0.0)
+            return lam
+        if pivots == _LP_MAX_PIVOTS:
+            break
+        x, w = np.linalg.solve(B.T, np.column_stack([mu, P[j]])).T
+        rows = np.flatnonzero(w > 1e-12)  # never empty: w sums to 1, as the points do
+        ratios = np.maximum(x[rows], 0.0) / w[rows]
+        tied = rows[ratios == ratios.min()]
+        basis[min(tied, key=lambda r: basis[r])] = j
+    raise ValidationError("oracle_lp", f"grid LP not optimal after {_LP_MAX_PIVOTS} pivots")
 
 
 @dataclass(frozen=True)
@@ -115,8 +202,6 @@ def brute_force_binary(inst: MarketInstance, grid_n: int = 4000) -> OracleResult
     grid_value = best_v - k * prior_ent
 
     if best_pair is not None:
-        from scipy.optimize import minimize
-
         def neg(p: np.ndarray) -> float:
             x1, x2 = float(p[0]), float(p[1])
             if not (0.0 <= x1 <= mu <= x2 <= 1.0) or x2 - x1 < 1e-12:
@@ -124,15 +209,10 @@ def brute_force_binary(inst: MarketInstance, grid_n: int = 4000) -> OracleResult
             tau = (x2 - mu) / (x2 - x1)
             return -(tau * gfun(x1) + (1.0 - tau) * gfun(x2))
 
-        res = minimize(
-            neg,
-            np.array(best_pair),
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-13, "maxiter": 4000},
-        )
-        if res.fun < -best_v:
-            best_v = -float(res.fun)
-            best_pair = (float(res.x[0]), float(res.x[1]))
+        px, fun = _nelder_mead(neg, np.array(best_pair), 1e-12, 1e-13, 4000)
+        if fun < -best_v:
+            best_v = -float(fun)
+            best_pair = (float(px[0]), float(px[1]))
     # the pair only counts if it beats staying put
     use_pair = best_pair is not None and best_v > base
     if use_pair:
@@ -162,11 +242,9 @@ def brute_force_binary(inst: MarketInstance, grid_n: int = 4000) -> OracleResult
 
 
 def _simplex_grid(m: int) -> np.ndarray:
-    pts = []
-    for i in range(m + 1):
-        for j in range(m + 1 - i):
-            pts.append((i, j, m - i - j))
-    return np.asarray(pts, dtype=float) / m
+    r = np.arange(m + 1)
+    i, j = np.nonzero(np.add.outer(r, r) <= m)  # row-major: i outer, j inner
+    return np.column_stack([i, j, m - i - j]) / m
 
 
 def brute_force_small(inst: MarketInstance, grid_n: int = 100) -> OracleResult:
@@ -187,14 +265,9 @@ def brute_force_small(inst: MarketInstance, grid_n: int = 100) -> OracleResult:
     k = inst.k
     mu = inst.mu_star.as_array()
 
-    from scipy.optimize import linprog
-
     P = _simplex_grid(grid_n)
     g = _net_value_points(v, k, P)
-    res = linprog(-g, A_eq=P.T, b_eq=mu, bounds=(0.0, None), method="highs-ds")
-    if not res.success:
-        raise ValidationError("oracle_lp", f"grid LP failed: {res.message}")
-    lam = res.x
+    lam = _grid_lp(P, g, mu)
     atoms = np.nonzero(lam > 1e-12)[0]
 
     def gval(p: np.ndarray) -> float:
@@ -252,8 +325,6 @@ def brute_force_small(inst: MarketInstance, grid_n: int = 100) -> OracleResult:
 
 def _refine_small(posts: np.ndarray, weights: np.ndarray, mu: np.ndarray, gval) -> tuple[float, list, list] | None:
     """Polish an LP solution; parameterizations keep Bayes exact by design."""
-    from scipy.optimize import minimize
-
     s = len(weights)
     if s == 1:
         return None
@@ -270,15 +341,14 @@ def _refine_small(posts: np.ndarray, weights: np.ndarray, mu: np.ndarray, gval) 
             return -(tau * gval(x1) + (1.0 - tau) * gval(x2 / x2.sum()))
 
         p0 = np.array([posts[0][0], posts[0][1], weights[0]])
-        res = minimize(neg, p0, method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-13, "maxiter": 6000})
-        if res.fun >= 1e9:
+        px, fun = _nelder_mead(neg, p0, 1e-12, 1e-13, 6000)
+        if fun >= 1e9:
             return None
-        a, b, tau = res.x
+        a, b, tau = px
         x1 = np.array([a, b, 1.0 - a - b])
         x2 = np.clip((mu - tau * x1) / (1.0 - tau), 0.0, None)
         x2 = x2 / x2.sum()
-        return (-float(res.fun), [x1, x2], [float(tau), 1.0 - float(tau)])
+        return (-float(fun), [x1, x2], [float(tau), 1.0 - float(tau)])
     if s == 3:
         def unpack(p: np.ndarray) -> np.ndarray | None:
             X = np.empty((3, 3))
@@ -303,14 +373,13 @@ def _refine_small(posts: np.ndarray, weights: np.ndarray, mu: np.ndarray, gval) 
             return -math.fsum(l * gval(x) for l, x in zip(lam, X))
 
         p0 = np.array([c for x in posts for c in x[:2]])
-        res = minimize(neg, p0, method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-13, "maxiter": 12000})
-        if res.fun >= 1e9:
+        px, fun = _nelder_mead(neg, p0, 1e-12, 1e-13, 12000)
+        if fun >= 1e9:
             return None
-        X = unpack(res.x)
+        X = unpack(px)
         lam = np.clip(np.linalg.solve(X.T, mu), 0.0, None)
         lam = lam / lam.sum()
-        return (-float(res.fun), list(X), list(map(float, lam)))
+        return (-float(fun), list(X), list(map(float, lam)))
     return None
 
 

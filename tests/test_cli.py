@@ -346,14 +346,19 @@ def test_input_flag_required(capsys):
 
 # -------------------- start-up cost --------------------
 
-@pytest.mark.parametrize("module", ["segmentix", "segmentix.cli", "segmentix.files"])
-def test_import_loads_no_scipy(module):
-    # scipy costs most of a CLI process's start; only the oracle may load it
+@pytest.mark.parametrize("module", ["segmentix", "segmentix.cli", "segmentix.files", "segmentix.oracle",
+                                    "oracle-K2", "oracle-K3"])
+def test_import_loads_no_scipy(module, tmp_path):
+    # scipy costs most of a CLI process's start; no module loads it, and
+    # neither does an oracle run, the LP-backed K=3 one included
+    if module.startswith("oracle-"):
+        inst = WORKED if module == "oracle-K2" else {"valuations": [1.0, 2.0, 3.0], "mu": [0.3, 0.4, 0.3], "k": 0.5}
+        argv = ["oracle", "--input", write(tmp_path, "inst.json", inst), "--output", str(tmp_path / "out.json")]
+        stmt = f"from segmentix import cli; assert cli.main({argv!r}) == 0"
+    else:
+        stmt = f"import {module}"
     src = str(Path(segmentix.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (
-        f"import sys, {module}; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
-    )
+    code = f"import sys; {stmt}; print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 """Exhaustive-search oracle tests (pair grid and simplex LP)."""
 
+import numpy as np
 import pytest
 
 from segmentix import (
@@ -16,6 +17,7 @@ from segmentix import (
     tangency_posteriors,
     welfare,
 )
+from segmentix import oracle
 
 V12 = Valuations((1.0, 2.0))
 V123 = Valuations((1.0, 2.0, 3.0))
@@ -98,3 +100,76 @@ def test_refine_improves_on_grid():
     result = brute_force_binary(inst, grid_n=200)
     assert result.value >= result.grid_value - 1e-15
     assert result.value == pytest.approx(1.2631339314688932, abs=1e-7)
+
+
+# -------------------- the oracle's own numerical methods --------------------
+
+def test_simplex_grid_lists_points_row_major():
+    for m in (4, 20, 60, 100, 137):
+        pts = [(i, j, m - i - j) for i in range(m + 1) for j in range(m + 1 - i)]
+        assert oracle._simplex_grid(m).tobytes() == (np.asarray(pts, dtype=float) / m).tobytes()
+
+
+def _walled(f, lo, hi):
+    # the oracle's objectives return 1e9 outside their feasible set
+    return lambda x: 1e9 if x.min() < lo or x.max() > hi else f(x)
+
+
+def test_nelder_mead_matches_scipy_bit_for_bit():
+    # the polish must keep the bytes scipy's Nelder-Mead gave oracle results
+    from scipy.optimize import minimize
+
+    rng = np.random.default_rng(20261018)
+    for dim in (2, 3, 6):
+        for trial in range(8):
+            A = rng.normal(size=(dim, dim))
+            H = A @ A.T + 0.1 * np.eye(dim)
+            c = rng.uniform(0.0, 1.0, size=dim)
+            quad = lambda x, H=H, c=c: float((x - c) @ H @ (x - c))
+            bumpy = lambda x, c=c: float(np.sum(np.abs(x - c)) + np.prod(np.cos(3.0 * x)))
+            x0 = rng.uniform(0.0, 1.0, size=dim)
+            if trial % 3 == 0:
+                x0[rng.integers(dim)] = 0.0  # the start simplex steps 0.00025 off a zero coordinate
+            for f in (quad, bumpy, _walled(quad, 0.0, 1.0), _walled(bumpy, 0.1, 0.9)):
+                for xatol, fatol, maxiter in ((1e-12, 1e-13, 4000), (1e-4, 1e-4, 12000), (1e-12, 1e-13, 7)):
+                    x, fun = oracle._nelder_mead(f, x0.copy(), xatol, fatol, maxiter)
+                    ref = minimize(f, x0.copy(), method="Nelder-Mead",
+                                   options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter})
+                    assert x.tobytes() == ref.x.tobytes(), (dim, trial, maxiter)
+                    assert fun == ref.fun
+
+
+def _lp_cases():
+    rng = np.random.default_rng(20261019)
+    cases = []
+    for n, grid_n in enumerate((4, 5, 7, 10, 20, 33, 60, 100, 150) * 2):
+        vals = np.sort(rng.uniform(0.5, 5.0, size=3))
+        k = 0.0 if n % 4 == 0 else float(rng.uniform(0.01, 3.0))
+        mu = rng.dirichlet((2.0, 2.0, 2.0))
+        if n % 6 == 1:
+            mu = np.array([0.0, 0.35, 0.65])  # on a face
+        elif n % 6 == 3:
+            mu = np.array([0.0, 0.0, 1.0])  # on a vertex
+        cases.append((grid_n, vals, k, mu))
+    return cases
+
+
+def test_grid_lp_matches_highs():
+    from scipy.optimize import linprog
+
+    for grid_n, vals, k, mu in _lp_cases():
+        P = oracle._simplex_grid(grid_n)
+        g = oracle._net_value_points(vals, k, P)
+        lam = oracle._grid_lp(P, g, mu)
+        ref = linprog(-g, A_eq=P.T, b_eq=mu, bounds=(0.0, None), method="highs-ds")
+        assert ref.success
+        assert abs(g @ lam + ref.fun) <= 1e-12 * abs(ref.fun), (grid_n, k, mu)
+        assert lam.min() >= 0.0
+        assert np.max(np.abs(P.T @ lam - mu)) <= 1e-12
+
+
+def test_grid_lp_pivot_cap_is_an_oracle_lp_error(monkeypatch):
+    monkeypatch.setattr(oracle, "_LP_MAX_PIVOTS", 1)
+    with pytest.raises(ValidationError) as err:
+        brute_force_small(MarketInstance(V123, Market((0.3, 0.4, 0.3)), 0.5))
+    assert err.value.invariant == "oracle_lp"
