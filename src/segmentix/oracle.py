@@ -328,6 +328,9 @@ def _refine_small(posts: np.ndarray, weights: np.ndarray, mu: np.ndarray, gval) 
     s = len(weights)
     if s == 1:
         return None
+    # below a few ulps of the objective the vertex values of a flat optimum
+    # agree only by chance, and the polish would run to its iteration cap
+    fatol = max(1e-13, 4 * math.ulp(max(abs(gval(p)) for p in posts)))
     if s == 2:
         def neg(p: np.ndarray) -> float:
             a, b, tau = p
@@ -341,7 +344,7 @@ def _refine_small(posts: np.ndarray, weights: np.ndarray, mu: np.ndarray, gval) 
             return -(tau * gval(x1) + (1.0 - tau) * gval(x2 / x2.sum()))
 
         p0 = np.array([posts[0][0], posts[0][1], weights[0]])
-        px, fun = _nelder_mead(neg, p0, 1e-12, 1e-13, 6000)
+        px, fun = _nelder_mead(neg, p0, 1e-12, fatol, 6000)
         if fun >= 1e9:
             return None
         a, b, tau = px
@@ -373,7 +376,7 @@ def _refine_small(posts: np.ndarray, weights: np.ndarray, mu: np.ndarray, gval) 
             return -math.fsum(l * gval(x) for l, x in zip(lam, X))
 
         p0 = np.array([c for x in posts for c in x[:2]])
-        px, fun = _nelder_mead(neg, p0, 1e-12, 1e-13, 12000)
+        px, fun = _nelder_mead(neg, p0, 1e-12, fatol, 12000)
         if fun >= 1e9:
             return None
         X = unpack(px)

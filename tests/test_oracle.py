@@ -173,3 +173,25 @@ def test_grid_lp_pivot_cap_is_an_oracle_lp_error(monkeypatch):
     with pytest.raises(ValidationError) as err:
         brute_force_small(MarketInstance(V123, Market((0.3, 0.4, 0.3)), 0.5))
     assert err.value.invariant == "oracle_lp"
+
+
+def test_polish_stops_at_a_flat_optimum(monkeypatch):
+    # far above k-bar the polish reaches a flat optimum at |objective| ~ 770,
+    # where a 1e-13 value spread is under one ulp; it used to run to its cap
+    evals = []
+    nelder_mead = oracle._nelder_mead
+
+    def counted(f, *args):
+        def g(x):
+            evals.append(1)
+            return f(x)
+        return nelder_mead(g, *args)
+
+    monkeypatch.setattr(oracle, "_nelder_mead", counted)
+    inst = MarketInstance(Valuations((0.7214253068258829, 2.6806231442982362, 3.659868529815904)),
+                          Market((0.08770050957841785, 0.24459192789326636, 0.6677075625283158)),
+                          926.4137973813238)
+    result = brute_force_small(inst)
+    assert len(evals) < 1000
+    solver_value = net_objective(solve_ri(inst), inst.vals, inst.k)
+    assert solver_value - result.resolution_bound <= result.value <= solver_value + 1e-6
