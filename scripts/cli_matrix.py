@@ -36,6 +36,7 @@ INPUTS = {
     "inst2b.json": {"valuations": [1.0, 3.0], "mu": [0.7, 0.3], "k": 0.3},
     "inst2_pool.json": {"valuations": [1.0, 2.0], "mu": [0.4, 0.6], "k": 5.0},
     "inst2_zero.json": {"valuations": [1.0, 2.0], "mu": [0.4, 0.6], "k": 0.0},
+    "inst2_offgrid.json": {"valuations": [1.0, 2.5], "mu": [0.61234, 0.38766], "k": 0.4},
     "inst3.json": {"valuations": [1.0, 2.0, 3.0], "mu": [0.3, 0.4, 0.3], "k": 3.0},
     "inst3_slow.json": {"valuations": [1.0, 2.0, 3.0], "mu": [0.3, 0.4, 0.3], "k": 0.5},
     "inst3_near.json": {"valuations": [1.0, 2.0, 3.0], "mu": [0.3, 0.4, 0.3], "k": 1.4425},
@@ -194,6 +195,8 @@ def invocations() -> list[tuple[str | None, list[str], str | None]]:
     add("oracle", "--input", "inst2.json", out="oracle2.json")
     add("oracle", "--input", "inst2b.json", "--grid-n", "1000")
     add("oracle", "--input", "inst2_pool.json", "--grid-n", "300")
+    add("oracle", "--input", "inst2_zero.json")
+    add("oracle", "--input", "inst2_offgrid.json")
     add("oracle", "--input", "inst3.json", "--grid-n", "20")
     add("oracle", "--input", "inst3_slow.json")
     add("oracle", "--input", "inst2.json", "--grid-n", "4")

@@ -118,7 +118,7 @@ def _run_rationalize(ns: argparse.Namespace) -> None:
     target = files.load_rationalization_target(ns.input)
     seg = induced_segments(target)
     cost = construct_cost(seg.mu1, seg.mu2, seg.tau1, target.vals, target.mu_star)
-    report = verify_rationalization(cost, target, grid_n=ns.grid_n or 4000)
+    report = verify_rationalization(cost, target, grid_n=4000 if ns.grid_n is None else ns.grid_n)
     if not report.passed:
         raise ValidationError("rationalization_verification", "; ".join(report.messages))
     _emit(ns, files.dump_json(files.cost_spec_to_dict(cost)))

@@ -6,6 +6,15 @@ derivative-free local polish. Nothing here shares likelihood-ratio
 machinery with the solvers; tests sandwich solver values between oracle
 values to catch agreement-by-shared-bug.
 
+The two-type pair scan scores every grid pair that can win, in O(grid_n)
+cells rather than all of them. For any line L with L(prior) = phi, a pair
+is worth phi - tau*d1 - (1 - tau)*d2, where d is an end point's distance
+below L; so a pair that ties a known pair value V needs an end point with
+d <= phi - V. A line near the concave envelope at the prior (the LP dual
+of the pair problem) leaves a handful of such points. The pairs
+through them are scored with the exhaustive scan's own elementwise formula
+and tie-break, so its results keep their bytes.
+
 The two numerical methods are textbook ones written out here: Nelder-Mead
 (1965) for the polish and Dantzig's primal simplex for the three-row grid
 LP. Neither needs scipy, so an oracle run loads nothing beyond numpy.
@@ -29,7 +38,7 @@ from .market import (
     optimal_price,
 )
 
-_CHUNK = 256
+_SLOPE_BISECTIONS = 64  # seeded markets reach adjacent doubles in at most 63
 _LP_MAX_PIVOTS = 1000  # 600 seeded K=3 grid LPs took at most 18
 
 
@@ -156,13 +165,84 @@ def _resolution_bound(h: float, top_value: float, k: float) -> float:
     return 2.0 * h * (top_value + k * max(1.0, -math.log(h)))
 
 
+def _pair_values(xl: np.ndarray, gl: np.ndarray, xh: np.ndarray, gh: np.ndarray, mu: float) -> np.ndarray:
+    """Value of every pair (xl[i], xh[j]) mixed to the prior share ``mu``."""
+    tau = (xh[None, :] - mu) / (xh[None, :] - xl[:, None])
+    return tau * gl[:, None] + (1.0 - tau) * gh[None, :]
+
+
+def _pair_scan(x: np.ndarray, g: np.ndarray, mu: float) -> tuple[float, tuple[float, float] | None]:
+    """Best grid pair x1 < mu < x2 and its value; the first maximum in (x1, x2) order.
+
+    Exactly the maximum over all pairs, but only pairs with an end point
+    near a supporting line are scored. The line L(x) = phi + b (x - mu) has
+    phi = max_i g_i + b (mu - x_i) (over x_i != mu), and phi is convex in
+    b with its minimum, the concave envelope at mu, where the maximiser
+    changes side; b is bisected towards it. Any b is correct, a near one
+    only scores fewer pairs. With d_i = L(x_i) - g_i, a pair's exact value
+    is phi - tau d_i - (1 - tau) d_j, so a pair worth at least V has
+    min(d_i, d_j) <= phi - V. V is the computed value of the pair of
+    points nearest L, one on each side.
+
+    The cut on d is phi - V plus a slack of 32 ulp(S), S = max(|g|, |b|,
+    |phi|), that covers rounding. With u = 2**-53, u S <= ulp(S) and x, mu
+    in [0, 1]: a_i = g_i + b (mu - x_i) is off by at most u (|g| + 3.01 |b|),
+    and d_i = phi - a_i, phi being an exact max of the a_i, by 7.1 u S; tau
+    is off by 3.01 u and 1 - tau by 4.02 u, so a pair value is off by
+    10.1 u max|g|; forming phi - V and adding the slack round by 2.03 u S
+    each. A pair whose computed value reaches V's thus keeps an end point
+    under the cut as long as the slack is at least 21.3 u S.
+    """
+    lo, hi = x < mu, x > mu
+    xl, gl, xh, gh = x[lo], g[lo], x[hi], g[hi]
+    if len(xl) == 0 or len(xh) == 0:
+        return -math.inf, None
+    rl, rh = mu - xl, mu - xh
+    slopes = np.diff(g) / np.diff(x)
+    b_lo, b_hi = float(slopes.min()), float(slopes.max())  # phi peaks at x = 1, at x = 0
+    b = 0.5 * (b_lo + b_hi)
+    for _ in range(_SLOPE_BISECTIONS):
+        top_l, top_h = (gl + b * rl).max(), (gh + b * rh).max()
+        if top_l == top_h:
+            break
+        if top_l > top_h:
+            b_hi = b
+        else:
+            b_lo = b
+        b = 0.5 * (b_lo + b_hi)
+    al, ah = gl + b * rl, gh + b * rh
+    phi = max(al.max(), ah.max())
+    dl, dh = phi - al, phi - ah
+    i, j = int(np.argmin(dl)), int(np.argmin(dh))
+    v = _pair_values(xl[i : i + 1], gl[i : i + 1], xh[j : j + 1], gh[j : j + 1], mu)[0, 0]
+    cut = (phi - v) + 32 * math.ulp(max(float(np.abs(g).max()), abs(b), abs(float(phi))))
+    rows, cols = np.flatnonzero(dl <= cut), np.flatnonzero(dh <= cut)
+    found = []  # (value, i, j) of each block's first maximum
+    if len(rows):
+        V = _pair_values(xl[rows], gl[rows], xh, gh, mu)
+        r, c = np.unravel_index(int(np.argmax(V)), V.shape)
+        found.append((V[r, c], rows[r], c))
+    if len(cols):
+        V = _pair_values(xl, gl, xh[cols], gh[cols], mu)
+        r, c = np.unravel_index(int(np.argmax(V)), V.shape)
+        found.append((V[r, c], r, cols[c]))
+    top = max(f[0] for f in found)
+    i, j = min((i, j) for value, i, j in found if value == top)
+    return float(top), (float(xl[i]), float(xh[j]))
+
+
 def brute_force_binary(inst: MarketInstance, grid_n: int = 4000) -> OracleResult:
     """Exhaustive pair search over a uniform grid of two-type posteriors.
 
     Every pair (x1, x2) with x1 <= prior share <= x2 is a feasible
     two-segment candidate once the mixing weight is read off Bayes
-    plausibility; the search scores all of them against the no-segmentation
-    fallback, then polishes the winner with Nelder-Mead.
+    plausibility; the best of them is set against the no-segmentation
+    fallback, then polished with Nelder-Mead. The scan scores only the
+    pairs that can win: a line supporting the grid points near the concave
+    envelope at the prior bounds every other pair below a pair already
+    scored (see ``_pair_scan``). It returns the value and pair that scoring
+    all of them returns, bit for bit, so oracle results keep their bytes;
+    the cells scored grow as O(grid_n), not O(grid_n**2).
     """
     if len(inst.vals) != 2:
         raise ValidationError("oracle_size", "pair oracle needs exactly 2 types")
@@ -181,24 +261,8 @@ def brute_force_binary(inst: MarketInstance, grid_n: int = 4000) -> OracleResult
 
     prior_ent = 0.0 if mu <= 0.0 or mu >= 1.0 else -(mu * math.log(mu) + (1.0 - mu) * math.log1p(-mu))
     base = gfun(mu)  # no-segmentation candidate
-    best_v = base
-    best_pair: tuple[float, float] | None = None
-    lo_mask = x < mu
-    hi_mask = x > mu
-    xl, gl = x[lo_mask], g[lo_mask]
-    xh, gh = x[hi_mask], g[hi_mask]
-    best_pair_v = -math.inf
-    for start in range(0, len(xl), _CHUNK):
-        xb = xl[start : start + _CHUNK, None]
-        gb = gl[start : start + _CHUNK, None]
-        tau = (xh[None, :] - mu) / (xh[None, :] - xb)
-        V = tau * gb + (1.0 - tau) * gh[None, :]
-        i, j = np.unravel_index(int(np.argmax(V)), V.shape)
-        if V[i, j] > best_pair_v:
-            best_pair_v = float(V[i, j])
-            best_pair = (float(xb[i, 0]), float(xh[j]))
-    if best_pair is not None and best_pair_v > best_v:
-        best_v = best_pair_v
+    best_pair_v, best_pair = _pair_scan(x, g, mu)
+    best_v = max(base, best_pair_v)
     grid_value = best_v - k * prior_ent
 
     if best_pair is not None:
@@ -389,7 +453,7 @@ def _refine_small(posts: np.ndarray, weights: np.ndarray, mu: np.ndarray, gval) 
 def brute_force(inst: MarketInstance, grid_n: int | None = None) -> OracleResult:
     """Dispatch to the pair oracle (2 types) or the simplex LP oracle (3 types)."""
     if len(inst.vals) == 2:
-        return brute_force_binary(inst, grid_n or 4000)
+        return brute_force_binary(inst, 4000 if grid_n is None else grid_n)
     if len(inst.vals) == 3:
-        return brute_force_small(inst, grid_n or 100)
+        return brute_force_small(inst, 100 if grid_n is None else grid_n)
     raise ValidationError("oracle_size", "oracles cover markets with 2 or 3 types only")

@@ -1,5 +1,7 @@
 """Exhaustive-search oracle tests (pair grid and simplex LP)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from segmentix import (
     brute_force_binary,
     brute_force_small,
     net_objective,
+    segmentation_threshold,
     solve_binary,
     solve_ri,
     tangency_posteriors,
@@ -57,6 +60,67 @@ def test_binary_oracle_sandwiches_solver():
         assert res.grid_value <= res.value + 1e-12
 
 
+def _exhaustive_pair_scan(x, g, mu, chunk=256):
+    # the pair oracle's former scan: every pair x1 < mu < x2, 256 rows at a
+    # time, keeping the first maximum in (x1, x2) order
+    xl, gl = x[x < mu], g[x < mu]
+    xh, gh = x[x > mu], g[x > mu]
+    best_v, best_pair = -math.inf, None
+    if len(xh) == 0:  # it raised on an empty side; mu = 1 has no pair
+        return best_v, best_pair
+    for start in range(0, len(xl), chunk):
+        xb = xl[start : start + chunk, None]
+        gb = gl[start : start + chunk, None]
+        tau = (xh[None, :] - mu) / (xh[None, :] - xb)
+        V = tau * gb + (1.0 - tau) * gh[None, :]
+        i, j = np.unravel_index(int(np.argmax(V)), V.shape)
+        if V[i, j] > best_v:
+            best_v, best_pair = float(V[i, j]), (float(xb[i, 0]), float(xh[j]))
+    return best_v, best_pair
+
+
+def test_pair_scan_matches_exhaustive_scan():
+    rng = np.random.default_rng(20261020)
+    cases = 0
+    for grid_n in (4, 5, 7, 100, 999, 4000):
+        x = np.linspace(0.0, 1.0, grid_n + 1)
+        shares = [0.5, 0.25, 3 / grid_n, 0.0, 1.0, float(np.nextafter(x[1], 1.0))]
+        shares += [float(s) for s in rng.uniform(0.01, 0.99, size=4)]
+        for n, share in enumerate(shares):
+            w1 = float(rng.uniform(0.5, 3.0))
+            vals = Valuations((w1, w1 * float(rng.uniform(1.1, 8.0))))
+            mu = Market((1.0 - share, share))
+            kbar = segmentation_threshold(vals, mu)
+            kbar = kbar if 0.0 < kbar < math.inf else vals[1]
+            k = 0.0 if n % 5 == 0 else kbar * 10.0 ** float(rng.uniform(-4.0, 4.0))
+            g = oracle._net_value_points(vals.as_array(), k, np.column_stack([1.0 - x, x]))
+            value, pair = oracle._pair_scan(x, g, mu[1])
+            ref_value, ref_pair = _exhaustive_pair_scan(x, g, mu[1])
+            assert (pair is None) == (ref_pair is None) == (share in (0.0, 1.0)), (grid_n, share)
+            assert np.float64(value).tobytes() == np.float64(ref_value).tobytes(), (grid_n, share, k)
+            if pair is not None:
+                assert np.array(pair).tobytes() == np.array(ref_pair).tobytes(), (grid_n, share, k)
+            cases += 1
+    assert cases == 60
+
+
+def test_binary_oracle_at_a_degenerate_prior_pools():
+    for share in (0.0, 1.0):
+        res = brute_force_binary(MarketInstance(V12, Market((1.0 - share, share)), 0.5), grid_n=100)
+        assert len(res.segmentation.segments) == 1
+        assert res.value == 1.0 + share
+
+
+def test_pair_scan_is_not_quadratic_in_the_grid():
+    # all ~1e10 pairs of this grid would take minutes to score
+    inst = MarketInstance(Valuations((1.0, 2.5)), Market((0.55, 0.45)), 0.4)
+    value = net_objective(solve_binary(inst), inst.vals, inst.k)
+    res = brute_force(inst, grid_n=200_000)
+    assert res.method == "binary_grid" and len(res.segmentation.segments) == 2
+    assert value - res.resolution_bound <= res.value <= value + 1e-6
+    assert res.grid_value >= value - res.resolution_bound
+
+
 def test_binary_oracle_output_is_well_formed():
     res = brute_force_binary(MarketInstance(V12, MU46, 0.4), grid_n=800)
     assert res.segmentation.bayes_residual < 1e-9
@@ -93,6 +157,13 @@ def test_dispatcher_selects_by_type_count():
     with pytest.raises(ValidationError) as err:
         brute_force(MarketInstance(Valuations((1, 2, 3, 4)), Market((0.25,) * 4), 0.5))
     assert err.value.invariant == "oracle_size"
+
+
+def test_dispatcher_rejects_a_zero_grid():
+    for inst in (MarketInstance(V12, MU46, 0.8), MarketInstance(V123, Market((0.2, 0.3, 0.5)), 0.8)):
+        with pytest.raises(ValidationError) as err:
+            brute_force(inst, grid_n=0)
+        assert err.value.invariant == "grid_size"
 
 
 def test_refine_improves_on_grid():
