@@ -50,6 +50,7 @@ INPUTS = {
     "sweep3.json": {"valuations": [1.0, 2.0, 3.0], "mu": [0.3, 0.4, 0.3]},
     "target.json": {"cs": 0.2, "ps": 1.1, "valuations": [1, 2], "mu": [0.6, 0.4]},
     "target_b.json": {"cs": 0.1, "ps": 1.2, "valuations": [1.0, 1.5], "mu": [0.5, 0.5]},
+    "target_ongrid.json": {"cs": 0.1, "ps": 1.1, "valuations": [1, 2], "mu": [0.75, 0.25]},
     "target_edge.json": {"cs": 0.0, "ps": 1.1, "valuations": [1, 2], "mu": [0.6, 0.4]},
     "target_len.json": {"cs": 0.2, "ps": 1.1, "valuations": [1, 2], "mu": [0.2, 0.3, 0.5]},
     "target_nocs.json": {"ps": 1.1, "valuations": [1, 2], "mu": [0.6, 0.4]},
@@ -184,6 +185,7 @@ def invocations() -> list[tuple[str | None, list[str], str | None]]:
     # rationalize
     add("rationalize", "--input", "target.json", out="cost.json")
     add("rationalize", "--input", "target_b.json")
+    add("rationalize", "--input", "target_ongrid.json")  # prior 0.25 is a point of the 4000 and 8000 grids
     add("rationalize", "--input", "target.json", "--grid-n", "8000")
     add("rationalize", "--input", "target.json", "--grid-n", "50")
     add("rationalize", "--input", "target.json", "--grid-n", "0")

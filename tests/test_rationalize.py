@@ -1,6 +1,7 @@
 """Inverse problem: build a convex cost that makes a welfare target optimal."""
 
 import ast
+import bisect
 import math
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from segmentix import rationalize
+from segmentix.binary import upper_concave_hull
 from segmentix import (
     ConvexCostSpec,
     InducedSegments,
@@ -179,7 +181,7 @@ def test_foc_residuals_vanish_on_worked_target():
 
 @pytest.mark.parametrize("grid_n", [4000, 32000])
 def test_verify_worked_target_passes(grid_n):
-    # 32000 is cheap only because the best chord comes from the hull in O(n)
+    # 32000 is cheap only because the best chord is found in O(n) array passes
     target = worked_target()
     seg = induced_segments(target)
     spec = construct_cost(seg.mu1, seg.mu2, seg.tau1, V12, LOW_PRIOR)
@@ -304,6 +306,198 @@ def test_hull_matches_pair_scan_on_bowl_costs(curvature, pair_wins, monkeypatch)
     assert rep.best_is_pair == pair_wins
     for target, _, grid_n in _seeded_targets(10, seed=5):
         assert not _same_report(target, bowl, grid_n, monkeypatch).passed
+
+
+# -------------------- edge search against the monotone chain --------------------
+
+def _chain_best_chord(x, phi, mu):
+    """Reference: the best chord read off the whole monotone-chain hull."""
+    hull_x, hull_y = upper_concave_hull(x, phi)
+    j = bisect.bisect_left(hull_x, mu)  # hull_x[0] = 0 < mu < 1 = hull_x[-1]
+    if hull_x[j] == mu:
+        return hull_y[j], (hull_x[0], mu)
+    a, b = hull_x[j - 1], hull_x[j]
+    tau = (b - mu) / (b - a)
+    return tau * hull_y[j - 1] + (1.0 - tau) * hull_y[j], (a, b)
+
+
+def _chord_bytes(chord):
+    value, (a, b) = chord
+    return tuple(float(v).hex() for v in (value, a, b)), tuple(type(v) for v in (value, a, b))
+
+
+@pytest.fixture
+def chain_runs(monkeypatch):
+    """How often ``_best_chord`` fell back to the whole chain."""
+    runs = [0]
+
+    def counted(x, y):
+        runs[0] += 1
+        return upper_concave_hull(x, y)
+
+    monkeypatch.setattr(rationalize, "upper_concave_hull", counted)
+    return runs
+
+
+def _chord_matches_chain(x, phi, mu):
+    chord = rationalize._best_chord(x, phi, mu)
+    assert _chord_bytes(chord) == _chord_bytes(_chain_best_chord(x, phi, mu)), (mu, chord)
+    return chord
+
+
+def _report_matches_chain(target, spec, grid_n, monkeypatch):
+    """The whole report and the (value, pair) bytes, against the chain's."""
+    fast, chords = rationalize._best_chord, []
+
+    def both(x, phi, mu):
+        want = _chain_best_chord(x, phi, mu)
+        chords.append((fast(x, phi, mu), want))
+        return want
+
+    got = verify_rationalization(spec, target, grid_n=grid_n)
+    with monkeypatch.context() as m:
+        m.setattr(rationalize, "_best_chord", both)
+        want = verify_rationalization(spec, target, grid_n=grid_n)
+    ((chord, want_chord),) = chords
+    assert _chord_bytes(chord) == _chord_bytes(want_chord)
+    assert got == want
+    return got
+
+
+BOWLS = tuple(ConvexCostSpec(knots=(0.0, 1.0), quadratics=((c, -0.05, 0.0),)) for c in (0.05, 10.0))
+
+
+@pytest.mark.parametrize("seed", [3, 5, 7, 11])
+def test_best_chord_matches_chain_on_seeded_targets(seed, chain_runs, monkeypatch):
+    # constructed costs, and both bowls, where no segmentation or a far pair wins
+    for target, spec, grid_n in _seeded_targets(300, seed):
+        for cost in (spec, *BOWLS):
+            _report_matches_chain(target, cost, grid_n, monkeypatch)
+    assert chain_runs[0] == 0
+
+
+def _benchmark_targets(n, seed):
+    """Targets drawn as the benchmark draws them: w1 = 1, w2 in [1.5, 3]."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        w2 = float(rng.uniform(1.5, 3.0))
+        r = 1.0 / w2
+        mu1 = r * rng.uniform(0.15, 0.85)
+        mu2 = r + (1.0 - r) * rng.uniform(0.15, 0.85)
+        tau_min = (mu2 - r) / (mu2 - mu1)
+        tau1 = tau_min + (1.0 - tau_min) * rng.uniform(0.15, 0.85)
+        mu = tau1 * mu1 + (1.0 - tau1) * mu2
+        vals = Valuations((1.0, w2))
+        cs, ps = realized_welfare(InducedSegments(mu1=mu1, mu2=mu2, tau1=tau1), vals)
+        out.append(RationalizationTarget(cs=cs, ps=ps, vals=vals, mu_star=Market((1.0 - mu, mu))))
+    return out
+
+
+def test_best_chord_matches_chain_on_benchmark_targets(chain_runs, monkeypatch):
+    for target in _benchmark_targets(60, seed=13):
+        seg = induced_segments(target)
+        spec = construct_cost(seg.mu1, seg.mu2, seg.tau1, target.vals, target.mu_star)
+        for grid_n in (4000, 8000):
+            assert _report_matches_chain(target, spec, grid_n, monkeypatch).passed
+    assert chain_runs[0] == 0
+
+
+_VERTEX_BOWL_CURVATURE = 28.00254761331998
+
+
+def _vertex_prior_target():
+    """A grid prior (0.365 at grid 2000 and 4000) that a bowl centred on it makes a hull vertex."""
+    return RationalizationTarget(cs=0.1656219420665827, ps=1.0828109710332914,
+                                 vals=Valuations((1.0, 1.9075174907757957)), mu_star=Market((0.635, 0.365)))
+
+
+def test_best_chord_matches_chain_on_vertex_priors(chain_runs, monkeypatch):
+    # bowls centred on a grid prior make it a hull vertex; the chain pairs it with x[0]
+    rng = np.random.default_rng(17)
+    vertices = 0
+    snapped = [(t, n) for t, _, n in _seeded_targets(200, seed=19)[4::5]]  # priors on the grid
+    cases = [(t, n, c) for t, n in snapped for c in 10.0 ** rng.uniform(-1.0, 3.0, size=3)]
+    cases += [(_vertex_prior_target(), n, _VERTEX_BOWL_CURVATURE) for n in (2000, 4000)]
+    for target, grid_n, curvature in cases:
+        mu = target.mu_star[1]
+        bowl = ConvexCostSpec(knots=(0.0, 1.0), quadratics=((curvature, -2.0 * curvature * mu, 0.0),))
+        _report_matches_chain(target, bowl, grid_n, monkeypatch)
+        x = np.linspace(0.0, 1.0, grid_n + 1)
+        phi = np.maximum(target.vals[0], target.vals[1] * x) - bowl.value(x)
+        vertices += _chord_matches_chain(x, phi, mu)[1] == (0.0, mu)
+    assert vertices >= 30
+    assert chain_runs[0] == 0
+
+
+def test_best_chord_matches_chain_on_increasing_grids(chain_runs):
+    # linspace with the intended segments and random points inserted, as a
+    # grid that also holds the bitangent points would be
+    rng = np.random.default_rng(23)
+    for target, spec, grid_n in _seeded_targets(100, seed=29):
+        seg = induced_segments(target)
+        extra = np.concatenate([[seg.mu1, seg.mu2], rng.uniform(0.0, 1.0, int(rng.integers(1, 40)))])
+        x = np.union1d(np.linspace(0.0, 1.0, grid_n + 1), extra)
+        assert np.all(np.diff(x) > 0.0) and not np.allclose(np.diff(x), 1.0 / grid_n)
+        phi = np.maximum(target.vals[0], target.vals[1] * x) - spec.value(x)
+        _chord_matches_chain(x, phi, target.mu_star[1])
+    assert chain_runs[0] == 0
+
+
+def _near_floor_cost(mu1, mu2, m, bend, w2):
+    """A constructed-cost shape whose piece on [mu1, m] bends at ``bend``."""
+    d1 = (1.0 - w2 * mu2) / (mu2 - mu1)
+    knots = (0.0, mu1, m, mu2, 1.0)
+    derivs = (d1 - mu1, d1, d1 + bend * (m - mu1), w2 + d1, w2 + d1 + 1.0 - mu2)
+    values = [0.0]
+    for i in range(1, 5):
+        values.append(values[-1] + 0.5 * (derivs[i - 1] + derivs[i]) * (knots[i] - knots[i - 1]))
+    quads = []
+    for i in range(4):
+        s = (derivs[i + 1] - derivs[i]) / (knots[i + 1] - knots[i])
+        b = derivs[i] - s * knots[i]
+        quads.append((0.5 * s, b, values[i] - (0.5 * s * knots[i] + b) * knots[i]))
+    return ConvexCostSpec(knots=knots, quadratics=tuple(quads))
+
+
+def test_best_chord_matches_chain_near_slope_floor(chain_runs, monkeypatch):
+    # curvature 1-4x SLOPE_FLOOR next to the intended low segment: near-collinear grid runs
+    rng = np.random.default_rng(31)
+    for target, _, grid_n in _seeded_targets(120, seed=37):
+        seg = induced_segments(target)
+        m = seg.mu1 + rng.uniform(0.2, 0.8) * (seg.mu2 - seg.mu1)
+        spec = _near_floor_cost(seg.mu1, seg.mu2, m, rationalize.SLOPE_FLOOR * rng.uniform(1.0, 4.0),
+                                target.vals[1])
+        assert min(2.0 * a for a, _, _ in spec.quadratics) < 4.0 * rationalize.SLOPE_FLOOR
+        _report_matches_chain(target, spec, grid_n, monkeypatch)
+    assert chain_runs[0] == 0
+
+
+def test_best_chord_falls_back_to_chain_on_flat_curves(chain_runs):
+    # every point of a concave curve is a hull vertex; at curvature near
+    # rounding the chain's float test decides which stay, so only it can say
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        grid_n = int(rng.choice([2000, 4000]))
+        x = np.linspace(0.0, 1.0, grid_n + 1)
+        mu = float(rng.uniform(0.01, 0.99))
+        if rng.uniform() < 0.3:
+            mu = float(x[round(mu * grid_n)])
+        phi = 1.0 + rng.uniform(-3.0, 3.0) * x - 10.0 ** rng.uniform(-20.0, -2.0) * (x - 0.5) ** 2
+        _chord_matches_chain(x, phi, mu)
+    assert 0 < chain_runs[0] < 60
+
+
+def test_verify_reports_prior_on_a_hull_vertex_as_no_segmentation():
+    # phi(mu) + c(mu) rounds above max(w1, w2 mu) here, and the best chord
+    # is (0, mu): a zero-weight segment, which used to raise segment_weight
+    a = _VERTEX_BOWL_CURVATURE
+    bowl = ConvexCostSpec(knots=(0.0, 1.0), quadratics=((a, -2.0 * a * 0.365, 0.0),))
+    for grid_n in (2000, 4000):
+        rep = verify_rationalization(bowl, _vertex_prior_target(), grid_n=grid_n)
+        assert not rep.passed and not rep.best_is_pair and rep.argmax is None
+        assert rep.best_value == rep.no_seg_value == 1.0
+        assert len(rep.messages) == 1 and "vertex" in rep.messages[0] and "beats every pair" not in rep.messages[0]
 
 
 def test_rationalize_imports_only_market_and_binary():
