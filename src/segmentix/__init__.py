@@ -1,8 +1,9 @@
 """Market segmentation under costly information: solvers, oracles, welfare tools.
 
 The names below are loaded from their submodules on first access (PEP 562),
-so importing one submodule, say ``segmentix.files``, does not pull in the
-solver, the sweeps or the oracle.
+so importing one submodule loads only what it imports: ``segmentix.files``
+loads ``segmentix.market`` alone. ``segmentix.cli`` loads the rest per
+subcommand, when the subcommand runs.
 """
 
 import importlib
@@ -14,10 +15,11 @@ _SUBMODULE_EXPORTS = {
         "net_value_curve", "segmentation_threshold", "solve_binary", "tangency_markets", "tangency_posteriors",
     ),
     "market": (
-        "Market", "MarketInstance", "Segment", "Segmentation", "SurplusTriangle", "ValidationError",
-        "Valuations", "WelfareReport", "all_revenues", "buyer_payoff", "check_segment_prices", "entropy",
-        "net_objective", "net_segment_value", "no_segmentation", "optimal_price", "perfect_discrimination",
-        "price_region", "revenue", "seller_payoff", "surplus_triangle", "uniform_report", "welfare",
+        "Market", "MarketInstance", "Segment", "Segmentation", "SolverError", "SurplusTriangle",
+        "ValidationError", "Valuations", "WelfareReport", "all_revenues", "buyer_payoff", "check_segment_prices",
+        "entropy", "net_objective", "net_segment_value", "no_segmentation", "optimal_price",
+        "perfect_discrimination", "price_region", "revenue", "seller_payoff", "surplus_triangle", "uniform_report",
+        "welfare",
     ),
     "oracle": ("OracleResult", "brute_force", "brute_force_binary", "brute_force_small"),
     "rationalize": (
@@ -25,8 +27,7 @@ _SUBMODULE_EXPORTS = {
         "foc_residuals", "induced_segments", "realized_welfare", "verify_rationalization",
     ),
     "solver": (
-        "OptimalityReport", "SolveOptions", "SolverError", "payoff_matrix", "solve", "solve_ri",
-        "verify_optimality",
+        "OptimalityReport", "SolveOptions", "payoff_matrix", "solve", "solve_ri", "verify_optimality",
     ),
     "sweeps": (
         "BoundaryReport", "KGridSpec", "SweepRow", "SweepTable", "boundary_always_segments",

@@ -11,21 +11,45 @@ the first failure in this order: ``SEGMENTIX_THREADS``, ``--k-grid``, the
 format each command allows, distinct paths, then the ranges of ``--tol``,
 ``--max-iters`` and ``--grid-n`` (from 2000 for ``rationalize``, which
 verifies on that grid). The handlers read the checked namespace.
+
+Each handler imports the modules it runs when it runs, so a process loads
+only what its subcommand needs: ``solve`` and ``verify`` load ``binary``
+and ``solver``, ``sweep`` those and ``sweeps``, ``rationalize`` ``binary``
+and ``rationalize``, ``oracle`` only ``oracle``; a structural ``verify``
+(no ``--instance``) loads nothing beyond ``files`` and ``market``. The
+library names the handlers call stay attributes of this module, loaded
+on first access (PEP 562) as the package's are.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 from collections.abc import Callable
+from typing import TYPE_CHECKING
 
 from . import files
-from .market import Segment, Segmentation, ValidationError
-from .oracle import brute_force
-from .rationalize import MIN_VERIFY_GRID_N, construct_cost, induced_segments, verify_rationalization
-from .solver import VERIFY_TOL, SolveOptions, SolverError, solve, verify_optimality
-from .sweeps import KGridSpec, default_k_grid, sweep_k, to_csv, to_svg
+from .market import Segment, Segmentation, SolverError, ValidationError
+
+if TYPE_CHECKING:
+    from .solver import SolveOptions
+    from .sweeps import KGridSpec
+
+# library name -> the submodule that defines it, for ``__getattr__``
+_LAZY = {
+    "solve": "solver", "verify_optimality": "solver", "sweep_k": "sweeps", "to_csv": "sweeps",
+    "brute_force": "oracle", "induced_segments": "rationalize", "construct_cost": "rationalize",
+    "verify_rationalization": "rationalize",
+}  # fmt: skip
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__package__}.{module}"), name)
 
 
 def _check_args(ns: argparse.Namespace) -> None:
@@ -52,12 +76,16 @@ def _check_args(ns: argparse.Namespace) -> None:
         raise ValidationError("tolerance", f"--tol must be > 0, got {ns.tol}")
     if ns.max_iters is not None and ns.max_iters < 1:
         raise ValidationError("max_iters", f"--max-iters must be >= 1, got {ns.max_iters}")
-    grid_min = MIN_VERIFY_GRID_N if ns.command == "rationalize" else 4
+    grid_min = 4
+    if ns.command == "rationalize":
+        from .rationalize import MIN_VERIFY_GRID_N as grid_min
     if ns.grid_n is not None and ns.grid_n < grid_min:
         raise ValidationError("grid_size", f"--grid-n must be >= {grid_min}, got {ns.grid_n}")
 
 
 def _solve_options(ns: argparse.Namespace) -> SolveOptions:
+    from .solver import SolveOptions
+
     overrides = {"max_iters": ns.max_iters, "convergence_tol": ns.tol}
     return SolveOptions(**{name: v for name, v in overrides.items() if v is not None})
 
@@ -71,12 +99,16 @@ def _emit(ns: argparse.Namespace, text: str) -> None:
 
 
 def _run_solve(ns: argparse.Namespace) -> None:
+    from .solver import solve
+
     inst = files.load_market_instance(ns.input)
     seg = solve(inst, _solve_options(ns))
     _emit(ns, files.dump_json(files.segmentation_to_dict(seg, inst.vals)))
 
 
 def _run_sweep(ns: argparse.Namespace) -> None:
+    from .sweeps import default_k_grid, sweep_k, to_csv, to_svg
+
     vals, mu = files.load_sweep_instance(ns.input)
     grid = ns.k_grid if ns.k_grid is not None else default_k_grid(vals)
     table = sweep_k(vals, mu, grid, _solve_options(ns))
@@ -97,6 +129,8 @@ def _run_verify(ns: argparse.Namespace) -> None:
         }
         _emit(ns, files.dump_json(payload))
         return
+    from .solver import VERIFY_TOL, verify_optimality
+
     inst = files.load_market_instance(ns.instance)
     seg = files.load_segmentation(ns.input, inst.vals)
     tol = ns.tol if ns.tol is not None else VERIFY_TOL
@@ -115,6 +149,8 @@ def _run_verify(ns: argparse.Namespace) -> None:
 
 
 def _run_rationalize(ns: argparse.Namespace) -> None:
+    from .rationalize import construct_cost, induced_segments, verify_rationalization
+
     target = files.load_rationalization_target(ns.input)
     seg = induced_segments(target)
     cost = construct_cost(seg.mu1, seg.mu2, seg.tau1, target.vals, target.mu_star)
@@ -125,6 +161,8 @@ def _run_rationalize(ns: argparse.Namespace) -> None:
 
 
 def _run_oracle(ns: argparse.Namespace) -> None:
+    from .oracle import brute_force
+
     inst = files.load_market_instance(ns.input)
     result = brute_force(inst, grid_n=ns.grid_n)
     payload = {
@@ -139,6 +177,8 @@ def _run_oracle(ns: argparse.Namespace) -> None:
 
 
 def parse_k_grid(text: str) -> KGridSpec:
+    from .sweeps import KGridSpec
+
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError("k_grid", f"--k-grid wants MIN:MAX:N, got {text!r}")

@@ -22,7 +22,7 @@ import contextlib
 import json
 import math
 from collections.abc import Iterator
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .market import (
     Market,
@@ -32,7 +32,9 @@ from .market import (
     ValidationError,
     Valuations,
 )
-from .rationalize import ConvexCostSpec, RationalizationTarget
+
+if TYPE_CHECKING:
+    from .rationalize import ConvexCostSpec, RationalizationTarget
 
 # relative tolerance for matching a serialized price back to its valuation
 PRICE_MATCH_RTOL = 1e-9
@@ -208,6 +210,8 @@ def parse_segmentation_structure(data: Any, where: str) -> tuple[Market, list[tu
 
 
 def load_rationalization_target(path: str) -> RationalizationTarget:
+    from .rationalize import RationalizationTarget
+
     obj = _require_object(read_json(path), path, ("cs", "ps", "valuations", "mu"))
     vals, mu = _ladder_and_prior(obj, path)
     with _located(path):
@@ -224,6 +228,8 @@ def cost_spec_to_dict(spec: ConvexCostSpec) -> dict:
 
 
 def parse_cost_spec(data: Any, where: str) -> ConvexCostSpec:
+    from .rationalize import ConvexCostSpec
+
     obj = _require_object(data, where, ("knots", "quadratics"))
     knots = _number_list(obj, "knots", where)
     raw_quads = obj["quadratics"]

@@ -39,6 +39,14 @@ class ValidationError(ValueError):
         self.message = message
 
 
+class SolverError(RuntimeError):
+    """Raised when the fixed-point iteration fails to converge.
+
+    It lives here, not in ``solver``, so a caller can catch it without
+    loading the solver; ``segmentix.solver`` re-exports it.
+    """
+
+
 def _as_float_tuple(values: Sequence[float]) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 

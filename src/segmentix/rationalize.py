@@ -337,19 +337,21 @@ def _best_chord(x: np.ndarray, phi: np.ndarray, mu: float) -> tuple[float, tuple
 
     The points that miss these margins are the only ones whose rounding
     could move the chain's answer. If there are any (a near-collinear run
-    of the curve, or a search cut off after ``_TANGENT_STEPS``), the chain
-    runs on the whole grid instead.
+    of the curve, where float ties can make the search cycle, or a search
+    cut off after ``_TANGENT_STEPS``), the chain runs on the whole grid
+    instead.
     """
     lo, hi = int(np.searchsorted(x, mu, "left")), int(np.searchsorted(x, mu, "right"))
     g = 8.0 * _ULP * float(np.abs(np.diff(phi) / np.diff(x)).max())
     if hi > lo and _stays_vertex(x, phi, lo, g):
         return float(phi[lo]), (float(x[0]), mu)
     xl, yl, xr, yr = x[:lo], phi[:lo], x[hi:], phi[hi:]
-    i = lo - 1
+    i, seen = lo - 1, set()
     for _ in range(_TANGENT_STEPS):
+        seen.add(i)
         j = int(np.argmax((yr - yl[i]) / (xr - xl[i])))
         i_next = int(np.argmin((yr[j] - yl) / (xr[j] - xl)))
-        if i_next == i:
+        if i_next in seen:  # converged, or float ties cycling on a flat run
             break
         i = i_next
     j += hi

@@ -23,6 +23,7 @@ from .market import (
     MarketInstance,
     Segment,
     Segmentation,
+    SolverError,
     ValidationError,
     Valuations,
     _numpy_order_sum,
@@ -40,10 +41,6 @@ VERIFY_TOL = 1e-8
 ZERO_MASS_TOL = 1e-12
 _LOG_ZERO_MASS_TOL = math.log(ZERO_MASS_TOL)
 _TINY = np.finfo(float).tiny
-
-
-class SolverError(RuntimeError):
-    """Raised when the fixed-point iteration fails to converge."""
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, payload shapes, determinism."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -362,3 +363,65 @@ def test_import_loads_no_scipy(module, tmp_path):
     code = f"import sys; {stmt}; print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _fresh_cli(argv: list[str]) -> tuple[list[str], str]:
+    """``cli.main(argv)`` in a fresh interpreter: its exit code followed by
+    the ``segmentix.*`` modules loaded, and its stderr."""
+    src = str(Path(segmentix.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; from segmentix import cli; code = cli.main(sys.argv[1:]); "
+            "print(code, *sorted(m for m in sys.modules if m.startswith('segmentix.')))")
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.split(), out.stderr
+
+
+LOADED = {
+    "solve": ("binary", "solver"),
+    "verify": ("binary", "solver"),
+    "verify-structural": (),
+    "sweep": ("binary", "solver", "sweeps"),
+    "rationalize": ("binary", "rationalize"),
+    "oracle": ("oracle",),
+}
+
+
+@pytest.mark.parametrize("command", list(LOADED))
+def test_subcommand_loads_only_the_modules_it_runs(command, tmp_path):
+    inst = write(tmp_path, "inst.json", WORKED)
+    seg = str(tmp_path / "seg.json")
+    assert cli.main(["solve", "--input", inst, "--output", seg]) == 0
+    inputs = {
+        "solve": ["--input", inst],
+        "verify": ["--input", seg, "--instance", inst],
+        "verify-structural": ["--input", seg],
+        "sweep": ["--input", write(tmp_path, "m.json", {"valuations": [1.0, 2.0], "mu": [0.4, 0.6]}),
+                  "--k-grid", "0.1:10:5"],
+        "rationalize": ["--input", write(tmp_path, "t.json", {"cs": 0.2, "ps": 1.1, "valuations": [1, 2],
+                                                                "mu": [0.6, 0.4]})],
+        "oracle": ["--input", inst],
+    }
+    argv = [command.split("-")[0], *inputs[command], "--output", str(tmp_path / "out")]
+    code, *loaded = _fresh_cli(argv)[0]
+    assert code == "0"
+    assert set(loaded) == {f"segmentix.{m}" for m in ("cli", "files", "market", *LOADED[command])}
+
+
+def test_fresh_process_reports_no_convergence_exit_3(tmp_path):
+    # cli.main catches SolverError from market; the solver that raises it
+    # is loaded only inside the handler
+    inp = write(tmp_path, "inst.json", {"valuations": [1.0, 2.0, 3.0], "mu": [0.3, 0.4, 0.3], "k": 0.5})
+    (code, *_), err = _fresh_cli(["solve", "--input", inp, "--max-iters", "2"])
+    assert code == "3"
+    assert err.startswith("error [no_convergence]: no convergence after 2 iterations")
+
+
+def test_library_names_stay_attributes_of_the_cli_module():
+    # loaded on first access; callers that reach the library through
+    # ``segmentix.cli`` (and patch it there) keep finding these names
+    for name in ("solve", "verify_optimality", "sweep_k", "to_csv", "brute_force", "induced_segments",
+                 "construct_cost", "verify_rationalization"):
+        home = importlib.import_module(getattr(cli, name).__module__)
+        assert getattr(cli, name) is getattr(home, name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name  # noqa: B018

@@ -1,5 +1,7 @@
 """Package exports: loaded lazily from their submodules, the same names as before."""
 
+import ast
+import graphlib
 import os
 import subprocess
 import sys
@@ -62,8 +64,27 @@ def test_unknown_name_raises_attribute_error():
 def test_import_files_loads_no_solver_sweeps_or_oracle():
     loaded = _fresh_modules("import segmentix.files")
     assert "segmentix.files" in loaded
-    assert not loaded & {"segmentix.solver", "segmentix.sweeps", "segmentix.oracle"}
+    assert not loaded & {
+        "segmentix.solver", "segmentix.sweeps", "segmentix.oracle", "segmentix.rationalize", "segmentix.binary"
+    }
 
 
 def test_import_package_loads_no_submodule():
     assert _fresh_modules("import segmentix") == {"segmentix"}
+
+
+def test_module_level_imports_form_a_thin_dag():
+    # only the imports that run when a module loads; those under
+    # ``if TYPE_CHECKING:`` or inside functions do not
+    package = Path(segmentix.__file__).parent
+    graph = {}
+    for path in sorted(package.glob("*.py")):
+        deps = set()
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ImportFrom) and node.level:
+                deps.update([node.module] if node.module else (alias.name for alias in node.names))
+        graph[path.stem] = deps
+    assert set(graph) >= {"market", "files", "binary", "solver", "sweeps", "oracle", "rationalize", "cli"}
+    assert graph["market"] == set()
+    assert graph["files"] == {"market"}
+    tuple(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError on a cycle

@@ -4,6 +4,7 @@ import ast
 import bisect
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -473,10 +474,20 @@ def test_best_chord_matches_chain_near_slope_floor(chain_runs, monkeypatch):
     assert chain_runs[0] == 0
 
 
-def test_best_chord_falls_back_to_chain_on_flat_curves(chain_runs):
+def test_best_chord_falls_back_to_chain_on_flat_curves(chain_runs, monkeypatch):
     # every point of a concave curve is a hull vertex; at curvature near
-    # rounding the chain's float test decides which stay, so only it can say
+    # rounding the chain's float test decides which stay, so only it can say.
+    # Float ties there can make the tangent search cycle; it must stop at the
+    # first repeated left end, not run out its rounds (one argmax per round)
+    rounds = [0]
+
+    def counted_argmax(a):
+        rounds[0] += 1
+        return np.argmax(a)
+
+    monkeypatch.setattr(rationalize, "np", SimpleNamespace(**{**vars(np), "argmax": counted_argmax}))
     rng = np.random.default_rng(41)
+    most = 0
     for _ in range(60):
         grid_n = int(rng.choice([2000, 4000]))
         x = np.linspace(0.0, 1.0, grid_n + 1)
@@ -484,8 +495,11 @@ def test_best_chord_falls_back_to_chain_on_flat_curves(chain_runs):
         if rng.uniform() < 0.3:
             mu = float(x[round(mu * grid_n)])
         phi = 1.0 + rng.uniform(-3.0, 3.0) * x - 10.0 ** rng.uniform(-20.0, -2.0) * (x - 0.5) ** 2
+        rounds[0] = 0
         _chord_matches_chain(x, phi, mu)
+        most = max(most, rounds[0])
     assert 0 < chain_runs[0] < 60
+    assert 0 < most < rationalize._TANGENT_STEPS
 
 
 def test_verify_reports_prior_on_a_hull_vertex_as_no_segmentation():
