@@ -4,12 +4,11 @@
 Writes fixed input files into ``--work``, then runs ``python -m
 segmentix.cli`` from that directory, with ``--src`` as the only
 ``PYTHONPATH`` entry, over every invocation in ``invocations()``: all five
-subcommands on two- and three-type inputs, every argument and file error,
-several errors at once (to pin which one is reported first), and the
-``SEGMENTIX_THREADS`` settings unset, ``many``, ``0``, ``-3`` and ``3``.
-Each invocation prints one line:
+subcommands on two- and three-type inputs (among them two-type priors with
+a share below 2**-53), every argument and file error, and several errors at
+once (to pin which one is reported first). Each invocation prints one line:
 
-    <env and argv>  exit=<code>  out=<sha256>  err=<sha256>  file=<sha256 or ->
+    <argv>  exit=<code>  out=<sha256>  err=<sha256>  file=<sha256 or ->
 
 Paths are relative to ``--work``, so two runs print the same lines unless
 the command line behaves differently. Compare two source trees with
@@ -45,6 +44,11 @@ INPUTS = {
         "mu": [0.0286410808980551, 4.340621750876239e-11, 0.47790271474479623, 0.4934562043137425],
         "k": 0.00016120592382723196,
     },
+    # the high share, then the low share, below half an ulp of the other
+    "inst2_tinyhi.json": {"valuations": [5665.424133780135, 23150.253488507526], "mu": [1.0, 1.5063967719774e-114],
+                          "k": 0.8853969049295498},
+    "inst2_tinylo.json": {"valuations": [6.58810979414354, 27.141280667075595], "mu": [9.341843475483123e-25, 1.0],
+                          "k": 0.002461952748699573},
     "sweep2.json": {"valuations": [1.0, 2.0], "mu": [0.4, 0.6]},
     "sweep2k.json": {"valuations": [1.0, 4.0], "mu": [0.5, 0.5], "k": 0.1},
     "sweep3.json": {"valuations": [1.0, 2.0, 3.0], "mu": [0.3, 0.4, 0.3]},
@@ -101,15 +105,13 @@ RAW_INPUTS = {
     "bad_empty.json": "",
 }
 
-THREADS = (None, "many", "0", "-3", "3")
 
+def invocations() -> list[tuple[list[str], str | None]]:
+    """(argv, output file) for every run, in order."""
+    runs: list[tuple[list[str], str | None]] = []
 
-def invocations() -> list[tuple[str | None, list[str], str | None]]:
-    """(SEGMENTIX_THREADS, argv, output file) for every run, in order."""
-    runs: list[tuple[str | None, list[str], str | None]] = []
-
-    def add(*argv: str, threads: str | None = None, out: str | None = None) -> None:
-        runs.append((threads, list(argv) + (["--output", out] if out else []), out))
+    def add(*argv: str, out: str | None = None) -> None:
+        runs.append((list(argv) + (["--output", out] if out else []), out))
 
     # solutions first: later verify runs read them
     add("solve", "--input", "inst2.json", out="seg2.json")
@@ -117,19 +119,19 @@ def invocations() -> list[tuple[str | None, list[str], str | None]]:
     add("solve", "--input", "inst3.json", out="seg3.json")
     add("solve", "--input", "inst2_pool.json", out="seg2_pool.json")
     add("solve", "--input", "inst2_zero.json", out="seg2_zero.json")
+    add("solve", "--input", "inst2_tinyhi.json", out="seg2_tinyhi.json")
+    add("solve", "--input", "inst2_tinylo.json", out="seg2_tinylo.json")
 
-    # every subcommand under every thread setting
-    for t in THREADS:
-        tag = t or "unset"
-        add("solve", "--input", "inst2.json", threads=t)
-        add("solve", "--input", "inst3.json", "--format", "json", threads=t)
-        add("sweep", "--input", "sweep2.json", "--k-grid", "0.05:20:30", "--format", "csv", threads=t)
-        add("sweep", "--input", "sweep3.json", "--k-grid", "2:10:6", threads=t, out=f"sweep3_{tag}.svg")
-        add("verify", "--input", "seg2.json", "--instance", "inst2.json", threads=t)
-        add("verify", "--input", "seg2.json", threads=t)
-        add("rationalize", "--input", "target.json", threads=t)
-        add("oracle", "--input", "inst2.json", "--grid-n", "400", threads=t)
-        add("sweep", "--input", "sweep2.json", "--k-grid", "0.1:x:5", "--format", "json", threads=t)
+    # every subcommand
+    add("solve", "--input", "inst2.json")
+    add("solve", "--input", "inst3.json", "--format", "json")
+    add("sweep", "--input", "sweep2.json", "--k-grid", "0.05:20:30", "--format", "csv")
+    add("sweep", "--input", "sweep3.json", "--k-grid", "2:10:6", out="sweep3.svg")
+    add("verify", "--input", "seg2.json", "--instance", "inst2.json")
+    add("verify", "--input", "seg2.json")
+    add("rationalize", "--input", "target.json")
+    add("oracle", "--input", "inst2.json", "--grid-n", "400")
+    add("sweep", "--input", "sweep2.json", "--k-grid", "0.1:x:5", "--format", "json")
 
     # solve
     for inst in ("inst2.json", "inst2b.json", "inst2_pool.json", "inst2_zero.json", "inst3.json"):
@@ -155,6 +157,8 @@ def invocations() -> list[tuple[str | None, list[str], str | None]]:
     add("sweep", "--input", "sweep3.json", "--k-grid", "2:10:5", "--max-iters", "3")
     add("sweep", "--input", "sweep3.json", "--k-grid", "0.5:2:9")
     add("sweep", "--input", "sweep2.json", "--k-grid", "0.1:10:12", "--tol", "1e-9", "--max-iters", "1000")
+    add("sweep", "--input", "inst2_tinyhi.json", "--k-grid", "0.001:1:25")
+    add("sweep", "--input", "inst2_tinylo.json", "--k-grid", "0.001:1:25")
     for grid in ("1:2", "1:2:3:4", "a:b:c", "0.1:10:x", "0.1:10:2.5", "0:1:5", "-1:1:5",
                  "5:1:5", "0.1:inf:5", "0.1:10:1", "0.1:10:0", ":::", "nan:1:5"):
         add("sweep", "--input", "sweep2.json", f"--k-grid={grid}")
@@ -166,6 +170,8 @@ def invocations() -> list[tuple[str | None, list[str], str | None]]:
     add("verify", "--input", "seg3.json")
     add("verify", "--input", "seg2_pool.json", "--instance", "inst2_pool.json")
     add("verify", "--input", "seg2_zero.json", "--instance", "inst2_zero.json")
+    add("verify", "--input", "seg2_tinyhi.json", "--instance", "inst2_tinyhi.json")
+    add("verify", "--input", "seg2_tinylo.json", "--instance", "inst2_tinylo.json")
     add("verify", "--input", "seg2.json", "--instance", "inst2.json", "--tol", "1e-14")
     add("verify", "--input", "seg2.json", "--instance", "inst2.json", "--tol", "0.5")
     add("verify", "--input", "seg2.json", "--instance", "inst2b.json")
@@ -240,9 +246,7 @@ def invocations() -> list[tuple[str | None, list[str], str | None]]:
 
     # several errors at once: the first in check order is reported
     add("sweep", "--input", "sweep2.json", "--output", "sweep2.json", "--format", "json",
-        "--k-grid", "1:2", "--tol", "0", "--max-iters", "0", threads="many")
-    add("sweep", "--input", "sweep2.json", "--output", "sweep2.json", "--format", "json",
-        "--k-grid", "1:2", "--tol", "0", "--max-iters", "0", threads="0")
+        "--k-grid", "1:2", "--tol", "0", "--max-iters", "0")
     add("sweep", "--input", "sweep2.json", "--output", "sweep2.json", "--format", "json",
         "--k-grid", "0.1:10:5", "--tol", "0", "--max-iters", "0")
     add("sweep", "--input", "sweep2.json", "--output", "sweep2.json", "--format", "csv",
@@ -250,8 +254,7 @@ def invocations() -> list[tuple[str | None, list[str], str | None]]:
     add("sweep", "--input", "sweep2.json", "--format", "csv", "--k-grid", "0.1:10:5",
         "--tol", "0", "--max-iters", "0")
     add("sweep", "--input", "sweep2.json", "--format", "csv", "--k-grid", "", "--max-iters", "0")
-    add("solve", "--input", "inst2.json", "--output", "inst2.json", "--format", "csv", "--tol", "0",
-        threads="-3")
+    add("solve", "--input", "inst2.json", "--output", "inst2.json", "--format", "csv", "--tol", "0")
     add("solve", "--input", "inst2.json", "--output", "inst2.json", "--tol", "0", "--max-iters", "0")
     add("solve", "--input", "inst2.json", "--tol", "0", "--max-iters", "0")
     add("solve", "--input", "missing.json", "--tol", "0")
@@ -260,7 +263,7 @@ def invocations() -> list[tuple[str | None, list[str], str | None]]:
     add("verify", "--input", "seg2.json", "--instance", "seg2.json", "--tol", "0")
     add("oracle", "--input", "inst2.json", "--output", "inst2.json", "--grid-n", "2")
     add("oracle", "--input", "missing.json", "--format", "csv", "--grid-n", "2")
-    add("rationalize", "--input", "target.json", "--format", "svg", "--grid-n", "2", threads="x")
+    add("rationalize", "--input", "target.json", "--format", "svg", "--grid-n", "2")
     add("rationalize", "--input", "missing.json", "--grid-n", "2")
 
     # argparse's own errors
@@ -296,23 +299,19 @@ def main() -> int:
     if os.path.exists(os.path.join(work, "missing.json")):
         os.remove(os.path.join(work, "missing.json"))
 
-    env = {k: v for k, v in os.environ.items() if k not in ("SEGMENTIX_THREADS", "PYTHONPATH")}
-    env["PYTHONPATH"] = os.path.abspath(args.src)
-    env["COLUMNS"] = "80"  # argparse wraps --help output to the terminal width
+    # argparse wraps --help output to the terminal width
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src), COLUMNS="80")
     runs = invocations()
-    for threads, argv, out in runs:
-        run_env = env if threads is None else dict(env, SEGMENTIX_THREADS=threads)
+    for argv, out in runs:
         out_path = os.path.join(work, out) if out else None
         if out_path and os.path.exists(out_path):
             os.remove(out_path)
-        proc = subprocess.run([sys.executable, "-m", "segmentix.cli", *argv], cwd=work, env=run_env,
-                              capture_output=True)
+        proc = subprocess.run([sys.executable, "-m", "segmentix.cli", *argv], cwd=work, env=env, capture_output=True)
         written = None
         if out_path and os.path.exists(out_path):
             with open(out_path, "rb") as fh:
                 written = fh.read()
-        prefix = "" if threads is None else f"SEGMENTIX_THREADS={shlex.quote(threads)} "
-        print(f"{prefix}{shlex.join(argv)}\texit={proc.returncode}\tout={_digest(proc.stdout)}"
+        print(f"{shlex.join(argv)}\texit={proc.returncode}\tout={_digest(proc.stdout)}"
               f"\terr={_digest(proc.stderr)}\tfile={_digest(written)}", flush=True)
     print(f"# {len(runs)} invocations", flush=True)
     return 0

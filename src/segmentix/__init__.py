@@ -11,8 +11,8 @@ import importlib
 # submodule -> the names the package exports from it
 _SUBMODULE_EXPORTS = {
     "binary": (
-        "BinaryClosedForm", "EnvelopeResult", "binary_net_value", "closed_form", "concave_envelope",
-        "net_value_curve", "segmentation_threshold", "solve_binary", "tangency_markets", "tangency_posteriors",
+        "EnvelopeResult", "binary_net_value", "concave_envelope", "net_value_curve", "segmentation_threshold",
+        "solve_binary", "tangency_markets", "tangency_posteriors",
     ),
     "market": (
         "Market", "MarketInstance", "Segment", "Segmentation", "SolverError", "SurplusTriangle",

@@ -1,10 +1,14 @@
-"""Closed-form segmentation for two-type markets.
+"""Two-type closed forms, and the segmentation threshold for any number of types.
 
 With two buyer types the seller's optimal information strategy has an
 explicit solution: either no segmentation at all, or a split into exactly
 two segments whose high-type shares depend only on the valuation ladder and
 the cost scale ``k``, not on the prior. The prior only determines the mixing
 weights and whether the split is worth doing.
+
+The threshold above which the seller stops segmenting, for any number of
+types, is read off the no-segmentation certificate: one convex root per
+price, found by a monotone Newton iteration.
 """
 
 from __future__ import annotations
@@ -16,16 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .market import (
-    EXP_OVERFLOW,
     Market,
     MarketInstance,
     Segment,
     Segmentation,
     ValidationError,
     Valuations,
+    all_revenues,
     net_objective,
     no_segmentation,
+    optimal_price,
     perfect_discrimination,
+    seller_payoff,
 )
 
 # Grid points where the curve touches its envelope give a gap of exactly
@@ -34,39 +40,12 @@ from .market import (
 # loose threshold would misplace the interval edges: the gap grows only
 # quadratically away from a tangency point.
 ENVELOPE_GAP_TOL = 1e-12
-THRESHOLD_BISECTION_TOL = 1e-10
 
 
 def _require_two_types(vals: Valuations) -> tuple[float, float]:
     if len(vals) != 2:
         raise ValidationError("binary_only", f"closed forms need exactly 2 types, got {len(vals)}")
     return vals[0], vals[1]
-
-
-@dataclass(frozen=True)
-class BinaryClosedForm:
-    """Raw ingredients of the two-type solution.
-
-    ``mu1_hi``/``mu2_hi`` are the high-type shares of the low- and high-price
-    segments. ``A`` and ``B`` are the payoff exponentials ``exp(w2/k)`` and
-    ``exp((w2-w1)/k)``; they overflow to ``inf`` for very small ``k``, where
-    the solution is numerically indistinguishable from full discrimination.
-    """
-
-    mu1_hi: float
-    mu2_hi: float
-    A: float
-    B: float
-
-
-def closed_form(vals: Valuations, k: float) -> BinaryClosedForm:
-    w1, w2 = _require_two_types(vals)
-    if k <= 0.0:
-        raise ValidationError("cost_scale", "closed form needs k > 0; use the discrimination path for k = 0")
-    mu1, mu2 = tangency_posteriors(vals, k)
-    a_exp = math.exp(w2 / k) if w2 / k <= EXP_OVERFLOW else math.inf
-    b_exp = math.exp((w2 - w1) / k) if (w2 - w1) / k <= EXP_OVERFLOW else math.inf
-    return BinaryClosedForm(mu1_hi=mu1, mu2_hi=mu2, A=a_exp, B=b_exp)
 
 
 def tangency_posteriors(vals: Valuations, k: float) -> tuple[float, float]:
@@ -94,16 +73,11 @@ def tangency_markets(vals: Valuations, k: float) -> tuple[Market, Market]:
     ``1 - mu2_hi = exp(-w1/k) * expm1(-(w2-w1)/k) / expm1(-w2/k)`` and
     ``1 - mu1_hi = (1 - mu2_hi) - mu2_hi * expm1(-(w2-w1)/k)``.
     """
-    w1, w2 = _require_two_types(vals)
-    if k <= 0.0:
-        raise ValidationError("cost_scale", "tangency markets need k > 0; k = 0 is the discrimination limit")
-    d = w2 - w1
-    em_d = math.expm1(-d / k)
-    em_w2 = math.expm1(-w2 / k)
-    mu2 = math.expm1(-w1 / k) / em_w2
-    mu1 = mu2 * math.exp(-d / k)
-    c2 = math.exp(-w1 / k) * em_d / em_w2  # 1 - mu2, no cancellation
-    c1 = c2 - mu2 * em_d                   # 1 - mu1, likewise
+    mu1, mu2 = tangency_posteriors(vals, k)
+    w1, w2 = vals[0], vals[1]
+    em_d = math.expm1(-(w2 - w1) / k)
+    c2 = math.exp(-w1 / k) * em_d / math.expm1(-w2 / k)  # 1 - mu2, no cancellation
+    c1 = c2 - mu2 * em_d  # 1 - mu1, likewise
     # subnormal entries keep too few digits for the likelihood-ratio check;
     # exact zeros are what the certificate's zero-mass rule accepts
     c1, mu1, c2, mu2 = (x if x >= sys.float_info.min else 0.0 for x in (c1, mu1, c2, mu2))
@@ -113,72 +87,71 @@ def tangency_markets(vals: Valuations, k: float) -> tuple[Market, Market]:
 def solve_binary(inst: MarketInstance) -> Segmentation:
     """Optimal segmentation of a two-type market.
 
-    Returns the two-segment tangency split when the prior's high-type share
-    lies strictly between the closed-form posteriors, and the degenerate
-    no-segmentation outcome otherwise (including exact ties). ``k = 0``
-    takes the full-discrimination limit; for tiny positive ``k`` the closed
-    forms underflow gracefully to the same answer.
+    Returns the two-segment tangency split when the prior's smaller share
+    lies strictly between the closed-form posteriors' shares of that type,
+    and the degenerate no-segmentation outcome otherwise (including exact
+    ties). The larger share can round to 1.0 while the smaller one still
+    straddles, so the test and each segment weight use the smaller share,
+    each weight from its own difference. ``k = 0`` takes the
+    full-discrimination limit; for tiny positive ``k`` the closed forms
+    underflow gracefully to the same answer.
     """
-    w1, w2 = _require_two_types(inst.vals)
+    _require_two_types(inst.vals)
     if inst.k == 0.0:
         return perfect_discrimination(inst.mu_star, inst.vals)
-    mu = inst.mu_star[1]
     m_lo, m_hi = tangency_markets(inst.vals, inst.k)
-    lo, hi = m_lo[1], m_hi[1]
-    if not (lo < mu < hi):
+    i = 1 if inst.mu_star[1] <= inst.mu_star[0] else 0
+    mu, x_lo, x_hi = inst.mu_star[i], m_lo[i], m_hi[i]
+    if not min(x_lo, x_hi) < mu < max(x_lo, x_hi):
         return no_segmentation(inst.mu_star, inst.vals)
-    tau1 = (hi - mu) / (hi - lo)
     segments = [
-        Segment(m_lo, tau1, 0),
-        Segment(m_hi, 1.0 - tau1, 1),
+        Segment(m_lo, (x_hi - mu) / (x_hi - x_lo), 0),
+        Segment(m_hi, (mu - x_lo) / (x_hi - x_lo), 1),
     ]
     return Segmentation(inst.mu_star, segments)
 
 
 def segmentation_threshold(vals: Valuations, mu_star: Market) -> float:
-    """Largest cost scale at which the prior still gets segmented.
+    """Largest cost scale at which the prior still gets segmented, for any number of types.
 
-    For priors below the pricing boundary the binding condition is the
-    low-price posterior rising to meet the prior; above the boundary it is
-    the high-price posterior falling to it. Found by bisection. Returns
-    ``inf`` for the boundary market (which segments at every cost scale)
-    and 0 for degenerate priors.
+    With p* the uniform price, no segmentation is optimal at ``k`` exactly
+    when its certificate (see ``solver.verify_optimality``) holds: for every
+    price t, ``h_t(1/k) <= 0``, where ``h_t(s) = log sum_i mu_i exp(d_i s)``
+    and ``d_i = S[i, t] - S[i, p*]``. Each ``h_t`` is convex with ``h_t(0) = 0``
+    and ``h_t'(0) = R(t) - R(p*) <= 0``, so it has at most one positive root
+    ``s_t``, and the threshold is ``1 / min_t s_t``. Newton's method started
+    at ``s0 = min over d_i > 0 of -log(mu_i) / d_i``, where ``h_t(s0) >= 0``,
+    falls monotonically to ``s_t``; it stops at the first step that does not
+    lower ``s``. Returns ``inf`` when another price ties p* (the prior then
+    segments at every cost scale) and 0 when no price has a positive root
+    (degenerate priors).
     """
-    w1, w2 = _require_two_types(vals)
-    mu = mu_star[1]
-    if mu <= 0.0 or mu >= 1.0:
-        return 0.0
-    boundary = w1 / w2
-    if mu == boundary:
-        return math.inf
-
-    if mu < boundary:
-        def gap(k: float) -> float:
-            return tangency_posteriors(vals, k)[0] - mu
-    else:
-        def gap(k: float) -> float:
-            return mu - tangency_posteriors(vals, k)[1]
-
-    # gap < 0 means the prior still straddles the posteriors at this k.
-    lo = w1 * 1e-12
-    while gap(lo) > 0.0:
-        lo *= 0.5
-        if lo == 0.0:
-            return 0.0
-    hi = max(w1, 1.0)
-    doublings = 0
-    while gap(hi) <= 0.0:
-        hi *= 2.0
-        doublings += 1
-        if doublings > 1024:
+    p = optimal_price(mu_star, vals)
+    rev = all_revenues(mu_star, vals)
+    served = [(math.log(m), v) for m, v in zip(mu_star.weights, vals.values) if m > 0.0]
+    s_min = math.inf
+    for t in range(len(vals)):
+        if t == p:
+            continue
+        if rev[t] == rev[p]:
             return math.inf
-    while hi - lo > THRESHOLD_BISECTION_TOL * max(1.0, lo):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        d = [seller_payoff(vals[t], v) - seller_payoff(vals[p], v) for _, v in served]
+        starts = [-lm / di for (lm, _), di in zip(served, d) if di > 0.0]
+        if not starts:
+            continue
+        s = min(starts)
+        while True:
+            x = [lm + di * s for (lm, _), di in zip(served, d)]
+            top = max(x)
+            e = [math.exp(xi - top) for xi in x]
+            total = math.fsum(e)
+            slope = math.fsum(ei * di for ei, di in zip(e, d))  # h_t'(s) * total
+            nxt = s - (top + math.log(total)) * total / slope if slope > 0.0 else s
+            if not 0.0 < nxt < s:
+                break
+            s = nxt
+        s_min = min(s_min, s)
+    return 1.0 / s_min
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,10 @@ identical inputs produce byte-identical artifacts.
 
 argparse checks flag names, types and choices. Every other argument check
 lives in ``_check_args``, which runs before any file is read and reports
-the first failure in this order: ``SEGMENTIX_THREADS``, ``--k-grid``, the
-format each command allows, distinct paths, then the ranges of ``--tol``,
-``--max-iters`` and ``--grid-n`` (from 2000 for ``rationalize``, which
-verifies on that grid). The handlers read the checked namespace.
+the first failure in this order: ``--k-grid``, the format each command
+allows, distinct paths, then the ranges of ``--tol``, ``--max-iters`` and
+``--grid-n`` (from 2000 for ``rationalize``, which verifies on that grid).
+The handlers read the checked namespace.
 
 Each handler imports the modules it runs when it runs, so a process loads
 only what its subcommand needs: ``solve`` and ``verify`` load ``binary``
@@ -55,14 +55,8 @@ def __getattr__(name: str):
 def _check_args(ns: argparse.Namespace) -> None:
     """Complete ``ns`` in place: parsed --k-grid and output format.
 
-    ``SEGMENTIX_THREADS`` must be an integer if set, though sweeps run in one
-    process whatever its value. Paths must be pairwise distinct so no
-    command can clobber its own input.
+    Paths must be pairwise distinct so no command can clobber its own input.
     """
-    try:
-        int(os.environ.get("SEGMENTIX_THREADS", "1"))
-    except ValueError:
-        raise ValidationError("threads", "SEGMENTIX_THREADS must be an integer") from None
     ns.k_grid = parse_k_grid(ns.k_grid) if ns.k_grid else None
     ns.format = ns.format or ns.formats[0]
     if ns.format not in ns.formats:

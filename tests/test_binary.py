@@ -19,6 +19,7 @@ from segmentix import (
     net_value_curve,
     segmentation_threshold,
     solve_binary,
+    solve_ri,
     tangency_markets,
     tangency_posteriors,
     verify_optimality,
@@ -97,8 +98,8 @@ def test_tangency_monotone_in_cost_scale():
 # -------------------- threshold --------------------
 
 def test_threshold_frozen_value():
-    assert segmentation_threshold(V12, Market((0.6, 0.4))) == pytest.approx(KBAR_12, abs=1e-9)
-    assert segmentation_threshold(V12, Market((0.4, 0.6))) == pytest.approx(KBAR_12, abs=1e-9)
+    for mu in (Market((0.6, 0.4)), Market((0.4, 0.6))):
+        assert abs(segmentation_threshold(V12, mu) - KBAR_12) <= 4.0 * math.ulp(KBAR_12)
 
 
 def test_threshold_boundary_prior_is_infinite():
@@ -121,7 +122,62 @@ def test_solver_flips_exactly_at_threshold():
         assert len(above.segments) == 1
 
 
+# the high share, then the low share, below half an ulp of the other
+TINY_HI = (Valuations((5665.424133780135, 23150.253488507526)), Market((1.0, 1.5063967719774e-114)),
+           0.8853969049295498)
+TINY_LO = (Valuations((6.58810979414354, 27.141280667075595)), Market((9.341843475483123e-25, 1.0)),
+           0.002461952748699573)
+
+
+def test_threshold_when_the_low_share_is_below_half_an_ulp():
+    vals, mu, _ = TINY_LO
+    kbar = segmentation_threshold(vals, mu)
+    # the root of h_t, 0.1190691318121823796..., worked out to 120 bits
+    assert kbar == pytest.approx(0.11906913181218239, rel=4e-16)
+    for factor, n_segments in ((0.98, 2), (1.02, 1)):
+        inst = MarketInstance(vals, mu, factor * kbar)
+        assert len(solve_binary(inst).segments) == len(solve_ri(inst).segments) == n_segments
+
+
 # -------------------- solver --------------------
+
+@pytest.mark.parametrize("case", [TINY_HI, TINY_LO], ids=["tiny_high_share", "tiny_low_share"])
+def test_solve_splits_priors_with_a_share_below_half_an_ulp(case):
+    vals, mu, k = case
+    seg = solve_binary(MarketInstance(vals, mu, k))
+    assert len(seg.segments) == 2
+    assert all(s.weight > 0.0 for s in seg.segments)
+    assert verify_optimality(seg, vals, k).passed
+
+
+def _tiny_share_draws(seed: int, n: int):
+    """Two-type markets over twelve decades of scale, 30 % with one share in [1e-200, 1e-8]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        vals = np.sort(rng.uniform(0.1, 10.0, 2)) * 10.0 ** rng.uniform(-6.0, 6.0)
+        mu = rng.dirichlet(np.full(2, 10.0 ** rng.uniform(-2.0, 1.0)))
+        if rng.random() < 0.3:
+            i = int(rng.integers(2))
+            mu[i] = 10.0 ** rng.uniform(-200.0, -8.0)
+            mu[1 - i] = 1.0 - mu[i]
+        k = float(vals[0] * 10.0 ** rng.uniform(-5.0, 5.0))
+        if vals[0] < vals[1]:
+            yield MarketInstance(Valuations(tuple(vals)), Market(tuple(mu)), k)
+
+
+def test_tiny_share_scan_solves_and_certifies():
+    failed = []
+    for seed in (1, 2, 3):
+        for inst in _tiny_share_draws(seed, 3000):
+            try:
+                report = verify_optimality(solve_binary(inst), inst.vals, inst.k)
+            except ValidationError as err:
+                failed.append((inst, err.invariant))
+                continue
+            if not report.passed:
+                failed.append((inst, report.failures))
+    assert not failed, (len(failed), failed[:3])
+
 
 def test_solve_worked_instance_frozen():
     seg = solve_binary(MarketInstance(V12, MU46, 0.8))

@@ -122,24 +122,10 @@ def test_sweep_bad_grid_string(tmp_path, capsys):
     assert "k_grid" in capsys.readouterr().err
 
 
-def test_sweep_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
-    inp = write(tmp_path, "inst.json", {"valuations": [1.0, 2.0], "mu": [0.4, 0.6]})
-    serial, parallel = str(tmp_path / "s.csv"), str(tmp_path / "p.csv")
-    args = ["sweep", "--input", inp, "--format", "csv", "--k-grid", "0.2:5:12"]
-    monkeypatch.setenv("SEGMENTIX_THREADS", "1")
-    assert cli.main(args + ["--output", serial]) == 0
-    # any integer is accepted; every sweep runs in this process
-    for threads in ("3", "0", "-3"):
-        monkeypatch.setenv("SEGMENTIX_THREADS", threads)
-        assert cli.main(args + ["--output", parallel]) == 0
-        assert Path(serial).read_bytes() == Path(parallel).read_bytes()
-
-
 def test_sweeps_start_no_worker_process(tmp_path):
     inp = write(tmp_path, "inst.json", {"valuations": [1.0, 2.0], "mu": [0.4, 0.6]})
     src = str(Path(segmentix.__file__).resolve().parents[1])
-    env = dict(os.environ, SEGMENTIX_THREADS="3",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     loaded = "print('concurrent.futures.process' in sys.modules)"
     code = "\n".join([
         "import sys",
@@ -161,17 +147,9 @@ def test_sweep_empty_k_grid_means_default(tmp_path):
     assert Path(default).read_bytes() == Path(empty).read_bytes()
 
 
-def test_bad_thread_env_exit_2(tmp_path, monkeypatch, capsys):
-    inp = write(tmp_path, "inst.json", WORKED)
-    monkeypatch.setenv("SEGMENTIX_THREADS", "many")
-    assert cli.main(["solve", "--input", inp]) == 2
-    assert "threads" in capsys.readouterr().err
-
-
 # each list holds one failure per argument check, in the order they are
 # reported; a case keeps the failures from its index on
 _SWEEP_FAILURES = [
-    ("threads", None),
     ("k_grid", ["--k-grid", "1:2"]),
     ("output_format", ["--format", "json"]),
     ("distinct_paths", ["--output", "INPUT"]),
@@ -179,7 +157,6 @@ _SWEEP_FAILURES = [
     ("max_iters", ["--max-iters", "0"]),
 ]
 _ORACLE_FAILURES = [
-    ("threads", None),
     ("output_format", ["--format", "csv"]),
     ("distinct_paths", ["--output", "INPUT"]),
     ("grid_size", ["--grid-n", "2"]),
@@ -192,14 +169,11 @@ _ORACLE_FAILURES = [
     + [("oracle", _ORACLE_FAILURES[i:]) for i in range(len(_ORACLE_FAILURES))],
     ids=lambda v: v if isinstance(v, str) else v[0][0],
 )
-def test_first_failed_check_is_reported(tmp_path, monkeypatch, capsys, command, failures):
+def test_first_failed_check_is_reported(tmp_path, capsys, command, failures):
     inp = write(tmp_path, "inst.json", WORKED)
     argv = [command, "--input", inp]
     for _, args in failures:
-        if args is None:
-            monkeypatch.setenv("SEGMENTIX_THREADS", "many")
-        else:
-            argv += [inp if a == "INPUT" else a for a in args]
+        argv += [inp if a == "INPUT" else a for a in args]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error [{failures[0][0]}]: ")
 

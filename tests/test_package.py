@@ -12,8 +12,8 @@ import pytest
 import segmentix
 
 EXPORTED = {
-    "BinaryClosedForm", "EnvelopeResult", "binary_net_value", "closed_form", "concave_envelope",
-    "net_value_curve", "segmentation_threshold", "solve_binary", "tangency_markets", "tangency_posteriors",
+    "EnvelopeResult", "binary_net_value", "concave_envelope", "net_value_curve", "segmentation_threshold",
+    "solve_binary", "tangency_markets", "tangency_posteriors",
     "Market", "MarketInstance", "Segment", "Segmentation", "SurplusTriangle", "ValidationError",
     "Valuations", "WelfareReport", "all_revenues", "buyer_payoff", "check_segment_prices", "entropy",
     "net_objective", "net_segment_value", "no_segmentation", "optimal_price", "perfect_discrimination",

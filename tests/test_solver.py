@@ -15,6 +15,7 @@ from segmentix import (
     SolverError,
     Valuations,
     net_objective,
+    no_segmentation,
     payoff_matrix,
     segmentation_threshold,
     solve,
@@ -23,7 +24,7 @@ from segmentix import (
     verify_optimality,
     welfare,
 )
-from segmentix.solver import _logsumexp_rows
+from segmentix.solver import VERIFY_TOL, _logsumexp_rows
 
 V12 = Valuations((1.0, 2.0))
 V123 = Valuations((1.0, 2.0, 3.0))
@@ -128,6 +129,7 @@ def _assert_certified(vals, prior, k):
     seg = solve_ri(MarketInstance(vals, prior, k))
     report = verify_optimality(seg, vals, k, tol=1e-8)
     assert report.passed, (k, report.failures)
+    return seg
 
 
 @pytest.mark.parametrize("j", range(1, 7))
@@ -136,10 +138,44 @@ def test_two_types_just_below_threshold(j):
     _assert_certified(V12, prior, (1.0 - 10.0**-j) * segmentation_threshold(V12, prior))
 
 
+KBAR_123 = segmentation_threshold(V123, Market((0.3, 0.4, 0.3)))
+
+
+def test_three_type_threshold_is_one_over_ln_2():
+    # no segmentation's certificate of (1, 2, 3)/(0.3, 0.4, 0.3) binds first at price 3, at k = 1/ln 2
+    assert abs(KBAR_123 - 1.0 / math.log(2.0)) <= 2.0 * math.ulp(1.0 / math.log(2.0))
+
+
 @pytest.mark.parametrize("k", [1.4425] + [(1.0 - 10.0**-j) / math.log(2.0) for j in range(1, 7)])
 def test_three_types_just_below_threshold(k):
-    # the threshold of (1, 2, 3)/(0.3, 0.4, 0.3) is 1/ln 2
-    _assert_certified(V123, Market((0.3, 0.4, 0.3)), float(k))
+    # each k is (1 - 10**-j) k-bar to within the 2 ulps pinned above, so the prior segments
+    prior = Market((0.3, 0.4, 0.3))
+    assert k < KBAR_123
+    assert len(_assert_certified(V123, prior, float(k)).segments) > 1
+
+
+@pytest.mark.parametrize("K", range(2, 7))
+def test_threshold_separates_segmenting_from_not(K):
+    # below k-bar no segmentation misses a profitable price, above it misses none; solve
+    # may still keep the prior whole below k-bar when that miss is within the certificate's
+    # tolerance, as on priors whose best two prices nearly tie (k-bar in the thousands)
+    rng = np.random.default_rng(K)
+    for _ in range(60):
+        vals = Valuations(tuple(np.cumsum(rng.uniform(0.2, 2.0, K))))
+        prior = Market(tuple(rng.dirichlet(np.ones(K))))
+        kbar = segmentation_threshold(vals, prior)
+        whole = no_segmentation(prior, vals)
+        for factor in (0.99, 1.01):
+            k = factor * kbar
+            slacks = verify_optimality(whole, vals, k).price_slacks
+            slack = max(x for t, x in enumerate(slacks) if t != whole.segments[0].price_index)
+            seg = solve(MarketInstance(vals, prior, k))
+            assert verify_optimality(seg, vals, k).passed, (vals, prior, factor)
+            if factor < 1.0:
+                assert slack > 0.0, (vals, prior)
+                assert len(seg.segments) > 1 or slack <= VERIFY_TOL, (vals, prior)
+            else:
+                assert slack <= 0.0 and len(seg.segments) == 1, (vals, prior)
 
 
 def test_three_type_sweep_across_support_changes():
