@@ -55,6 +55,8 @@ INPUTS = {
     "target.json": {"cs": 0.2, "ps": 1.1, "valuations": [1, 2], "mu": [0.6, 0.4]},
     "target_b.json": {"cs": 0.1, "ps": 1.2, "valuations": [1.0, 1.5], "mu": [0.5, 0.5]},
     "target_ongrid.json": {"cs": 0.1, "ps": 1.1, "valuations": [1, 2], "mu": [0.75, 0.25]},
+    # w2/w1 = 8.61: the default grid is too coarse to place the argmax, 8000 is fine enough
+    "target_coarse.json": {"cs": 0.817354, "ps": 1.014113, "valuations": [1.0, 8.61], "mu": [0.8907, 0.1093]},
     "target_edge.json": {"cs": 0.0, "ps": 1.1, "valuations": [1, 2], "mu": [0.6, 0.4]},
     "target_len.json": {"cs": 0.2, "ps": 1.1, "valuations": [1, 2], "mu": [0.2, 0.3, 0.5]},
     "target_nocs.json": {"ps": 1.1, "valuations": [1, 2], "mu": [0.6, 0.4]},
@@ -193,6 +195,8 @@ def invocations() -> list[tuple[list[str], str | None]]:
     add("rationalize", "--input", "target_b.json")
     add("rationalize", "--input", "target_ongrid.json")  # prior 0.25 is a point of the 4000 and 8000 grids
     add("rationalize", "--input", "target.json", "--grid-n", "8000")
+    add("rationalize", "--input", "target_coarse.json")  # exit 2: the message quotes the argmax pair's welfare
+    add("rationalize", "--input", "target_coarse.json", "--grid-n", "8000")
     add("rationalize", "--input", "target.json", "--grid-n", "50")
     add("rationalize", "--input", "target.json", "--grid-n", "0")
     for target in ("target_edge.json", "target_len.json", "target_nocs.json", "target_badmu.json",

@@ -14,7 +14,7 @@ The handlers read the checked namespace.
 
 Each handler imports the modules it runs when it runs, so a process loads
 only what its subcommand needs: ``solve`` and ``verify`` load ``binary``
-and ``solver``, ``sweep`` those and ``sweeps``, ``rationalize`` ``binary``
+and ``solver``, ``sweep`` those and ``sweeps``, ``rationalize`` ``oracle``
 and ``rationalize``, ``oracle`` only ``oracle``; a structural ``verify``
 (no ``--instance``) loads nothing beyond ``files`` and ``market``. The
 library names the handlers call stay attributes of this module, loaded

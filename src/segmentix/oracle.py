@@ -10,10 +10,12 @@ The two-type pair scan scores every grid pair that can win, in O(grid_n)
 cells rather than all of them. For any line L with L(prior) = phi, a pair
 is worth phi - tau*d1 - (1 - tau)*d2, where d is an end point's distance
 below L; so a pair that ties a known pair value V needs an end point with
-d <= phi - V. A line near the concave envelope at the prior (the LP dual
-of the pair problem) leaves a handful of such points. The pairs
-through them are scored with the exhaustive scan's own elementwise formula
-and tie-break, so its results keep their bytes.
+d <= phi - V. The envelope's edge over the prior (the LP dual of the pair
+problem), found by a few tangent searches, gives a line that leaves a
+handful of such points. The pairs through them are scored with the
+exhaustive scan's own elementwise formula and tie-break, so its results
+keep their bytes. ``pair_scan`` is also the rationalization check's best
+chord search; it is the only one in the package.
 
 The two numerical methods are textbook ones written out here: Nelder-Mead
 (1965) for the polish and Dantzig's primal simplex for the three-row grid
@@ -38,7 +40,6 @@ from .market import (
     optimal_price,
 )
 
-_SLOPE_BISECTIONS = 64  # seeded markets reach adjacent doubles in at most 63
 _LP_MAX_PIVOTS = 1000  # 600 seeded K=3 grid LPs took at most 18
 
 
@@ -171,14 +172,19 @@ def _pair_values(xl: np.ndarray, gl: np.ndarray, xh: np.ndarray, gh: np.ndarray,
     return tau * gl[:, None] + (1.0 - tau) * gh[None, :]
 
 
-def _pair_scan(x: np.ndarray, g: np.ndarray, mu: float) -> tuple[float, tuple[float, float] | None]:
+def pair_scan(x: np.ndarray, g: np.ndarray, mu: float) -> tuple[float, tuple[float, float] | None]:
     """Best grid pair x1 < mu < x2 and its value; the first maximum in (x1, x2) order.
 
-    Exactly the maximum over all pairs, but only pairs with an end point
-    near a supporting line are scored. The line L(x) = phi + b (x - mu) has
+    ``x`` is strictly increasing in [0, 1]. Exactly the maximum over all
+    pairs, but only pairs with an end point near a supporting line are
+    scored. The line L(x) = phi + b (x - mu) has
     phi = max_i g_i + b (mu - x_i) (over x_i != mu), and phi is convex in
-    b with its minimum, the concave envelope at mu, where the maximiser
-    changes side; b is bisected towards it. Any b is correct, a near one
+    b with its minimum, the concave envelope at mu, at the slope of the
+    envelope's edge over mu. That edge is found by alternating tangent
+    searches: from a left end i, the right end j is the point of x > mu
+    with the greatest slope from i, then i the point of x < mu with the
+    least slope to j, until i repeats (float ties on a flat run can cycle)
+    or 64 rounds pass; b is the slope of ij. Any b is correct, a near one
     only scores fewer pairs. With d_i = L(x_i) - g_i, a pair's exact value
     is phi - tau d_i - (1 - tau) d_j, so a pair worth at least V has
     min(d_i, d_j) <= phi - V. V is the computed value of the pair of
@@ -193,24 +199,20 @@ def _pair_scan(x: np.ndarray, g: np.ndarray, mu: float) -> tuple[float, tuple[fl
     each. A pair whose computed value reaches V's thus keeps an end point
     under the cut as long as the slack is at least 21.3 u S.
     """
-    lo, hi = x < mu, x > mu
-    xl, gl, xh, gh = x[lo], g[lo], x[hi], g[hi]
-    if len(xl) == 0 or len(xh) == 0:
+    lo, hi = int(np.searchsorted(x, mu, "left")), int(np.searchsorted(x, mu, "right"))
+    if lo == 0 or hi == len(x):
         return -math.inf, None
-    rl, rh = mu - xl, mu - xh
-    slopes = np.diff(g) / np.diff(x)
-    b_lo, b_hi = float(slopes.min()), float(slopes.max())  # phi peaks at x = 1, at x = 0
-    b = 0.5 * (b_lo + b_hi)
-    for _ in range(_SLOPE_BISECTIONS):
-        top_l, top_h = (gl + b * rl).max(), (gh + b * rh).max()
-        if top_l == top_h:
+    xl, gl, xh, gh = x[:lo], g[:lo], x[hi:], g[hi:]
+    i, seen = lo - 1, set()
+    for _ in range(64):  # stops at a repeated left end; any b is exact
+        seen.add(i)
+        j = int(np.argmax((gh - gl[i]) / (xh - xl[i])))
+        i_next = int(np.argmin((gh[j] - gl) / (xh[j] - xl)))
+        if i_next in seen:
             break
-        if top_l > top_h:
-            b_hi = b
-        else:
-            b_lo = b
-        b = 0.5 * (b_lo + b_hi)
-    al, ah = gl + b * rl, gh + b * rh
+        i = i_next
+    b = float((gh[j] - gl[i]) / (xh[j] - xl[i]))
+    al, ah = gl + b * (mu - xl), gh + b * (mu - xh)
     phi = max(al.max(), ah.max())
     dl, dh = phi - al, phi - ah
     i, j = int(np.argmin(dl)), int(np.argmin(dh))
@@ -240,7 +242,7 @@ def brute_force_binary(inst: MarketInstance, grid_n: int = 4000) -> OracleResult
     fallback, then polished with Nelder-Mead. The scan scores only the
     pairs that can win: a line supporting the grid points near the concave
     envelope at the prior bounds every other pair below a pair already
-    scored (see ``_pair_scan``). It returns the value and pair that scoring
+    scored (see ``pair_scan``). It returns the value and pair that scoring
     all of them returns, bit for bit, so oracle results keep their bytes;
     the cells scored grow as O(grid_n), not O(grid_n**2).
     """
@@ -261,7 +263,7 @@ def brute_force_binary(inst: MarketInstance, grid_n: int = 4000) -> OracleResult
 
     prior_ent = 0.0 if mu <= 0.0 or mu >= 1.0 else -(mu * math.log(mu) + (1.0 - mu) * math.log1p(-mu))
     base = gfun(mu)  # no-segmentation candidate
-    best_pair_v, best_pair = _pair_scan(x, g, mu)
+    best_pair_v, best_pair = pair_scan(x, g, mu)
     best_v = max(base, best_pair_v)
     grid_value = best_v - k * prior_ent
 

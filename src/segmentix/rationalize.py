@@ -8,24 +8,21 @@ pins down a unique segment pair and mixing weight; a one-knot
 piecewise-quadratic cost then makes that pair globally optimal. Global
 optimality needs the cost's derivative gap across the segments to equal the
 high valuation together with a chord condition: both are built in exactly,
-and verify_rationalization re-checks the outcome with the exact best chord
-over the grid. That chord is the edge of the grid curve's upper concave
-hull around the prior (Kamenica & Gentzkow 2011). It is found by a few
-tangent searches in O(grid_n) array passes, and a rounding margin proves
-it is the edge the monotone chain of ``binary.upper_concave_hull`` returns,
-bit for bit; the chain itself runs only where a point misses that margin.
+and verify_rationalization re-checks the outcome with the exact best pair
+over the grid, the chord of the grid curve's upper concave hull over the
+prior (Kamenica & Gentzkow 2011). That search is the two-type oracle's own
+``oracle.pair_scan``: it scores only the pairs that can win, in O(grid_n)
+cells, and returns what scoring every pair returns, bit for bit.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .binary import upper_concave_hull
 from .market import (
     Market,
     Segment,
@@ -36,11 +33,10 @@ from .market import (
     surplus_triangle,
     welfare,
 )
+from .oracle import pair_scan
 
 SLOPE_FLOOR = 1e-6
 MIN_VERIFY_GRID_N = 2000  # coarser grids cannot place the argmax within two steps of the target
-_ULP = 2.0**-53  # unit roundoff of a float
-_TANGENT_STEPS = 64  # alternations of the edge search; a pair left unproven goes to the chain
 
 
 @dataclass(frozen=True)
@@ -282,94 +278,6 @@ class RationalizationReport:
     messages: tuple[str, ...]
 
 
-def _stays_vertex(x: np.ndarray, y: np.ndarray, p: int, g: float) -> bool:
-    """True when no float test of the monotone chain can pop grid point ``p``.
-
-    Step 1 of ``_best_chord``'s argument: some line through p must have
-    every q < p more than g (x_p - x_q) below it and every r > p more than
-    g (x_p - x_0) below it. In slopes s(a, b), the largest
-    s(p, r) + g (x_p - x_0) / (x_r - x_p) must stay under the smallest
-    s(q, p) - g; they are compared with 2 g to spare for their rounding.
-    """
-    if p == 0 or p == len(x) - 1:
-        return True  # the chain never tests its first or its last point
-    left = float(((y[p] - y[:p]) / (x[p] - x[:p])).min()) - g
-    right = float(((y[p + 1 :] - y[p] + g * (x[p] - x[0])) / (x[p + 1 :] - x[p])).max())
-    return right + 2.0 * g < left
-
-
-def _best_chord(x: np.ndarray, phi: np.ndarray, mu: float) -> tuple[float, tuple[float, float]]:
-    """Best chord value at ``mu`` over grid pairs a <= mu <= b, and its pair.
-
-    Returns, bit for bit, what the monotone chain of
-    ``binary.upper_concave_hull`` gives at ``mu`` (x strictly increasing,
-    x[0] < mu < x[-1]): tau phi(a) + (1 - tau) phi(b) on the hull edge
-    (a, b) around mu or, when mu is a hull vertex, phi(mu) with the pair
-    (x[0], mu). Only that edge is searched for, in O(len(x)) array passes:
-    from a left end i, the right end j is the point of x > mu with the
-    greatest slope from i, then i the point of x < mu with the least slope
-    to j, until i repeats; every point then lies on or below the line ij.
-    A grid point at mu is kept off both sides, since every pair ending
-    there scores phi(mu), and is tried as a vertex first.
-
-    Why the chain agrees. Its test pops p between q and r when
-    fl((y_p - y_q)(x_r - x_q)) <= fl((y_r - y_q)(x_p - x_q)). With
-    u = 2**-53 and M the largest |slope| between grid neighbours (so
-    between any two grid points), each product is off by at most 3.01 u of
-    its size, barring underflow, so the test is right whenever p lies more
-    than 6.02 u M (x_p - x_q) off the chord qr. g = 8 u M covers that and
-    the rounding of M.
-
-    1. Let d_k be how far point k lies below some line through p. The
-       height of p over the chord qr is the mean of d_q and d_r weighted
-       by x_r - x_p and x_p - x_q. So p is never popped when every q < p
-       has d_q > g (x_p - x_q) and every r > p has d_r > g (x_p - x_0).
-       That is ``_stays_vertex``.
-    2. Let i and j never be popped, and let d be the depth below the line
-       ij. Each point the chain keeps between them passed its last test,
-       so d there is convex up to g (x_p - x_q). Where
-       d / ((x - x_i)(x_j - x)) peaks among the kept points, that slack
-       must cover the parabola's bend (x_p - x_q)(x_r - x_p). So every
-       kept point has d < g (x - x_i)(x_j - x) / h, with h the least grid
-       step in [x_i, x_j]. If every point between i and j lies deeper
-       than that, plus 2 g (x - x_i) for the rounding of d, none is kept,
-       and (i, j) is the chain's edge.
-
-    The points that miss these margins are the only ones whose rounding
-    could move the chain's answer. If there are any (a near-collinear run
-    of the curve, where float ties can make the search cycle, or a search
-    cut off after ``_TANGENT_STEPS``), the chain runs on the whole grid
-    instead.
-    """
-    lo, hi = int(np.searchsorted(x, mu, "left")), int(np.searchsorted(x, mu, "right"))
-    g = 8.0 * _ULP * float(np.abs(np.diff(phi) / np.diff(x)).max())
-    if hi > lo and _stays_vertex(x, phi, lo, g):
-        return float(phi[lo]), (float(x[0]), mu)
-    xl, yl, xr, yr = x[:lo], phi[:lo], x[hi:], phi[hi:]
-    i, seen = lo - 1, set()
-    for _ in range(_TANGENT_STEPS):
-        seen.add(i)
-        j = int(np.argmax((yr - yl[i]) / (xr - xl[i])))
-        i_next = int(np.argmin((yr[j] - yl) / (xr[j] - xl)))
-        if i_next in seen:  # converged, or float ties cycling on a flat run
-            break
-        i = i_next
-    j += hi
-    xs = x[i + 1 : j]
-    depth = (phi[i] - phi[i + 1 : j]) + (phi[j] - phi[i]) / (x[j] - x[i]) * (xs - x[i])
-    need = (xs - x[i]) * (g / float(np.diff(x[i : j + 1]).min()) * (x[j] - xs) + 2.0 * g)
-    if _stays_vertex(x, phi, i, g) and _stays_vertex(x, phi, j, g) and bool(np.all(depth > need)):
-        a, b, ya, yb = float(x[i]), float(x[j]), float(phi[i]), float(phi[j])
-    else:
-        hull_x, hull_y = upper_concave_hull(x, phi)
-        k = bisect.bisect_left(hull_x, mu)
-        if hull_x[k] == mu:
-            return hull_y[k], (hull_x[0], mu)
-        a, b, ya, yb = hull_x[k - 1], hull_x[k], hull_y[k - 1], hull_y[k]
-    tau = (b - mu) / (b - a)
-    return tau * ya + (1.0 - tau) * yb, (a, b)
-
-
 def verify_rationalization(
     spec: ConvexCostSpec,
     target: RationalizationTarget,
@@ -380,13 +288,15 @@ def verify_rationalization(
 
     Maximizes the seller's objective (revenue minus expected cost, plus the
     constant cost at the prior) over the grid pairs straddling the prior,
-    and the no-segmentation candidate. The best pair is the hull edge
-    around the prior, found by ``_best_chord``'s tangent searches in
-    O(grid_n) and proven, by a rounding margin, to be the edge the monotone
-    chain returns. Passes when the argmax lands within two grid steps of
-    the intended segments and reproduces the target welfare within
-    ``cs_ps_tol``. When the prior is itself a hull vertex no pair
-    straddles it, and the report is the failed no-segmentation one.
+    and the no-segmentation candidate. The best pair x1 < prior < x2 comes
+    from ``oracle.pair_scan``, which takes its supporting line from a few
+    tangent searches for the hull edge over the prior and then scores only
+    the pairs near that line, O(grid_n) cells in all. Passes when the
+    argmax lands within two grid steps of the intended segments and
+    reproduces the target welfare within ``cs_ps_tol``. When no pair beats
+    staying put (the prior a vertex of the hull among them), the report is
+    the failed no-segmentation one, and its message quotes the best pair's
+    value.
     """
     if grid_n < MIN_VERIFY_GRID_N:
         raise ValidationError("grid_size", f"verification needs grid_n >= {MIN_VERIFY_GRID_N}, got {grid_n}")
@@ -401,16 +311,10 @@ def verify_rationalization(
     c_prior = float(spec.value(mu))
     no_seg_value = max(w1, w2 * mu)  # phi(mu) + c(mu)
 
-    best_v, (x1, x2) = _best_chord(x, phi, mu)
+    best_v, pair = pair_scan(x, phi, mu)
     best_v += c_prior
 
-    messages: list[str] = []
     if not best_v > no_seg_value:
-        messages.append(f"no-segmentation value {no_seg_value!r} beats every pair ({best_v!r})")
-    elif x2 == mu:
-        # phi(mu) + c(mu) rounded above max(w1, w2 mu), but a chord ending at the prior is no split
-        messages.append(f"the prior {mu!r} is a vertex of the hull: no pair straddling it beats staying put")
-    if messages:
         return RationalizationReport(
             passed=False,
             best_is_pair=False,
@@ -422,9 +326,10 @@ def verify_rationalization(
             best_value=no_seg_value,
             no_seg_value=no_seg_value,
             grid_step=h,
-            messages=tuple(messages),
+            messages=(f"no-segmentation value {no_seg_value!r} beats every pair ({best_v!r})",),
         )
 
+    x1, x2 = pair
     tau1 = (x2 - mu) / (x2 - x1)
     steps = max(abs(x1 - intended.mu1), abs(x2 - intended.mu2)) / h
     m1 = Market([1.0 - x1, x1])
@@ -437,6 +342,7 @@ def verify_rationalization(
         ],
     )
     rep = welfare(seg, target.vals, 0.0)
+    messages: list[str] = []
     if steps > 2.0:
         messages.append(
             f"argmax ({x1}, {x2}) is {steps:.1f} grid steps from intended "

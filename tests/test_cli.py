@@ -355,7 +355,7 @@ LOADED = {
     "verify": ("binary", "solver"),
     "verify-structural": (),
     "sweep": ("binary", "solver", "sweeps"),
-    "rationalize": ("binary", "rationalize"),
+    "rationalize": ("oracle", "rationalize"),
     "oracle": ("oracle",),
 }
 

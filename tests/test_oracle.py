@@ -60,26 +60,7 @@ def test_binary_oracle_sandwiches_solver():
         assert res.grid_value <= res.value + 1e-12
 
 
-def _exhaustive_pair_scan(x, g, mu, chunk=256):
-    # the pair oracle's former scan: every pair x1 < mu < x2, 256 rows at a
-    # time, keeping the first maximum in (x1, x2) order
-    xl, gl = x[x < mu], g[x < mu]
-    xh, gh = x[x > mu], g[x > mu]
-    best_v, best_pair = -math.inf, None
-    if len(xh) == 0:  # it raised on an empty side; mu = 1 has no pair
-        return best_v, best_pair
-    for start in range(0, len(xl), chunk):
-        xb = xl[start : start + chunk, None]
-        gb = gl[start : start + chunk, None]
-        tau = (xh[None, :] - mu) / (xh[None, :] - xb)
-        V = tau * gb + (1.0 - tau) * gh[None, :]
-        i, j = np.unravel_index(int(np.argmax(V)), V.shape)
-        if V[i, j] > best_v:
-            best_v, best_pair = float(V[i, j]), (float(xb[i, 0]), float(xh[j]))
-    return best_v, best_pair
-
-
-def test_pair_scan_matches_exhaustive_scan():
+def test_pair_scan_matches_exhaustive_scan(exhaustive_pair_scan):
     rng = np.random.default_rng(20261020)
     cases = 0
     for grid_n in (4, 5, 7, 100, 999, 4000):
@@ -94,8 +75,8 @@ def test_pair_scan_matches_exhaustive_scan():
             kbar = kbar if 0.0 < kbar < math.inf else vals[1]
             k = 0.0 if n % 5 == 0 else kbar * 10.0 ** float(rng.uniform(-4.0, 4.0))
             g = oracle._net_value_points(vals.as_array(), k, np.column_stack([1.0 - x, x]))
-            value, pair = oracle._pair_scan(x, g, mu[1])
-            ref_value, ref_pair = _exhaustive_pair_scan(x, g, mu[1])
+            value, pair = oracle.pair_scan(x, g, mu[1])
+            ref_value, ref_pair = exhaustive_pair_scan(x, g, mu[1])
             assert (pair is None) == (ref_pair is None) == (share in (0.0, 1.0)), (grid_n, share)
             assert np.float64(value).tobytes() == np.float64(ref_value).tobytes(), (grid_n, share, k)
             if pair is not None:

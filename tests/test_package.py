@@ -87,4 +87,5 @@ def test_module_level_imports_form_a_thin_dag():
     assert set(graph) >= {"market", "files", "binary", "solver", "sweeps", "oracle", "rationalize", "cli"}
     assert graph["market"] == set()
     assert graph["files"] == {"market"}
+    assert graph["oracle"] == {"market"}  # the oracles share nothing with the solvers
     tuple(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError on a cycle

@@ -1,17 +1,16 @@
 """Inverse problem: build a convex cost that makes a welfare target optimal."""
 
 import ast
-import bisect
 import math
+import re
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from segmentix import rationalize
-from segmentix.binary import upper_concave_hull
+from segmentix.oracle import pair_scan
 from segmentix import (
     ConvexCostSpec,
     InducedSegments,
@@ -212,31 +211,7 @@ def test_verify_flags_cost_that_misses_target():
     assert not rep.passed
 
 
-# -------------------- hull against the pair scan --------------------
-
-def _pair_scan_best_chord(x, phi, mu, chunk=256):
-    """Reference: the O(n^2) scan over every grid pair straddling ``mu``.
-
-    Pairs are scored in row-major (x_lo, x_hi) order and the first maximum
-    wins, so the tie-breaking is the one the hull must reproduce.
-    """
-    xl, pl = x[x <= mu], phi[x <= mu]
-    xh, ph = x[x >= mu], phi[x >= mu]
-    best_v = -math.inf
-    best_pair = (0.0, 0.0)
-    for start in range(0, len(xl), chunk):
-        xb = xl[start : start + chunk, None]
-        pb = pl[start : start + chunk, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tau = np.where(xh[None, :] > xb, (xh[None, :] - mu) / (xh[None, :] - xb), np.nan)
-        V = tau * pb + (1.0 - tau) * ph[None, :]
-        V = np.where(np.isnan(V), -np.inf, V)
-        i, j = np.unravel_index(int(np.argmax(V)), V.shape)
-        if V[i, j] > best_v:
-            best_v = float(V[i, j])
-            best_pair = (float(xb[i, 0]), float(xh[j]))
-    return best_v, best_pair
-
+# -------------------- the best pair against every pair --------------------
 
 def _seeded_targets(n, seed):
     """Constructible targets drawn through their segments, w2/w1 in [1.05, 12].
@@ -277,20 +252,20 @@ def _seeded_targets(n, seed):
     return out
 
 
-def _same_report(target, spec, grid_n, monkeypatch):
+def _same_report(target, spec, grid_n, monkeypatch, reference):
     got = verify_rationalization(spec, target, grid_n=grid_n)
     with monkeypatch.context() as m:
-        m.setattr(rationalize, "_best_chord", _pair_scan_best_chord)
+        m.setattr(rationalize, "pair_scan", reference)
         want = verify_rationalization(spec, target, grid_n=grid_n)
     # argmax, best_value, posterior_steps, passed and messages, bit for bit
     assert got == want
     return got
 
 
-def test_hull_matches_pair_scan_on_seeded_targets(monkeypatch):
+def test_hull_matches_pair_scan_on_seeded_targets(monkeypatch, exhaustive_pair_scan):
     cases = _seeded_targets(200, seed=3)
     for target, spec, grid_n in cases:
-        _same_report(target, spec, grid_n, monkeypatch)
+        _same_report(target, spec, grid_n, monkeypatch, exhaustive_pair_scan)
     # every fifth prior is on the grid, and both grid sizes are covered
     assert sum(t.mu_star[1] in np.linspace(0.0, 1.0, n + 1) for t, _, n in cases) >= 40
     assert {n for _, _, n in cases} == {2000, 4000}
@@ -300,81 +275,39 @@ def test_hull_matches_pair_scan_on_seeded_targets(monkeypatch):
     "curvature,pair_wins",
     [(0.05, True), (10.0, False)],  # the bowl of the test above; a steep one where no segmentation wins
 )
-def test_hull_matches_pair_scan_on_bowl_costs(curvature, pair_wins, monkeypatch):
+def test_hull_matches_pair_scan_on_bowl_costs(curvature, pair_wins, monkeypatch, exhaustive_pair_scan):
     bowl = ConvexCostSpec(knots=(0.0, 1.0), quadratics=((curvature, -0.05, 0.0),))
-    rep = _same_report(worked_target(), bowl, 4000, monkeypatch)
+    rep = _same_report(worked_target(), bowl, 4000, monkeypatch, exhaustive_pair_scan)
     assert not rep.passed
     assert rep.best_is_pair == pair_wins
     for target, _, grid_n in _seeded_targets(10, seed=5):
-        assert not _same_report(target, bowl, grid_n, monkeypatch).passed
+        assert not _same_report(target, bowl, grid_n, monkeypatch, exhaustive_pair_scan).passed
 
 
-# -------------------- edge search against the monotone chain --------------------
-
-def _chain_best_chord(x, phi, mu):
-    """Reference: the best chord read off the whole monotone-chain hull."""
-    hull_x, hull_y = upper_concave_hull(x, phi)
-    j = bisect.bisect_left(hull_x, mu)  # hull_x[0] = 0 < mu < 1 = hull_x[-1]
-    if hull_x[j] == mu:
-        return hull_y[j], (hull_x[0], mu)
-    a, b = hull_x[j - 1], hull_x[j]
-    tau = (b - mu) / (b - a)
-    return tau * hull_y[j - 1] + (1.0 - tau) * hull_y[j], (a, b)
+def _grid_curve(target, cost, x):
+    """The verification objective on ``x``: best revenue minus the cost."""
+    return np.maximum(target.vals[0], target.vals[1] * x) - cost.value(x)
 
 
-def _chord_bytes(chord):
-    value, (a, b) = chord
-    return tuple(float(v).hex() for v in (value, a, b)), tuple(type(v) for v in (value, a, b))
-
-
-@pytest.fixture
-def chain_runs(monkeypatch):
-    """How often ``_best_chord`` fell back to the whole chain."""
-    runs = [0]
-
-    def counted(x, y):
-        runs[0] += 1
-        return upper_concave_hull(x, y)
-
-    monkeypatch.setattr(rationalize, "upper_concave_hull", counted)
-    return runs
-
-
-def _chord_matches_chain(x, phi, mu):
-    chord = rationalize._best_chord(x, phi, mu)
-    assert _chord_bytes(chord) == _chord_bytes(_chain_best_chord(x, phi, mu)), (mu, chord)
+def _chord_matches(x, phi, mu, reference):
+    """``pair_scan``'s value and pair against the exhaustive scan's, bit for bit."""
+    chord = pair_scan(x, phi, mu)
+    want = reference(x, phi, mu)
+    assert np.float64(chord[0]).tobytes() == np.float64(want[0]).tobytes(), (mu, chord, want)
+    assert np.array(chord[1]).tobytes() == np.array(want[1]).tobytes(), (mu, chord, want)
     return chord
-
-
-def _report_matches_chain(target, spec, grid_n, monkeypatch):
-    """The whole report and the (value, pair) bytes, against the chain's."""
-    fast, chords = rationalize._best_chord, []
-
-    def both(x, phi, mu):
-        want = _chain_best_chord(x, phi, mu)
-        chords.append((fast(x, phi, mu), want))
-        return want
-
-    got = verify_rationalization(spec, target, grid_n=grid_n)
-    with monkeypatch.context() as m:
-        m.setattr(rationalize, "_best_chord", both)
-        want = verify_rationalization(spec, target, grid_n=grid_n)
-    ((chord, want_chord),) = chords
-    assert _chord_bytes(chord) == _chord_bytes(want_chord)
-    assert got == want
-    return got
 
 
 BOWLS = tuple(ConvexCostSpec(knots=(0.0, 1.0), quadratics=((c, -0.05, 0.0),)) for c in (0.05, 10.0))
 
 
 @pytest.mark.parametrize("seed", [3, 5, 7, 11])
-def test_best_chord_matches_chain_on_seeded_targets(seed, chain_runs, monkeypatch):
+def test_pair_scan_matches_exhaustive_scan_on_seeded_targets(seed, exhaustive_pair_scan):
     # constructed costs, and both bowls, where no segmentation or a far pair wins
     for target, spec, grid_n in _seeded_targets(300, seed):
+        x = np.linspace(0.0, 1.0, grid_n + 1)
         for cost in (spec, *BOWLS):
-            _report_matches_chain(target, cost, grid_n, monkeypatch)
-    assert chain_runs[0] == 0
+            _chord_matches(x, _grid_curve(target, cost, x), target.mu_star[1], exhaustive_pair_scan)
 
 
 def _benchmark_targets(n, seed):
@@ -395,13 +328,14 @@ def _benchmark_targets(n, seed):
     return out
 
 
-def test_best_chord_matches_chain_on_benchmark_targets(chain_runs, monkeypatch):
+def test_pair_scan_matches_exhaustive_scan_on_benchmark_targets(exhaustive_pair_scan):
     for target in _benchmark_targets(60, seed=13):
         seg = induced_segments(target)
         spec = construct_cost(seg.mu1, seg.mu2, seg.tau1, target.vals, target.mu_star)
         for grid_n in (4000, 8000):
-            assert _report_matches_chain(target, spec, grid_n, monkeypatch).passed
-    assert chain_runs[0] == 0
+            assert verify_rationalization(spec, target, grid_n=grid_n).passed
+            x = np.linspace(0.0, 1.0, grid_n + 1)
+            _chord_matches(x, _grid_curve(target, spec, x), target.mu_star[1], exhaustive_pair_scan)
 
 
 _VERTEX_BOWL_CURVATURE = 28.00254761331998
@@ -413,8 +347,8 @@ def _vertex_prior_target():
                                  vals=Valuations((1.0, 1.9075174907757957)), mu_star=Market((0.635, 0.365)))
 
 
-def test_best_chord_matches_chain_on_vertex_priors(chain_runs, monkeypatch):
-    # bowls centred on a grid prior make it a hull vertex; the chain pairs it with x[0]
+def test_pair_scan_matches_exhaustive_scan_on_vertex_priors(exhaustive_pair_scan):
+    # bowls centred on a grid prior make it a hull vertex: no pair reaches phi(mu)
     rng = np.random.default_rng(17)
     vertices = 0
     snapped = [(t, n) for t, _, n in _seeded_targets(200, seed=19)[4::5]]  # priors on the grid
@@ -423,15 +357,14 @@ def test_best_chord_matches_chain_on_vertex_priors(chain_runs, monkeypatch):
     for target, grid_n, curvature in cases:
         mu = target.mu_star[1]
         bowl = ConvexCostSpec(knots=(0.0, 1.0), quadratics=((curvature, -2.0 * curvature * mu, 0.0),))
-        _report_matches_chain(target, bowl, grid_n, monkeypatch)
         x = np.linspace(0.0, 1.0, grid_n + 1)
-        phi = np.maximum(target.vals[0], target.vals[1] * x) - bowl.value(x)
-        vertices += _chord_matches_chain(x, phi, mu)[1] == (0.0, mu)
+        phi = _grid_curve(target, bowl, x)
+        value, _ = _chord_matches(x, phi, mu, exhaustive_pair_scan)
+        vertices += value < phi[np.flatnonzero(x == mu)[0]]
     assert vertices >= 30
-    assert chain_runs[0] == 0
 
 
-def test_best_chord_matches_chain_on_increasing_grids(chain_runs):
+def test_pair_scan_matches_exhaustive_scan_on_increasing_grids(exhaustive_pair_scan):
     # linspace with the intended segments and random points inserted, as a
     # grid that also holds the bitangent points would be
     rng = np.random.default_rng(23)
@@ -440,9 +373,7 @@ def test_best_chord_matches_chain_on_increasing_grids(chain_runs):
         extra = np.concatenate([[seg.mu1, seg.mu2], rng.uniform(0.0, 1.0, int(rng.integers(1, 40)))])
         x = np.union1d(np.linspace(0.0, 1.0, grid_n + 1), extra)
         assert np.all(np.diff(x) > 0.0) and not np.allclose(np.diff(x), 1.0 / grid_n)
-        phi = np.maximum(target.vals[0], target.vals[1] * x) - spec.value(x)
-        _chord_matches_chain(x, phi, target.mu_star[1])
-    assert chain_runs[0] == 0
+        _chord_matches(x, _grid_curve(target, spec, x), target.mu_star[1], exhaustive_pair_scan)
 
 
 def _near_floor_cost(mu1, mu2, m, bend, w2):
@@ -461,7 +392,7 @@ def _near_floor_cost(mu1, mu2, m, bend, w2):
     return ConvexCostSpec(knots=knots, quadratics=tuple(quads))
 
 
-def test_best_chord_matches_chain_near_slope_floor(chain_runs, monkeypatch):
+def test_pair_scan_matches_exhaustive_scan_near_slope_floor(exhaustive_pair_scan):
     # curvature 1-4x SLOPE_FLOOR next to the intended low segment: near-collinear grid runs
     rng = np.random.default_rng(31)
     for target, _, grid_n in _seeded_targets(120, seed=37):
@@ -470,24 +401,15 @@ def test_best_chord_matches_chain_near_slope_floor(chain_runs, monkeypatch):
         spec = _near_floor_cost(seg.mu1, seg.mu2, m, rationalize.SLOPE_FLOOR * rng.uniform(1.0, 4.0),
                                 target.vals[1])
         assert min(2.0 * a for a, _, _ in spec.quadratics) < 4.0 * rationalize.SLOPE_FLOOR
-        _report_matches_chain(target, spec, grid_n, monkeypatch)
-    assert chain_runs[0] == 0
+        x = np.linspace(0.0, 1.0, grid_n + 1)
+        _chord_matches(x, _grid_curve(target, spec, x), target.mu_star[1], exhaustive_pair_scan)
 
 
-def test_best_chord_falls_back_to_chain_on_flat_curves(chain_runs, monkeypatch):
-    # every point of a concave curve is a hull vertex; at curvature near
-    # rounding the chain's float test decides which stay, so only it can say.
-    # Float ties there can make the tangent search cycle; it must stop at the
-    # first repeated left end, not run out its rounds (one argmax per round)
-    rounds = [0]
-
-    def counted_argmax(a):
-        rounds[0] += 1
-        return np.argmax(a)
-
-    monkeypatch.setattr(rationalize, "np", SimpleNamespace(**{**vars(np), "argmax": counted_argmax}))
+def test_pair_scan_matches_exhaustive_scan_on_flat_curves(exhaustive_pair_scan):
+    # every point of a concave curve is a hull vertex, and at curvature near
+    # rounding float ties can make the tangent search cycle; many points lie
+    # within the scan's rounding slack of its line, so it scores large blocks
     rng = np.random.default_rng(41)
-    most = 0
     for _ in range(60):
         grid_n = int(rng.choice([2000, 4000]))
         x = np.linspace(0.0, 1.0, grid_n + 1)
@@ -495,30 +417,28 @@ def test_best_chord_falls_back_to_chain_on_flat_curves(chain_runs, monkeypatch):
         if rng.uniform() < 0.3:
             mu = float(x[round(mu * grid_n)])
         phi = 1.0 + rng.uniform(-3.0, 3.0) * x - 10.0 ** rng.uniform(-20.0, -2.0) * (x - 0.5) ** 2
-        rounds[0] = 0
-        _chord_matches_chain(x, phi, mu)
-        most = max(most, rounds[0])
-    assert 0 < chain_runs[0] < 60
-    assert 0 < most < rationalize._TANGENT_STEPS
+        _chord_matches(x, phi, mu, exhaustive_pair_scan)
 
 
 def test_verify_reports_prior_on_a_hull_vertex_as_no_segmentation():
-    # phi(mu) + c(mu) rounds above max(w1, w2 mu) here, and the best chord
-    # is (0, mu): a zero-weight segment, which used to raise segment_weight
+    # phi(mu) + c(mu) rounds above max(w1, w2 mu) here, but no pair
+    # straddling the prior reaches it: the report quotes the best pair's value
     a = _VERTEX_BOWL_CURVATURE
     bowl = ConvexCostSpec(knots=(0.0, 1.0), quadratics=((a, -2.0 * a * 0.365, 0.0),))
     for grid_n in (2000, 4000):
         rep = verify_rationalization(bowl, _vertex_prior_target(), grid_n=grid_n)
         assert not rep.passed and not rep.best_is_pair and rep.argmax is None
         assert rep.best_value == rep.no_seg_value == 1.0
-        assert len(rep.messages) == 1 and "vertex" in rep.messages[0] and "beats every pair" not in rep.messages[0]
+        (message,) = rep.messages
+        quoted = re.fullmatch(r"no-segmentation value 1\.0 beats every pair \((.+)\)", message)
+        assert quoted and float(quoted.group(1)) < rep.no_seg_value
 
 
-def test_rationalize_imports_only_market_and_binary():
+def test_rationalize_imports_only_market_and_oracle():
     # the inverse check must not pull in the sweeps, and through them the solver
     tree = ast.parse(Path(rationalize.__file__).read_text())
     relative = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
-    assert relative == {"market", "binary"}
+    assert relative == {"market", "oracle"}
 
 
 # -------------------- consistency with the forward solver --------------------
