@@ -20,10 +20,20 @@ chord search; it is the only one in the package.
 The two numerical methods are textbook ones written out here: Nelder-Mead
 (1965) for the polish and Dantzig's primal simplex for the three-row grid
 LP. Neither needs scipy, so an oracle run loads nothing beyond numpy.
+
+A grid's posteriors, their upper tails and their entropies depend only on
+its size; they are built once, read-only, and the last size of each kind is
+kept, so a call on it pays only for ``_net_value_points``. The polish keeps
+its simplex as Python floats, and the three-type point value ``gval`` runs
+on floats, with the same operations in the same order as the numpy code
+they replaced: numpy's argsort orders the vertices (its tie order is part
+of the result) and numpy's log, not ``math.log``, takes the entropy's logs,
+so the results keep their bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,62 +51,71 @@ from .market import (
 )
 
 _LP_MAX_PIVOTS = 1000  # 600 seeded K=3 grid LPs took at most 18
+_PAIR_CELLS = 1 << 15  # pair cells scored at once: 256 KB temporaries that stay in cache
 
 
-def _nelder_mead(f, x0: np.ndarray, xatol: float, fatol: float, maxiter: int) -> tuple[np.ndarray, float]:
+def _nelder_mead(f, x0, xatol: float, fatol: float, maxiter: int) -> tuple[np.ndarray, float]:
     """Minimise ``f`` from ``x0``; returns the best vertex and its value.
 
     Step for step the unbounded, non-adaptive Nelder-Mead of scipy 1.17's
     ``minimize``: the same coefficients, start simplex, vertex ordering and
-    stop test, so oracle results keep the bytes scipy gave them.
+    stop test, so oracle results keep the bytes scipy gave them. Vertices
+    are lists of Python floats, and ``f`` gets the vertex itself, which it
+    must not modify. The arithmetic is scipy's element by element; the
+    centroid sums the vertices in order from 0.0, as numpy's axis-0 reduce
+    does, and numpy's argsort orders the vertices, since its tie order (two
+    vertices on a 1e9 wall) is part of the result.
     """
-    x0 = np.asarray(x0, dtype=float)
+    x0 = [float(c) for c in x0]
     N = len(x0)
-    sim = np.empty((N + 1, N))
-    sim[0] = x0
+    sim = [x0]
     for k in range(N):
-        y = x0.copy()
+        y = list(x0)
         y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
-    fsim = np.array([f(x.copy()) for x in sim], dtype=float)
+        sim.append(y)
+    fsim = [f(x) for x in sim]
     # scipy sorts twice before the first pass; argsort is not stable, so do too
     for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = np.array(fsim).argsort().tolist()
+        sim, fsim = [sim[i] for i in ind], [fsim[i] for i in ind]
     iterations = 1
     while iterations < maxiter:
-        if np.max(np.abs(sim[1:] - sim[0])) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+        best, f0 = sim[0], fsim[0]
+        if (all(abs(a - b) <= xatol for y in sim[1:] for a, b in zip(y, best))
+                and all(abs(f0 - fy) <= fatol for fy in fsim[1:])):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / N
-        xr = 2 * xbar - sim[-1]  # reflect the worst vertex through the centroid
-        fxr = f(xr.copy())
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]  # expand
-            fxe = f(xe.copy())
+        xbar = [0.0] * N
+        for y in sim[:-1]:
+            xbar = [s + a for s, a in zip(xbar, y)]
+        xbar = [s / N for s in xbar]
+        worst = sim[-1]
+        xr = [2 * b - w for b, w in zip(xbar, worst)]  # reflect the worst vertex through the centroid
+        fxr = f(xr)
+        if fxr < f0:
+            xe = [3 * b - 2 * w for b, w in zip(xbar, worst)]  # expand
+            fxe = f(xe)
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:  # contract outside
-                xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = f(xc.copy())
+                xc = [1.5 * b - 0.5 * w for b, w in zip(xbar, worst)]
+                fxc = f(xc)
                 shrink = not fxc <= fxr
             else:  # contract inside
-                xc = 0.5 * xbar + 0.5 * sim[-1]
-                fxc = f(xc.copy())
+                xc = [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)]
+                fxc = f(xc)
                 shrink = not fxc < fsim[-1]
             if not shrink:
                 sim[-1], fsim[-1] = xc, fxc
             else:  # halve every vertex's distance to the best
                 for j in range(1, N + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j].copy())
+                    sim[j] = [b + 0.5 * (a - b) for a, b in zip(sim[j], best)]
+                    fsim[j] = f(sim[j])
         iterations += 1
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-    return sim[0], np.min(fsim)
+        ind = np.array(fsim).argsort().tolist()
+        sim, fsim = [sim[i] for i in ind], [fsim[i] for i in ind]
+    return np.array(sim[0]), np.min(fsim)
 
 
 def _grid_lp(P: np.ndarray, g: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -146,17 +165,43 @@ class OracleResult:
     method: str
 
 
-def _entropy_vec(P: np.ndarray) -> np.ndarray:
+def _grid_terms(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Upper tails and entropies of the row-posteriors of P, for ``_net_value_points``."""
+    tails = np.ascontiguousarray(np.cumsum(P[:, ::-1], axis=1)[:, ::-1])
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.where(P > 0.0, np.log(np.where(P > 0.0, P, 1.0)), 0.0)
-    return -(P * logs).sum(axis=-1)
+    return tails, -(P * logs).sum(axis=-1)
 
 
-def _net_value_points(vals_arr: np.ndarray, k: float, P: np.ndarray) -> np.ndarray:
-    """Best revenue plus entropy credit at each row-posterior of P."""
-    tails = np.cumsum(P[:, ::-1], axis=1)[:, ::-1]
-    best = (tails * vals_arr[None, :]).max(axis=1)
-    return best + k * _entropy_vec(P)
+def _net_value_points(vals: np.ndarray, k: float, tails: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Best revenue plus entropy credit at each grid point, from its tails and entropy."""
+    return (tails * vals).max(axis=1) + k * H
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=1)
+def _pair_grid(grid_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two-type grid: high-type shares x = linspace(0, 1, grid_n + 1), and
+    the tails and entropies of the posteriors (1 - x, x). Kept until another
+    size is asked for, and shared, so the arrays are read-only."""
+    x = np.linspace(0.0, 1.0, grid_n + 1)
+    return _read_only(x, *_grid_terms(np.column_stack([1.0 - x, x])))
+
+
+@functools.lru_cache(maxsize=1)
+def _simplex_grid(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The resolution-m three-type grid, row-major (i outer, j inner): its
+    points P and their tails and entropies. Kept until another size is
+    asked for, and shared, so the arrays are read-only."""
+    r = np.arange(m + 1)
+    i, j = np.nonzero(np.add.outer(r, r) <= m)
+    P = np.column_stack([i, j, m - i - j]) / m
+    return _read_only(P, *_grid_terms(P))
 
 
 def _resolution_bound(h: float, top_value: float, k: float) -> float:
@@ -170,6 +215,27 @@ def _pair_values(xl: np.ndarray, gl: np.ndarray, xh: np.ndarray, gh: np.ndarray,
     """Value of every pair (xl[i], xh[j]) mixed to the prior share ``mu``."""
     tau = (xh[None, :] - mu) / (xh[None, :] - xl[:, None])
     return tau * gl[:, None] + (1.0 - tau) * gh[None, :]
+
+
+def _block_max(xl: np.ndarray, gl: np.ndarray, xh: np.ndarray, gh: np.ndarray, mu: float) -> tuple[float, int, int]:
+    """``_pair_values``' first maximum in (i, j) order, and its (i, j).
+
+    A block of more than ``_PAIR_CELLS`` cells is scored a few rows at a
+    time, at most ``_PAIR_CELLS`` cells (or one row) each: cells are scored
+    alike however the rows are cut, and the first of the chunks' first
+    maxima, in row order, is the whole block's.
+    """
+    step = max(1, _PAIR_CELLS // len(xh))
+    if step >= len(xl):  # one piece, as on any curve not straight to within rounding
+        V = _pair_values(xl, gl, xh, gh, mu)
+        r, c = np.unravel_index(int(np.argmax(V)), V.shape)
+        return V[r, c], r, c
+    best = []
+    for start in range(0, len(xl), step):
+        V = _pair_values(xl[start : start + step], gl[start : start + step], xh, gh, mu)
+        r, c = divmod(int(np.argmax(V)), V.shape[1])
+        best.append((V[r, c], start + r, c))
+    return max(best, key=lambda b: b[0])  # the first of equal maxima
 
 
 def pair_scan(x: np.ndarray, g: np.ndarray, mu: float) -> tuple[float, tuple[float, float] | None]:
@@ -221,13 +287,11 @@ def pair_scan(x: np.ndarray, g: np.ndarray, mu: float) -> tuple[float, tuple[flo
     rows, cols = np.flatnonzero(dl <= cut), np.flatnonzero(dh <= cut)
     found = []  # (value, i, j) of each block's first maximum
     if len(rows):
-        V = _pair_values(xl[rows], gl[rows], xh, gh, mu)
-        r, c = np.unravel_index(int(np.argmax(V)), V.shape)
-        found.append((V[r, c], rows[r], c))
+        value, r, c = _block_max(xl[rows], gl[rows], xh, gh, mu)
+        found.append((value, rows[r], c))
     if len(cols):
-        V = _pair_values(xl, gl, xh[cols], gh[cols], mu)
-        r, c = np.unravel_index(int(np.argmax(V)), V.shape)
-        found.append((V[r, c], r, cols[c]))
+        value, r, c = _block_max(xl, gl, xh[cols], gh[cols], mu)
+        found.append((value, r, cols[c]))
     top = max(f[0] for f in found)
     i, j = min((i, j) for value, i, j in found if value == top)
     return float(top), (float(xl[i]), float(xh[j]))
@@ -258,8 +322,8 @@ def brute_force_binary(inst: MarketInstance, grid_n: int = 4000) -> OracleResult
         ent = 0.0 if x <= 0.0 or x >= 1.0 else -(x * math.log(x) + (1.0 - x) * math.log1p(-x))
         return max(w1, w2 * x) + k * ent
 
-    x = np.linspace(0.0, 1.0, grid_n + 1)
-    g = _net_value_points(np.array([w1, w2]), k, np.column_stack([1.0 - x, x]))
+    x, tails, H = _pair_grid(grid_n)
+    g = _net_value_points(np.array([w1, w2]), k, tails, H)
 
     prior_ent = 0.0 if mu <= 0.0 or mu >= 1.0 else -(mu * math.log(mu) + (1.0 - mu) * math.log1p(-mu))
     base = gfun(mu)  # no-segmentation candidate
@@ -268,14 +332,14 @@ def brute_force_binary(inst: MarketInstance, grid_n: int = 4000) -> OracleResult
     grid_value = best_v - k * prior_ent
 
     if best_pair is not None:
-        def neg(p: np.ndarray) -> float:
-            x1, x2 = float(p[0]), float(p[1])
+        def neg(p: list[float]) -> float:
+            x1, x2 = p
             if not (0.0 <= x1 <= mu <= x2 <= 1.0) or x2 - x1 < 1e-12:
                 return 1e9
             tau = (x2 - mu) / (x2 - x1)
             return -(tau * gfun(x1) + (1.0 - tau) * gfun(x2))
 
-        px, fun = _nelder_mead(neg, np.array(best_pair), 1e-12, 1e-13, 4000)
+        px, fun = _nelder_mead(neg, best_pair, 1e-12, 1e-13, 4000)
         if fun < -best_v:
             best_v = -float(fun)
             best_pair = (float(px[0]), float(px[1]))
@@ -307,12 +371,6 @@ def brute_force_binary(inst: MarketInstance, grid_n: int = 4000) -> OracleResult
     )
 
 
-def _simplex_grid(m: int) -> np.ndarray:
-    r = np.arange(m + 1)
-    i, j = np.nonzero(np.add.outer(r, r) <= m)  # row-major: i outer, j inner
-    return np.column_stack([i, j, m - i - j]) / m
-
-
 def brute_force_small(inst: MarketInstance, grid_n: int = 100) -> OracleResult:
     """LP-over-grid oracle for three-type markets.
 
@@ -331,14 +389,21 @@ def brute_force_small(inst: MarketInstance, grid_n: int = 100) -> OracleResult:
     k = inst.k
     mu = inst.mu_star.as_array()
 
-    P = _simplex_grid(grid_n)
-    g = _net_value_points(v, k, P)
+    P, tails, H = _simplex_grid(grid_n)
+    g = _net_value_points(v, k, tails, H)
     lam = _grid_lp(P, g, mu)
     atoms = np.nonzero(lam > 1e-12)[0]
 
-    def gval(p: np.ndarray) -> float:
-        tails = np.cumsum(p[::-1])[::-1]
-        return float(np.max(tails * v)) + k * float(_entropy_vec(p))
+    v1, v2, v3 = v.tolist()
+
+    def gval(p) -> float:
+        # one grid point's value on floats: the tails summed from the top
+        # down, numpy's log (not math.log, which differs in the last bit) and
+        # the entropy terms summed from 0.0 left to right, as numpy sums three
+        p1, p2, p3 = p
+        t2 = p3 + p2
+        l1, l2, l3 = np.log([p1 if p1 > 0.0 else 1.0, p2 if p2 > 0.0 else 1.0, p3 if p3 > 0.0 else 1.0]).tolist()
+        return float(max((t2 + p1) * v1, t2 * v2, p3 * v3) + k * -(0.0 + p1 * l1 + p2 * l2 + p3 * l3))
 
     # merge atoms that share an optimal price
     groups: dict[int, tuple[float, np.ndarray]] = {}

@@ -64,7 +64,7 @@ def test_pair_scan_matches_exhaustive_scan(exhaustive_pair_scan):
     rng = np.random.default_rng(20261020)
     cases = 0
     for grid_n in (4, 5, 7, 100, 999, 4000):
-        x = np.linspace(0.0, 1.0, grid_n + 1)
+        x, tails, H = oracle._pair_grid(grid_n)
         shares = [0.5, 0.25, 3 / grid_n, 0.0, 1.0, float(np.nextafter(x[1], 1.0))]
         shares += [float(s) for s in rng.uniform(0.01, 0.99, size=4)]
         for n, share in enumerate(shares):
@@ -74,7 +74,7 @@ def test_pair_scan_matches_exhaustive_scan(exhaustive_pair_scan):
             kbar = segmentation_threshold(vals, mu)
             kbar = kbar if 0.0 < kbar < math.inf else vals[1]
             k = 0.0 if n % 5 == 0 else kbar * 10.0 ** float(rng.uniform(-4.0, 4.0))
-            g = oracle._net_value_points(vals.as_array(), k, np.column_stack([1.0 - x, x]))
+            g = oracle._net_value_points(vals.as_array(), k, tails, H)
             value, pair = oracle.pair_scan(x, g, mu[1])
             ref_value, ref_pair = exhaustive_pair_scan(x, g, mu[1])
             assert (pair is None) == (ref_pair is None) == (share in (0.0, 1.0)), (grid_n, share)
@@ -154,41 +154,96 @@ def test_refine_improves_on_grid():
     assert result.value == pytest.approx(1.2631339314688932, abs=1e-7)
 
 
+def test_cached_grid_arrays_are_read_only():
+    for arrays in (oracle._pair_grid(100), oracle._simplex_grid(20)):
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 0.5
+
+
+def test_oracle_results_do_not_depend_on_the_grid_cache():
+    a2 = MarketInstance(V12, MU46, 0.8)
+    b2 = MarketInstance(Valuations((1.0, 3.0)), Market((0.7, 0.3)), 0.3)
+    a3 = MarketInstance(V123, Market((0.3, 0.4, 0.3)), 0.5)
+    b3 = MarketInstance(V123, Market((0.2, 0.3, 0.5)), 1.0)
+    for a, b, grid_n in ((a2, b2, 1000), (a3, b3, 40)):
+        first = [repr(brute_force(inst, grid_n=grid_n)) for inst in (a, b, a)]
+        assert first[0] == first[2]
+        oracle._pair_grid.cache_clear()
+        oracle._simplex_grid.cache_clear()
+        assert [repr(brute_force(inst, grid_n=grid_n)) for inst in (a, b)] == first[:2]
+
+
+# float.hex pins of four results, taken with numpy 2.4 on x86-64 with
+# AVX-512. Their last bits follow numpy's SIMD log and libm's log, which
+# differ on about 0.4 % of draws there; on a host whose logs round
+# otherwise they can move with correct code. scripts/oracle_fingerprint.py,
+# run on two source trees on one host, is the comparison that holds anywhere.
+@pytest.mark.parametrize("inst,grid_n,segments,value,grid_value", [
+    # the polish moves the grid pair
+    (MarketInstance(V12, MU46, 0.8), 4000, 2, "0x1.435cbece20760p+0", "0x1.435cbeb5744eep+0"),
+    # a two-atom and a three-atom polish
+    (MarketInstance(V123, Market((0.2, 0.3, 0.5)), 1.0), 100, 2, "0x1.bd7df745f6f92p+0", "0x1.bd7c7db275210p+0"),
+    (MarketInstance(V123, Market((0.3, 0.4, 0.3)), 0.5), 100, 3, "0x1.8cccdbaadc270p+0", "0x1.8cc23efdb2900p+0"),
+    # above k-bar (1.4427): one atom, no polish
+    (MarketInstance(V123, Market((0.3, 0.4, 0.3)), 3.0), 100, 1, "0x1.6666666666664p+0", "0x1.6666666666618p+0"),
+])
+def test_oracle_values_keep_their_bits(inst, grid_n, segments, value, grid_value):
+    res = brute_force(inst, grid_n=grid_n)
+    assert (res.value.hex(), res.grid_value.hex()) == (value, grid_value)
+    assert len(res.segmentation.segments) == segments
+
+
 # -------------------- the oracle's own numerical methods --------------------
 
 def test_simplex_grid_lists_points_row_major():
     for m in (4, 20, 60, 100, 137):
         pts = [(i, j, m - i - j) for i in range(m + 1) for j in range(m + 1 - i)]
-        assert oracle._simplex_grid(m).tobytes() == (np.asarray(pts, dtype=float) / m).tobytes()
+        assert oracle._simplex_grid(m)[0].tobytes() == (np.asarray(pts, dtype=float) / m).tobytes()
 
 
 def _walled(f, lo, hi):
     # the oracle's objectives return 1e9 outside their feasible set
-    return lambda x: 1e9 if x.min() < lo or x.max() > hi else f(x)
+    return lambda x: 1e9 if np.min(x) < lo or np.max(x) > hi else f(x)
 
 
 def test_nelder_mead_matches_scipy_bit_for_bit():
     # the polish must keep the bytes scipy's Nelder-Mead gave oracle results
     from scipy.optimize import minimize
 
+    cases = []
     rng = np.random.default_rng(20261018)
     for dim in (2, 3, 6):
         for trial in range(8):
             A = rng.normal(size=(dim, dim))
             H = A @ A.T + 0.1 * np.eye(dim)
             c = rng.uniform(0.0, 1.0, size=dim)
-            quad = lambda x, H=H, c=c: float((x - c) @ H @ (x - c))
-            bumpy = lambda x, c=c: float(np.sum(np.abs(x - c)) + np.prod(np.cos(3.0 * x)))
+            # the polish hands its objective a list of floats, scipy an array
+            quad = lambda x, H=H, c=c: float((np.asarray(x) - c) @ H @ (np.asarray(x) - c))
+            bumpy = lambda x, c=c: float(np.sum(np.abs(np.asarray(x) - c)) + np.prod(np.cos(3.0 * np.asarray(x))))
             x0 = rng.uniform(0.0, 1.0, size=dim)
             if trial % 3 == 0:
                 x0[rng.integers(dim)] = 0.0  # the start simplex steps 0.00025 off a zero coordinate
-            for f in (quad, bumpy, _walled(quad, 0.0, 1.0), _walled(bumpy, 0.1, 0.9)):
-                for xatol, fatol, maxiter in ((1e-12, 1e-13, 4000), (1e-4, 1e-4, 12000), (1e-12, 1e-13, 7)):
-                    x, fun = oracle._nelder_mead(f, x0.copy(), xatol, fatol, maxiter)
-                    ref = minimize(f, x0.copy(), method="Nelder-Mead",
-                                   options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter})
-                    assert x.tobytes() == ref.x.tobytes(), (dim, trial, maxiter)
-                    assert fun == ref.fun
+            cases += [(dim, trial, f, x0) for f in (quad, bumpy, _walled(quad, 0.0, 1.0), _walled(bumpy, 0.1, 0.9))]
+    # start vertices on a 1e9 wall: 1.05 x0 crosses the wall at 1 in each of
+    # the first `ties` coordinates, so that many start vertices tie (all of
+    # them on the wall at 0.9), and the vertex order is argsort's tie order
+    rng = np.random.default_rng(20261021)
+    for dim in (2, 3, 6):
+        for ties in range(2, dim + 1):
+            c = rng.uniform(0.0, 1.0, size=dim)
+            x0 = rng.uniform(0.0, 0.9, size=dim)
+            x0[:ties] = rng.uniform(0.96, 1.0, size=ties)
+            quad = lambda x, c=c: float(np.sum((np.asarray(x) - c) ** 2))
+            bumpy = lambda x, c=c: float(np.sum(np.abs(np.asarray(x) - c)) + np.prod(np.cos(3.0 * np.asarray(x))))
+            cases += [(dim, ties, f, x0) for f in (_walled(quad, 0.0, 1.0), _walled(bumpy, 0.1, 0.9))]
+    for dim, trial, f, x0 in cases:
+        for xatol, fatol, maxiter in ((1e-12, 1e-13, 4000), (1e-4, 1e-4, 12000), (1e-12, 1e-13, 7)):
+            x, fun = oracle._nelder_mead(f, x0.copy(), xatol, fatol, maxiter)
+            ref = minimize(f, x0.copy(), method="Nelder-Mead",
+                           options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter})
+            assert x.tobytes() == ref.x.tobytes(), (dim, trial, maxiter)
+            assert fun == ref.fun
 
 
 def _lp_cases():
@@ -210,8 +265,8 @@ def test_grid_lp_matches_highs():
     from scipy.optimize import linprog
 
     for grid_n, vals, k, mu in _lp_cases():
-        P = oracle._simplex_grid(grid_n)
-        g = oracle._net_value_points(vals, k, P)
+        P, tails, H = oracle._simplex_grid(grid_n)
+        g = oracle._net_value_points(vals, k, tails, H)
         lam = oracle._grid_lp(P, g, mu)
         ref = linprog(-g, A_eq=P.T, b_eq=mu, bounds=(0.0, None), method="highs-ds")
         assert ref.success

@@ -3,6 +3,7 @@
 import ast
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -405,10 +406,8 @@ def test_pair_scan_matches_exhaustive_scan_near_slope_floor(exhaustive_pair_scan
         _chord_matches(x, _grid_curve(target, spec, x), target.mu_star[1], exhaustive_pair_scan)
 
 
-def test_pair_scan_matches_exhaustive_scan_on_flat_curves(exhaustive_pair_scan):
-    # every point of a concave curve is a hull vertex, and at curvature near
-    # rounding float ties can make the tangent search cycle; many points lie
-    # within the scan's rounding slack of its line, so it scores large blocks
+def _flat_curves():
+    """60 nearly straight concave grid curves (x, phi, mu), grids 2000 and 4000."""
     rng = np.random.default_rng(41)
     for _ in range(60):
         grid_n = int(rng.choice([2000, 4000]))
@@ -417,7 +416,29 @@ def test_pair_scan_matches_exhaustive_scan_on_flat_curves(exhaustive_pair_scan):
         if rng.uniform() < 0.3:
             mu = float(x[round(mu * grid_n)])
         phi = 1.0 + rng.uniform(-3.0, 3.0) * x - 10.0 ** rng.uniform(-20.0, -2.0) * (x - 0.5) ** 2
+        yield x, phi, mu
+
+
+def test_pair_scan_matches_exhaustive_scan_on_flat_curves(exhaustive_pair_scan):
+    # every point of a concave curve is a hull vertex, and at curvature near
+    # rounding float ties can make the tangent search cycle; many points lie
+    # within the scan's rounding slack of its line, so it scores large blocks
+    for x, phi, mu in _flat_curves():
         _chord_matches(x, phi, mu, exhaustive_pair_scan)
+
+
+def test_pair_scan_memory_is_bounded_on_flat_curves():
+    # a block can span most of the n**2 / 4 pairs here (8 million cells at
+    # grid 4000, 150 MB of temporaries in one piece); it is scored in chunks
+    peak = 0
+    for x, phi, mu in _flat_curves():
+        tracemalloc.start()
+        try:
+            pair_scan(x, phi, mu)
+            peak = max(peak, tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_verify_reports_prior_on_a_hull_vertex_as_no_segmentation():

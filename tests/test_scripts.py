@@ -1,6 +1,9 @@
 """Smoke tests for ``scripts/``: each runs in a fresh interpreter and prints its key line."""
 
+import hashlib
+import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +37,26 @@ def test_script_runs(argv, key_line, tmp_path):
     if argv[0] == "surplus_locus.py":
         targets = [line for line in lines if line.startswith("  target ")]
         assert len(targets) == 5 and all(line.endswith("  ok") for line in targets)
+
+
+def test_oracle_fingerprint_prints_one_digest_per_input(tmp_path):
+    # one seed per grid size: 16 two-type and 20 three-type oracle calls
+    src = str(Path(segmentix.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "oracle_fingerprint.py"), "--src", src, "--seeds", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    *lines, last = out.stdout.splitlines()
+    assert last == "# 36 oracle inputs" and len(lines) == 36
+    pattern = re.compile(r"K=([23]) grid=\d+ seed=1 ratio=[0-9.]+ segments=([123]) sha256=([0-9a-f]{64})")
+    matches = [pattern.fullmatch(line) for line in lines]
+    assert all(matches), lines
+    assert {m.group(2) for m in matches if m.group(1) == "3"} == {"1", "2", "3"}
+
+    spec = importlib.util.spec_from_file_location("oracle_fingerprint", ROOT / "scripts" / "oracle_fingerprint.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    K, grid_n, seed, ratio, vals, mu, k = next(script.inputs(1))
+    res = segmentix.brute_force(segmentix.MarketInstance(segmentix.Valuations(vals), segmentix.Market(mu), k), grid_n=grid_n)
+    assert matches[0].group(3) == hashlib.sha256(repr(res).encode()).hexdigest()
