@@ -19,7 +19,10 @@ chord search; it is the only one in the package.
 
 The two numerical methods are textbook ones written out here: Nelder-Mead
 (1965) for the polish and Dantzig's primal simplex for the three-row grid
-LP. Neither needs scipy, so an oracle run loads nothing beyond numpy.
+LP. Neither needs scipy, so an oracle run loads nothing beyond numpy. The
+LP starts from the grid cell that holds the prior, a feasible basis that
+above k-bar is already optimal (Dantzig 1963, ch. 7), and solves its
+weights on the optimal basis alone, so they do not depend on the start.
 
 A grid's posteriors, their upper tails and their entropies depend only on
 its size; they are built once, read-only, and the last size of each kind is
@@ -50,7 +53,7 @@ from .market import (
     optimal_price,
 )
 
-_LP_MAX_PIVOTS = 1000  # 600 seeded K=3 grid LPs took at most 18
+_LP_MAX_PIVOTS = 1000  # 1,600 seeded K=3 grid LPs took at most 18 from the prior's cell (22 from the corners)
 _PAIR_CELLS = 1 << 15  # pair cells scored at once: 256 KB temporaries that stay in cache
 
 
@@ -118,24 +121,53 @@ def _nelder_mead(f, x0, xatol: float, fatol: float, maxiter: int) -> tuple[np.nd
     return np.array(sim[0]), np.min(fsim)
 
 
-def _grid_lp(P: np.ndarray, g: np.ndarray, mu: np.ndarray) -> np.ndarray:
+def _prior_cell(m: int, mu: np.ndarray) -> list[int]:
+    """Rows of ``_simplex_grid(m)`` at the corners of the grid cell that holds ``mu``.
+
+    With a = m mu_0 and b = m mu_1, the cell's corner (i0, j0) is their
+    floors, kept on the grid; it is the "up" triangle (i0, j0), (i0+1, j0),
+    (i0, j0+1) when frac(a) + frac(b) <= 1 and the "down" triangle
+    (i0+1, j0), (i0, j0+1), (i0+1, j0+1) otherwise. On the long edge
+    (i0 + j0 = m - 1) only the up triangle is on the grid, and mu is in it
+    up to the rounding of a + b. Point (i, j) is row i(m+1) - i(i-1)/2 + j.
+    """
+    a, b = m * float(mu[0]), m * float(mu[1])
+    i0 = min(math.floor(a), m - 1)
+    j0 = min(math.floor(b), m - 1 - i0)
+    up = a - i0 + b - j0 <= 1.0 or i0 + j0 == m - 1
+    cell = [(i0 + 1, j0), (i0, j0 + 1), (i0, j0) if up else (i0 + 1, j0 + 1)]
+    return sorted(i * (m + 1) - i * (i - 1) // 2 + j for i, j in cell)
+
+
+def _grid_lp(P: np.ndarray, g: np.ndarray, mu: np.ndarray, start: list[int]) -> np.ndarray:
     """Maximise ``g @ lam`` subject to ``P.T @ lam = mu``, ``lam >= 0``.
 
-    Primal simplex on the three rows. The grid holds the simplex's corner
-    points, whose basis is feasible with ``lam = mu``. Dantzig pricing picks
-    the entering point and stops once no reduced cost exceeds
-    1e-12 * max(1, |g|_inf); the ratio test breaks ties on the lowest point
-    index. Each pass re-solves the 3x3 basis, so no error accumulates.
+    Primal simplex on the three rows, from the feasible basis ``start``:
+    three rows of P whose hull holds ``mu``, such as ``_prior_cell``'s.
+    Dantzig pricing picks the entering point and stops once no reduced cost
+    exceeds 1e-12 * max(1, |g|_inf); the ratio test breaks ties on the
+    lowest point index. Each pass re-solves the 3x3 basis, so no error
+    accumulates. The weights are solved on the optimal basis in ascending
+    row order; where mu sits on a grid edge or point, a basic weight is at
+    most 1e-12 and several bases hold the same vertex, so the weights are
+    fitted on the points above it alone and normalised. Either way they
+    depend on the optimal vertex, not on the start or the pivots' path.
     """
-    basis = [int(np.flatnonzero(P[:, i] == 1.0)[0]) for i in range(3)]
+    basis = list(start)
     tol = 1e-12 * max(1.0, float(np.max(np.abs(g))))
     for pivots in range(_LP_MAX_PIVOTS + 1):
         B = P[basis]  # rows are the basic points, so the basis matrix is B.T
         d = g - P @ np.linalg.solve(B, g[basis])
         j = int(np.argmax(d))
         if d[j] <= tol:
+            basis.sort()
+            x = np.linalg.solve(P[basis].T, mu)
+            support = [r for r, xr in zip(basis, x.tolist()) if xr > 1e-12]
+            if len(support) < 3:
+                x = np.linalg.lstsq(P[support].T, mu, rcond=None)[0]
+                x = x / x.sum()
             lam = np.zeros(len(P))
-            lam[basis] = np.maximum(np.linalg.solve(B.T, mu), 0.0)
+            lam[support] = x
             return lam
         if pivots == _LP_MAX_PIVOTS:
             break
@@ -391,7 +423,7 @@ def brute_force_small(inst: MarketInstance, grid_n: int = 100) -> OracleResult:
 
     P, tails, H = _simplex_grid(grid_n)
     g = _net_value_points(v, k, tails, H)
-    lam = _grid_lp(P, g, mu)
+    lam = _grid_lp(P, g, mu, _prior_cell(grid_n, mu))
     atoms = np.nonzero(lam > 1e-12)[0]
 
     v1, v2, v3 = v.tolist()

@@ -183,10 +183,10 @@ def test_oracle_results_do_not_depend_on_the_grid_cache():
     # the polish moves the grid pair
     (MarketInstance(V12, MU46, 0.8), 4000, 2, "0x1.435cbece20760p+0", "0x1.435cbeb5744eep+0"),
     # a two-atom and a three-atom polish
-    (MarketInstance(V123, Market((0.2, 0.3, 0.5)), 1.0), 100, 2, "0x1.bd7df745f6f92p+0", "0x1.bd7c7db275210p+0"),
+    (MarketInstance(V123, Market((0.2, 0.3, 0.5)), 1.0), 100, 2, "0x1.bd7df745f6f92p+0", "0x1.bd7c7db2751f8p+0"),
     (MarketInstance(V123, Market((0.3, 0.4, 0.3)), 0.5), 100, 3, "0x1.8cccdbaadc270p+0", "0x1.8cc23efdb2900p+0"),
     # above k-bar (1.4427): one atom, no polish
-    (MarketInstance(V123, Market((0.3, 0.4, 0.3)), 3.0), 100, 1, "0x1.6666666666664p+0", "0x1.6666666666618p+0"),
+    (MarketInstance(V123, Market((0.3, 0.4, 0.3)), 3.0), 100, 1, "0x1.6666666666664p+0", "0x1.6666666666664p+0"),
 ])
 def test_oracle_values_keep_their_bits(inst, grid_n, segments, value, grid_value):
     res = brute_force(inst, grid_n=grid_n)
@@ -261,13 +261,34 @@ def _lp_cases():
     return cases
 
 
+def _degenerate_lp_cases():
+    # priors on grid points and on cell edges, where several bases hold mu
+    rng = np.random.default_rng(20261020)
+    cases = []
+    for grid_n in (4, 20, 100, 137):
+        for n in range(12):
+            vals = np.sort(rng.uniform(0.5, 5.0, size=3))
+            k = 0.0 if n % 4 == 0 else float(rng.uniform(0.01, 3.0))
+            i = int(rng.integers(0, grid_n))
+            j = int(rng.integers(0, grid_n - i))
+            s = float(rng.uniform()) if n % 2 else 0.0  # 0.0: on the grid point (i, j)
+            di, dj = ((1, 0), (0, 1), (1, -1) if j else (1, 0))[n % 3]
+            a, b = i + s * di, j + s * dj
+            cases.append((grid_n, vals, k, np.array([a, b, grid_n - a - b]) / grid_n))
+    return cases
+
+
+def _corner_rows(P):
+    return [int(np.flatnonzero(P[:, i] == 1.0)[0]) for i in range(3)]
+
+
 def test_grid_lp_matches_highs():
     from scipy.optimize import linprog
 
-    for grid_n, vals, k, mu in _lp_cases():
+    for grid_n, vals, k, mu in _lp_cases() + _degenerate_lp_cases():
         P, tails, H = oracle._simplex_grid(grid_n)
         g = oracle._net_value_points(vals, k, tails, H)
-        lam = oracle._grid_lp(P, g, mu)
+        lam = oracle._grid_lp(P, g, mu, oracle._prior_cell(grid_n, mu))
         ref = linprog(-g, A_eq=P.T, b_eq=mu, bounds=(0.0, None), method="highs-ds")
         assert ref.success
         assert abs(g @ lam + ref.fun) <= 1e-12 * abs(ref.fun), (grid_n, k, mu)
@@ -275,7 +296,75 @@ def test_grid_lp_matches_highs():
         assert np.max(np.abs(P.T @ lam - mu)) <= 1e-12
 
 
+def test_prior_cell_holds_the_prior():
+    from fractions import Fraction
+
+    rng = np.random.default_rng(20261022)
+    for m in (4, 20, 100, 137):
+        P = oracle._simplex_grid(m)[0]
+        priors = [
+            (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),  # corners
+            (0.5, 0.5, 0.0), (0.5, 0.0, 0.5), (0.0, 0.5, 0.5),  # edge midpoints
+            (0.3, 0.4, 0.3), (0.0, 0.35, 0.65), (0.2, 0.0, 0.8), (0.85, 0.15, 0.0), (0.7, 0.3, 0.0),
+        ]
+        for i, j in ((1, 1), (m // 3, m // 2), (m - 1, 0), (0, m - 1), (m // 2, m // 2)):
+            # a grid point, then the same with m mu_0 and m mu_1 an ulp off an integer
+            priors.append((i / m, j / m, (m - i - j) / m))
+            for up in (0.0, 1.0):
+                a, b = np.nextafter(i / m, up), np.nextafter(j / m, 1.0 - up)
+                priors.append((a, b, max(0.0, 1.0 - a - b)))
+        for t in rng.uniform(size=5):  # on the face mu_2 = 0, where m mu_0 + m mu_1 can round past m
+            priors.append((t, 1.0 - t, 0.0))
+        priors += [tuple(p) for p in rng.dirichlet((2.0, 2.0, 2.0), size=20)]
+        priors += [tuple(p) for p in rng.dirichlet((0.2, 0.2, 0.2), size=20)]
+        for mu in priors:
+            cell = oracle._prior_cell(m, np.array(mu))
+            assert len(set(cell)) == 3 and all(0 <= r < len(P) for r in cell), (m, mu)
+            pts = [(round(m * P[r, 0]), round(m * P[r, 1])) for r in cell]
+            i, j = min(p[0] for p in pts), min(p[1] for p in pts)
+            assert set(pts) in ({(i, j), (i + 1, j), (i, j + 1)}, {(i + 1, j), (i, j + 1), (i + 1, j + 1)}), (m, mu)
+            # mu's exact barycentric weights in grid units; only a prior whose
+            # shares sum past 1 by rounding can leave the cell, by an ulp of m
+            (x1, y1), (x2, y2), (x3, y3) = pts
+            qx, qy = m * Fraction(mu[0]), m * Fraction(mu[1])
+            det = (y2 - y3) * (x1 - x3) + (x3 - x2) * (y1 - y3)
+            w1 = Fraction((y2 - y3) * (qx - x3) + (x3 - x2) * (qy - y3), det)
+            w2 = Fraction((y3 - y1) * (qx - x3) + (x1 - x3) * (qy - y3), det)
+            assert min(w1, w2, 1 - w1 - w2) >= -2 * math.ulp(m), (m, mu)
+
+
+def test_grid_lp_result_does_not_depend_on_its_start():
+    # lam is solved on the optimal basis in row order, and on the support
+    # alone where mu sits on a grid edge or point, so the start and the
+    # pivots' path leave no trace in its bits. An LP with two optimal
+    # vertices of exactly equal value (symmetric entropies at one price;
+    # 2 of 3,000 random draws on grids 4 and 5) can end on either.
+    for grid_n, vals, k, mu in _lp_cases() + _degenerate_lp_cases():
+        P, tails, H = oracle._simplex_grid(grid_n)
+        g = oracle._net_value_points(vals, k, tails, H)
+        from_corners = oracle._grid_lp(P, g, mu, _corner_rows(P))
+        from_cell = oracle._grid_lp(P, g, mu, oracle._prior_cell(grid_n, mu))
+        assert from_corners.tobytes() == from_cell.tobytes(), (grid_n, k, mu)
+
+
+def test_grid_lp_starts_in_the_prior_cell(monkeypatch):
+    # above k-bar the prior's own cell is optimal, or a pivot away where it
+    # straddles a price boundary; from the corners such LPs took 15 pivots
+    # on average
+    monkeypatch.setattr(oracle, "_LP_MAX_PIVOTS", 1)
+    rng = np.random.default_rng(20261023)
+    for _ in range(40):
+        vals = Valuations(tuple(np.sort(rng.choice(np.arange(5, 51), size=3, replace=False)) / 10.0))
+        mu = Market(tuple(rng.dirichlet((2.0, 2.0, 2.0))))
+        k = float(rng.uniform(1.2, 2.0)) * segmentation_threshold(vals, mu)
+        inst = MarketInstance(vals, mu, k)
+        result = brute_force_small(inst, grid_n=100)
+        solver_value = net_objective(solve_ri(inst), inst.vals, inst.k)
+        assert solver_value - result.resolution_bound <= result.value <= solver_value + 1e-6
+
+
 def test_grid_lp_pivot_cap_is_an_oracle_lp_error(monkeypatch):
+    # this LP takes 6 pivots from the prior's cell
     monkeypatch.setattr(oracle, "_LP_MAX_PIVOTS", 1)
     with pytest.raises(ValidationError) as err:
         brute_force_small(MarketInstance(V123, Market((0.3, 0.4, 0.3)), 0.5))
