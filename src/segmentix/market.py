@@ -258,8 +258,8 @@ def all_revenues(market: Market, vals: Valuations) -> np.ndarray:
 
 def optimal_price(market: Market, vals: Valuations) -> int:
     """Index of the revenue-maximizing price, lowest index on ties."""
-    rev = all_revenues(market, vals)
-    return int(np.argmax(rev))  # argmax returns the first maximizer
+    rev = _tail_revenues(market.weights, vals.values)
+    return rev.index(max(rev))  # the first maximizer, as np.argmax finds it
 
 
 def price_region(market: Market, vals: Valuations, tol: float = PRICE_OPT_TOL) -> tuple[int, ...]:
@@ -300,6 +300,13 @@ def _entropies(rows: Sequence[Sequence[float]]) -> list[float]:
     pos = [[x for x in row if x > 0.0] for row in rows]
     logs = iter(np.log([x for p in pos for x in p]).tolist())
     return [-_numpy_order_sum([x * next(logs) for x in p]) for p in pos]
+
+
+def binary_entropy(x: float) -> float:
+    """Entropy in nats of a two-type market whose second share is ``x``; 0 at and beyond the ends."""
+    if x <= 0.0 or x >= 1.0:
+        return 0.0
+    return -(x * math.log(x) + (1.0 - x) * math.log1p(-x))
 
 
 def entropy(market: Market | Sequence[float] | np.ndarray) -> float:
@@ -389,7 +396,27 @@ def surplus_triangle(mu_star: Market, vals: Valuations) -> SurplusTriangle:
     return SurplusTriangle(uniform_profit=uniform, full_surplus=full, max_cs=full - uniform)
 
 
-def welfare(seg: Segmentation, vals: Valuations, k: float, price_tol: float = PRICE_OPT_TOL) -> WelfareReport:
+def _batch_rows(seg: Segmentation | Sequence[Segmentation], k: float | Sequence[float]):
+    """(one, segmentations, cost scales) of a call that takes one segmentation or a batch of them.
+
+    ``one`` is whether ``seg`` is a single segmentation, paired with the
+    single cost scale ``k``; otherwise ``seg`` and ``k`` are sequences of
+    equal length, paired in order.
+    """
+    if isinstance(seg, Segmentation):
+        return True, (seg,), (k,)
+    segs, ks = tuple(seg), tuple(k)
+    if len(segs) != len(ks):
+        raise ValidationError("batch_shape", f"{len(segs)} segmentations against {len(ks)} cost scales")
+    return False, segs, ks
+
+
+def welfare(
+    seg: Segmentation | Sequence[Segmentation],
+    vals: Valuations,
+    k: float | Sequence[float],
+    price_tol: float = PRICE_OPT_TOL,
+) -> WelfareReport | list[WelfareReport]:
     """Split total surplus of a priced segmentation into its welfare accounts.
 
     Consumer surplus and gross seller revenue are expectations over segments
@@ -400,29 +427,48 @@ def welfare(seg: Segmentation, vals: Valuations, k: float, price_tol: float = PR
     ``price_tol`` bounds how far each segment's assigned price may fall short
     of revenue-maximal; iterative solver output needs a looser bound than
     exact closed forms.
+
+    Given a sequence of segmentations and one cost scale for each, returns
+    their reports in a list: the batch a sweep accounts. Every row is
+    checked, in order, before any is accounted, so the first row that fails
+    raises. One np.log call then takes the entropies of every prior and
+    segment in the batch; the rest runs on Python floats, row by row, and a
+    batch row has the bytes of its one-row call.
     """
-    if k < 0.0:
-        raise ValidationError("cost_scale", f"k must be >= 0, got {k}")
-    if seg.bayes_residual > BAYES_TOL:
-        raise ValidationError("bayes_plausibility", f"residual {seg.bayes_residual:.3e} exceeds {BAYES_TOL}")
-    check_segment_prices(seg, vals, price_tol)
-    h_prior, *h_segments = _entropies([seg.prior.weights, *(s.market.weights for s in seg.segments)])
-    cs = 0.0
-    ps_gross = 0.0
-    avg_entropy = 0.0
-    for s, h in zip(seg.segments, h_segments):
-        p = vals[s.price_index]
-        cs += s.weight * math.fsum(w * buyer_payoff(p, v) for w, v in zip(s.market.weights, vals.values))
-        ps_gross += s.weight * revenue(s.market, vals, s.price_index)
-        avg_entropy += s.weight * h
-    info_cost = k * (h_prior - avg_entropy)
-    ps_net = ps_gross - info_cost
-    return WelfareReport(
-        cs=cs,
-        ps_gross=ps_gross,
-        info_cost=info_cost,
-        ps_net=ps_net,
-        ts_gross=cs + ps_gross,
-        ts_net=cs + ps_net,
-        segmented=len(seg.segments) > 1,
-    )
+    one, segs, ks = _batch_rows(seg, k)
+    for s, kk in zip(segs, ks):
+        if kk < 0.0:
+            raise ValidationError("cost_scale", f"k must be >= 0, got {kk}")
+        if s.bayes_residual > BAYES_TOL:
+            raise ValidationError("bayes_plausibility", f"residual {s.bayes_residual:.3e} exceeds {BAYES_TOL}")
+        check_segment_prices(s, vals, price_tol)
+    markets = []  # each row's prior, then its segments
+    for s in segs:
+        markets.append(s.prior.weights)
+        markets.extend([c.market.weights for c in s.segments])
+    ents = iter(_entropies(markets))
+    reports = []
+    for s, kk in zip(segs, ks):
+        h_prior = next(ents)
+        cs = 0.0
+        ps_gross = 0.0
+        avg_entropy = 0.0
+        for c, h in zip(s.segments, ents):  # segments first: zip stops before drawing the next row's prior
+            p = vals[c.price_index]
+            cs += c.weight * math.fsum(w * buyer_payoff(p, v) for w, v in zip(c.market.weights, vals.values))
+            ps_gross += c.weight * revenue(c.market, vals, c.price_index)
+            avg_entropy += c.weight * h
+        info_cost = kk * (h_prior - avg_entropy)
+        ps_net = ps_gross - info_cost
+        reports.append(
+            WelfareReport(
+                cs=cs,
+                ps_gross=ps_gross,
+                info_cost=info_cost,
+                ps_net=ps_net,
+                ts_gross=cs + ps_gross,
+                ts_net=cs + ps_net,
+                segmented=len(s.segments) > 1,
+            )
+        )
+    return reports[0] if one else reports

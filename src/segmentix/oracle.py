@@ -48,6 +48,7 @@ from .market import (
     Segment,
     Segmentation,
     ValidationError,
+    binary_entropy,
     entropy,
     no_segmentation,
     optimal_price,
@@ -351,13 +352,12 @@ def brute_force_binary(inst: MarketInstance, grid_n: int = 4000) -> OracleResult
     mu = inst.mu_star[1]
 
     def gfun(x: float) -> float:
-        ent = 0.0 if x <= 0.0 or x >= 1.0 else -(x * math.log(x) + (1.0 - x) * math.log1p(-x))
-        return max(w1, w2 * x) + k * ent
+        return max(w1, w2 * x) + k * binary_entropy(x)
 
     x, tails, H = _pair_grid(grid_n)
     g = _net_value_points(np.array([w1, w2]), k, tails, H)
 
-    prior_ent = 0.0 if mu <= 0.0 or mu >= 1.0 else -(mu * math.log(mu) + (1.0 - mu) * math.log1p(-mu))
+    prior_ent = binary_entropy(mu)
     base = gfun(mu)  # no-segmentation candidate
     best_pair_v, best_pair = pair_scan(x, g, mu)
     best_v = max(base, best_pair_v)

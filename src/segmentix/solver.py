@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .market import (
     SolverError,
     ValidationError,
     Valuations,
+    _batch_rows,
     _numpy_order_sum,
     no_segmentation,
     perfect_discrimination,
@@ -76,31 +78,44 @@ class OptimalityReport:
     price_slacks: tuple[float, ...] = ()
 
 
+def _payoffs(vals: Valuations) -> list[list[float]]:
+    """S[i][t] = revenue extracted from a type-i buyer at price vals[t]."""
+    return [[seller_payoff(p, v) for p in vals.values] for v in vals.values]
+
+
 def payoff_matrix(vals: Valuations) -> np.ndarray:
     """S[i, t] = revenue extracted from a type-i buyer at price vals[t]."""
-    return np.array([[seller_payoff(p, v) for p in vals.values] for v in vals.values])
+    return np.array(_payoffs(vals))
 
 
 def _logsumexp_rows(rows: list[list[float]]) -> list[float]:
-    """log(sum(exp(row))) of each row of a nonempty rectangular table, as scipy.special.logsumexp does it.
+    """log(sum(exp(row))) of each row of a table, as scipy.special.logsumexp does it.
 
-    Each row's maxima are taken out of its sum and counted, and each step
-    follows scipy 1.17's arithmetic, so certificate slacks keep the bytes
-    they had when scipy computed them, without loading scipy.special. One
-    np.exp call covers the whole table, and each row is summed in numpy's
-    order.
+    Rows may differ in length; each must be nonempty. Each row's maxima are
+    taken out of its sum and counted, and each step follows scipy 1.17's
+    arithmetic, so certificate slacks keep the bytes they had when scipy
+    computed them, without loading scipy.special. One np.exp call covers
+    every entry of every row, one np.log1p and one np.log call every row,
+    and each row is summed in numpy's order.
     """
     tops = [max(row) for row in rows]
     counts = [float(row.count(top)) for row, top in zip(rows, tops)]
-    shifted = [[(-math.inf if x == top else x) - top for x in row] for row, top in zip(rows, tops)]
-    rest = [_numpy_order_sum(row) for row in np.exp(shifted).tolist()]
+    exps = np.exp([(-math.inf if x == top else x) - top for row, top in zip(rows, tops) for x in row]).tolist()
+    rest = []
+    end = 0
+    for row in rows:
+        start, end = end, end + len(row)
+        rest.append(_numpy_order_sum(exps[start:end]))
     log1p = np.log1p([r / m for r, m in zip(rest, counts)]).tolist()
     return [a + b + top for a, b, top in zip(log1p, np.log(counts).tolist(), tops)]
 
 
 def verify_optimality(
-    seg: Segmentation, vals: Valuations, k: float, tol: float = VERIFY_TOL
-) -> OptimalityReport:
+    seg: Segmentation | Sequence[Segmentation],
+    vals: Valuations,
+    k: float | Sequence[float],
+    tol: float = VERIFY_TOL,
+) -> OptimalityReport | list[OptimalityReport]:
     """Check a segmentation against the first-order optimality certificate.
 
     For k > 0 the certificate is: (a) within each type, posterior mass
@@ -114,83 +129,89 @@ def verify_optimality(
     For k = 0 the optimum is full discrimination, so every segment must be
     a point mass charged exactly its own valuation.
 
+    Given a sequence of segmentations and one cost scale for each, returns
+    their reports in a list: the batch a sweep certifies. Every row's input
+    is checked, in order, before any is certified, so the first row that
+    fails raises. The payoff table is built once per batch.
+
     Arithmetic: numpy is called only for log, exp and log1p, whose SIMD
     code differs from the math module's in the last bit on a few percent of
-    inputs; each is called once over all its entries (the posterior matrix,
-    then the K price slacks). Sums keep np.sum's order, left to right below
-    8 terms and pairwise from 8 on, where they stay np.sum calls. Products,
+    inputs; each is called once per batch, over all its entries (one np.log
+    over every posterior, then one ``_logsumexp_rows`` over every row's K
+    price slacks). An elementwise ufunc gives each entry the same bits
+    however many entries share the call, so a batch row has the bytes of
+    its one-row call. Sums keep np.sum's order, left to right below 8 terms
+    and pairwise from 8 on, where they stay np.sum calls. Products,
     quotients, differences, max, min and comparisons are correctly rounded
     either way and run on Python floats, so the report has the bytes the
     all-numpy certificate gave it.
     """
-    if k < 0.0:
-        raise ValidationError("cost_scale", f"k must be >= 0, got {k}")
-    failures: list[str] = []
-    bayes = seg.bayes_residual
-    if bayes > BAYES_TOL:
-        failures.append("bayes_plausibility")
-
-    if k == 0.0:
-        for j, s in enumerate(seg.segments):
-            w = s.market.weights
-            if max(w) < 1.0 - 1e-12 or w[s.price_index] < 1.0 - 1e-12:
-                failures.append(f"discrimination_limit_segment_{j}")
-        return OptimalityReport(
-            ilr_residual=0.0,
-            slack_excess=0.0,
-            bayes_residual=bayes,
-            passed=not failures,
-            failures=tuple(failures),
-        )
-
+    one, segs, ks = _batch_rows(seg, k)
     K = len(vals)
-    if len(seg.prior) != K:
-        raise ValidationError("instance_shape", f"{len(seg.prior)} types in the segmentation against {K} valuations")
-    S = payoff_matrix(vals).tolist()
-    posts = [s.market.weights for s in seg.segments]
-    price_idx = seg.price_indices()
+    for s, kk in zip(segs, ks):
+        if kk < 0.0:
+            raise ValidationError("cost_scale", f"k must be >= 0, got {kk}")
+        if kk > 0.0 and len(s.prior) != K:
+            raise ValidationError("instance_shape", f"{len(s.prior)} types in the segmentation against {K} valuations")
+    S = _payoffs(vals)
     # zero entries are logged as 1.0 and masked to -inf below
-    logs = np.log([[x if x > 0.0 else 1.0 for x in post] for post in posts]).tolist()
-
-    ilr = 0.0
-    base_log = []  # (type, invariant value on log scale) of each served type
-    for i, (mass, S_i, post_i, log_i) in enumerate(zip(seg.prior.weights, S, zip(*posts), zip(*logs))):
-        if mass <= 0.0:
+    logs = np.log(
+        [x if x > 0.0 else 1.0 for s, kk in zip(segs, ks) if kk > 0.0 for c in s.segments for x in c.market.weights]
+    ).tolist()
+    end = 0
+    rows = []  # (ilr residual, bayes residual, failures, price slacks: None while they are in the batch's table)
+    tables = []  # K slack rows for each row whose served types have a finite invariant
+    for s, kk in zip(segs, ks):
+        failures: list[str] = []
+        bayes = s.bayes_residual
+        if bayes > BAYES_TOL:
+            failures.append("bayes_plausibility")
+        if kk == 0.0:
+            for j, c in enumerate(s.segments):
+                w = c.market.weights
+                if max(w) < 1.0 - 1e-12 or w[c.price_index] < 1.0 - 1e-12:
+                    failures.append(f"discrimination_limit_segment_{j}")
+            rows.append((0.0, bayes, failures, ()))  # no price slacks in the discrimination limit
             continue
-        row = [lp - S_i[p] / k if x > 0.0 else -math.inf for x, lp, p in zip(post_i, log_i, price_idx)]
-        finite = [x for x in row if math.isfinite(x)]
-        if not finite:
-            failures.append(f"type_{i}_unserved")
-            continue
-        lmax = max(finite)
-        lmin = min(finite)
-        ilr = max(ilr, -math.expm1(lmin - lmax))
-        base_log.append((i, lmax))
-        for j, x in enumerate(row):
-            # a zero entry is fine only if the invariant would put its mass
-            # below what doubles can represent next to the other entries
-            if not math.isfinite(x) and lmax + S_i[price_idx[j]] / k >= _LOG_ZERO_MASS_TOL:
-                failures.append(f"zero_mass_type_{i}_segment_{j}")
-    if ilr > tol:
-        failures.append("likelihood_ratio_invariance")
+        posts = [c.market.weights for c in s.segments]
+        start, end = end, end + K * len(posts)
+        price_idx = s.price_indices()
+        ilr = 0.0
+        base_log = []  # (type, invariant value on log scale) of each served type
+        for i, (mass, S_i, post_i) in enumerate(zip(s.prior.weights, S, zip(*posts))):
+            if mass <= 0.0:
+                continue
+            log_i = logs[start + i : end : K]  # type i's posterior logs, one per segment
+            row = [lp - S_i[p] / kk if x > 0.0 else -math.inf for x, lp, p in zip(post_i, log_i, price_idx)]
+            finite = [x for x in row if math.isfinite(x)]
+            if not finite:
+                failures.append(f"type_{i}_unserved")
+                continue
+            lmax = max(finite)
+            lmin = min(finite)
+            ilr = max(ilr, -math.expm1(lmin - lmax))
+            base_log.append((i, lmax))
+            for j, x in enumerate(row):
+                # a zero entry is fine only if the invariant would put its mass
+                # below what doubles can represent next to the other entries
+                if not math.isfinite(x) and lmax + S_i[price_idx[j]] / kk >= _LOG_ZERO_MASS_TOL:
+                    failures.append(f"zero_mass_type_{i}_segment_{j}")
+        if ilr > tol:
+            failures.append("likelihood_ratio_invariance")
+        if base_log:
+            tables.extend([b + S[i][t] / kk for i, b in base_log] for t in range(K))
+        rows.append((ilr, bayes, failures, None if base_log else (-1.0,) * K))
 
-    if base_log:
-        slack_logs = _logsumexp_rows([[b + S[i][t] / k for i, b in base_log] for t in range(K)])
-        price_slacks = [math.expm1(min(x, 700.0)) for x in slack_logs]
-    else:
-        price_slacks = [-1.0] * K
-    slack_excess = max(price_slacks)
-    if slack_excess > tol:
-        failures.append("price_slack")
-
-    return OptimalityReport(
-        ilr_residual=ilr,
-        slack_excess=slack_excess,
-        bayes_residual=bayes,
-        passed=not failures,
-        failures=tuple(failures),
-        price_slacks=tuple(price_slacks),
-    )
+    slack_logs = iter(_logsumexp_rows(tables) if tables else ())
+    reports = []
+    for ilr, bayes, failures, price_slacks in rows:
+        if price_slacks is None:
+            price_slacks = tuple([math.expm1(min(next(slack_logs), 700.0)) for _ in range(K)])
+        slack_excess = max(price_slacks, default=0.0)
+        if price_slacks and slack_excess > tol:
+            failures.append("price_slack")
+        reports.append(OptimalityReport(ilr, slack_excess, bayes, not failures, tuple(failures), price_slacks))
+    return reports[0] if one else reports
 
 
 def solve_ri(inst: MarketInstance, options: SolveOptions | None = None) -> Segmentation:

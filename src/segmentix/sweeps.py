@@ -19,11 +19,13 @@ from .binary import tangency_posteriors
 from .market import (
     Market,
     MarketInstance,
+    Segmentation,
     SurplusTriangle,
     ValidationError,
     Valuations,
     WelfareReport,
     all_revenues,
+    binary_entropy,
     surplus_triangle,
     welfare,
 )
@@ -96,17 +98,6 @@ class SweepTable:
         return out
 
 
-def _sweep_row(vals: Valuations, prior: Market, k: float, options: SolveOptions | None) -> SweepRow:
-    try:
-        seg = solve(MarketInstance(vals, prior, k), options)
-    except SolverError as e:
-        return SweepRow(k=k, report=None, n_segments=0, prices=(), verify=None, error=str(e))
-    rep = welfare(seg, vals, k, price_tol=SWEEP_PRICE_TOL)
-    ver = verify_optimality(seg, vals, k)
-    prices = tuple(vals[i] for i in seg.price_indices())
-    return SweepRow(k=k, report=rep, n_segments=len(seg.segments), prices=prices, verify=ver)
-
-
 def sweep_k(
     vals: Valuations,
     mu_star: Market,
@@ -117,7 +108,12 @@ def sweep_k(
     """Solve one market at every cost scale on the grid, in grid order, in this process.
 
     Rows that fail to converge are recorded with their error and the sweep
-    continues. ``max_workers`` is accepted and ignored.
+    continues. The solved rows are then accounted by one ``welfare`` call
+    and certified by one ``verify_optimality`` call, each over the whole
+    batch, so each numpy call those two make is made once per sweep, not
+    once per row; a row has the bytes of its one-row calls. A row whose
+    accounts fail raises its ``ValidationError``, the first such row in grid
+    order. ``max_workers`` is accepted and ignored.
     """
     grid_spec = None
     if k_grid is None:
@@ -136,8 +132,25 @@ def sweep_k(
     # bit again; rows solve that rebuilt prior, so sweep bytes stay those of
     # earlier releases
     prior = Market(mu_star.weights)
-    rows = tuple(_sweep_row(vals, prior, float(k), options) for k in ks)
-    return SweepTable(rows=rows, grid=grid_spec)
+    ks = ks.tolist()
+    segs: list[Segmentation | str] = []  # per k: the solution, or why the solver failed
+    for k in ks:
+        try:
+            segs.append(solve(MarketInstance(vals, prior, k), options))
+        except SolverError as e:
+            segs.append(str(e))
+    solved = [(seg, k) for seg, k in zip(segs, ks) if not isinstance(seg, str)]
+    batch = ([seg for seg, _ in solved], vals, [k for _, k in solved])
+    reports = iter(welfare(*batch, price_tol=SWEEP_PRICE_TOL))
+    verified = iter(verify_optimality(*batch))
+    rows = []
+    for k, seg in zip(ks, segs):
+        if isinstance(seg, str):
+            rows.append(SweepRow(k=k, report=None, n_segments=0, prices=(), verify=None, error=seg))
+        else:
+            prices = tuple(vals[i] for i in seg.price_indices())
+            rows.append(SweepRow(k, next(reports), len(seg.segments), prices, next(verified)))
+    return SweepTable(rows=tuple(rows), grid=grid_spec)
 
 
 def classify_monotonicity(values: Iterable[float], tol: float | None = None) -> str:
@@ -191,14 +204,8 @@ def boundary_always_segments(vals: Valuations, k_grid: Sequence[float]) -> Bound
     w1, w2 = vals[0], vals[1]
     r = w1 / w2
     prior = Market([1.0 - r, r])
-
-    def H(x: float) -> float:
-        if x <= 0.0 or x >= 1.0:
-            return 0.0
-        return -(x * math.log(x) + (1.0 - x) * math.log1p(-x))
-
     rev_prior = float(np.max(all_revenues(prior, vals)))
-    h_prior = H(r)
+    h_prior = binary_entropy(r)
     always = True
     min_slack = math.inf
     min_gain = math.inf
@@ -213,7 +220,7 @@ def boundary_always_segments(vals: Valuations, k_grid: Sequence[float]) -> Bound
             continue
         tau = (hi - r) / (hi - lo)
         rev_split = tau * w1 + (1.0 - tau) * w2 * hi
-        gain = (rev_split - rev_prior) + k * (tau * H(lo) + (1.0 - tau) * H(hi) - h_prior)
+        gain = (rev_split - rev_prior) + k * (tau * binary_entropy(lo) + (1.0 - tau) * binary_entropy(hi) - h_prior)
         if gain < min_gain:
             min_gain = gain
             argmin_k = k

@@ -25,6 +25,8 @@ from segmentix import (
     Segmentation,
     SolveOptions,
     SolverError,
+    SweepRow,
+    SweepTable,
     ValidationError,
     Valuations,
     WelfareReport,
@@ -380,19 +382,32 @@ def _seeded_markets(K, n, seed):
     ]
 
 
+def _reference_sweep_rows(vals, prior, grid, options=None):
+    """The rows of a sweep, each from ``solve`` on the rebuilt prior and the all-numpy kernels."""
+    rows = []
+    for k in grid.as_array().tolist():
+        try:
+            seg = solve(MarketInstance(vals, Market(prior.weights), k), options)
+        except SolverError as e:
+            rows.append(SweepRow(k=k, report=None, n_segments=0, prices=(), verify=None, error=str(e)))
+            continue
+        rep = _reference_welfare(seg, vals, k, price_tol=SWEEP_PRICE_TOL)
+        prices = tuple(vals[i] for i in seg.price_indices())
+        rows.append(SweepRow(k, rep, len(seg.segments), prices, _reference_verify_optimality(seg, vals, k)))
+    return SweepTable(rows=tuple(rows), grid=grid)
+
+
 @pytest.mark.parametrize(
     "K,n_points,options",
     [(2, 200, None), (3, 30, SolveOptions(max_iters=5000))],
 )
-def test_sweep_bytes_match_reference_kernels(K, n_points, options, monkeypatch):
+def test_sweep_bytes_match_reference_kernels(K, n_points, options):
     for vals, prior in _seeded_markets(K, 4, seed=40 + K):
         grid = KGridSpec(1e-3 * vals[0], 1e2 * vals[-1], n_points)
-        got = _sweep_bytes(vals, prior, grid, options)
-        with monkeypatch.context() as m:
-            m.setattr(sweeps, "verify_optimality", _reference_verify_optimality)
-            m.setattr(sweeps, "welfare", _reference_welfare)
-            want = _sweep_bytes(vals, prior, grid, options)
-        assert got == want
+        got = sweep_k(vals, prior, grid, options)
+        want = _reference_sweep_rows(vals, prior, grid, options)
+        assert _sweep_bytes(vals, prior, grid, options) == (to_csv(want), [repr(r.verify) for r in want.rows])
+        assert [repr(r) for r in got.rows] == [repr(r) for r in want.rows]
 
 
 def test_pooled_sweep_matches_serial():
@@ -426,3 +441,99 @@ def test_sweep_rows_solve_the_rebuilt_prior():
     for row, k in zip(sweep_k(vals, prior, grid).rows, grid):
         seg = solve(MarketInstance(vals, Market(prior.weights), k))
         assert repr(row.report) == repr(welfare(seg, vals, k, price_tol=SWEEP_PRICE_TOL))
+
+
+# -------------------- batches --------------------
+
+
+@pytest.mark.parametrize(
+    "K,n_points,options",
+    [(2, 200, None), *((K, 30, SolveOptions(max_iters=5000)) for K in (3, 4, 5))],
+)
+def test_sweep_rows_equal_their_one_row_calls(K, n_points, options):
+    # a sweep accounts and certifies its rows in one batch; each row must have
+    # the bytes of welfare and verify_optimality called on it alone
+    solved = 0
+    for vals, prior in _seeded_markets(K, 3, seed=160 + K):
+        grid = KGridSpec(1e-3 * vals[0], 1e2 * vals[-1], n_points)
+        for row in sweep_k(vals, prior, grid, options).rows:
+            if row.error is not None:
+                continue
+            solved += 1
+            seg = solve(MarketInstance(vals, Market(prior.weights), row.k), options)
+            assert repr(row.report) == repr(welfare(seg, vals, row.k, price_tol=SWEEP_PRICE_TOL))
+            assert repr(row.verify) == repr(verify_optimality(seg, vals, row.k))
+    assert solved >= 2 * n_points
+
+
+def test_mixed_batches_equal_their_rows_one_by_one():
+    rng = np.random.default_rng(16)
+    by_vals = {}
+    for seg, vals, k in _seeded_cases(450, seed=20261019):
+        # each variant at its own k, at 30 k and in the discrimination limit
+        by_vals.setdefault(vals, []).extend((seg, x) for x in (k, 30.0 * k, 0.0))
+    kinds, first_errors = set(), set()
+    for vals, rows in by_vals.items():
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        segs, ks = [s for s, _ in rows], [k for _, k in rows]
+        got = verify_optimality(segs, vals, ks)
+        assert [repr(r) for r in got] == [repr(verify_optimality(s, vals, k)) for s, k in rows], vals
+        kinds.update(_failure_kind(f) for r in got for f in r.failures)
+        for tol in (PRICE_OPT_TOL, SWEEP_PRICE_TOL):
+            alone = [_outcome(welfare, s, vals, k, price_tol=tol) for s, k in rows]
+            ok = [row for row, out in zip(rows, alone) if not isinstance(out, tuple)]
+            batch = welfare([s for s, _ in ok], vals, [k for _, k in ok], price_tol=tol)
+            assert [repr(r) for r in batch] == [out for out in alone if not isinstance(out, tuple)], vals
+            # with failing rows in it, the batch raises what its first failing row raises alone
+            first = next((out for out in alone if isinstance(out, tuple)), None)
+            if first is not None:
+                assert _outcome(welfare, segs, vals, ks, price_tol=tol) == first, vals
+                first_errors.add(first[1])
+    assert set(FAILURE_NAMES) | {"discrimination_limit_segment_j"} <= kinds
+    assert {"bayes_plausibility", "segment_price_optimality"} <= first_errors
+
+
+def test_batch_shapes():
+    seg = no_segmentation(Market((0.2, 0.8)), Valuations((1.0, 2.0)))
+    for fn in (verify_optimality, welfare):
+        assert fn([], Valuations((1.0, 2.0)), []) == []
+        with pytest.raises(ValidationError, match="batch_shape"):
+            fn([seg, seg], Valuations((1.0, 2.0)), [0.5])
+        with pytest.raises(ValidationError, match="cost_scale: k must be >= 0, got -1.0"):
+            fn([seg, seg, seg], Valuations((1.0, 2.0)), [0.5, -1.0, -2.0])
+
+
+def test_batch_row_that_serves_no_type():
+    # every type the prior holds is missing from every segment: that row has
+    # no slack rows, and the rows around it keep theirs
+    vals = Valuations((1.0, 2.0, 3.0))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(market, "BAYES_TOL", 1.0)
+        nobody = Segmentation(Market((0.5, 0.5, 0.0)), [Segment(Market((0.0, 0.0, 1.0)), 1.0, 2)])
+    assert verify_optimality(nobody, vals, 0.5).price_slacks == (-1.0, -1.0, -1.0)
+    fine = no_segmentation(Market((0.2, 0.3, 0.5)), vals)
+    rows = [(fine, 0.5), (nobody, 0.5), (fine, 2.0), (nobody, 0.0), (fine, 0.0)]
+    got = verify_optimality([s for s, _ in rows], vals, [k for _, k in rows])
+    assert [repr(r) for r in got] == [repr(_reference_verify_optimality(s, vals, k)) for s, k in rows]
+
+
+def test_sweep_raises_the_first_failing_row_in_grid_order(monkeypatch):
+    vals, prior = Valuations((1.0, 2.0)), Market((0.4, 0.6))
+    grid = [0.1, 0.2, 0.3, 0.4, 0.5]
+
+    def mispriced(inst, options=None):
+        if inst.k == 0.1:
+            raise SolverError("no convergence")
+        if inst.k == 0.3:  # price 1 where price 2 earns 0.2 more
+            return Segmentation(inst.mu_star, [Segment(inst.mu_star, 1.0, 0)])
+        if inst.k == 0.5:  # the second segment is the mispriced one
+            return Segmentation(inst.mu_star, [Segment(inst.mu_star, 0.5, 1), Segment(inst.mu_star, 0.5, 0)])
+        return solve(inst, options)
+
+    monkeypatch.setattr(sweeps, "solve", mispriced)
+    want = _outcome(welfare, mispriced(MarketInstance(vals, prior, 0.3)), vals, 0.3, price_tol=SWEEP_PRICE_TOL)
+    assert want[1] == "segment_price_optimality" and "segment 0 " in want[2]
+    assert _outcome(sweep_k, vals, prior, grid) == want
+    # without the failing rows the SolverError row is recorded and the sweep goes on
+    table = sweep_k(vals, prior, [0.1, 0.2, 0.4])
+    assert [r.error for r in table.rows] == ["no convergence", None, None]

@@ -27,6 +27,7 @@ from segmentix import (
     uniform_report,
     welfare,
 )
+from segmentix.market import binary_entropy
 
 V12 = Valuations((1.0, 2.0))
 V123 = Valuations((1.0, 2.0, 3.0))
@@ -159,6 +160,16 @@ def test_entropy_frozen_value():
 def test_entropy_bounds(x):
     h = entropy(Market((x, 1.0 - x)))
     assert -1e-15 <= h <= math.log(2.0) + 1e-15
+
+
+@given(st.floats(-0.5, 1.5))
+def test_binary_entropy_is_the_two_type_entropy(x):
+    h = binary_entropy(x)
+    if x <= 0.0 or x >= 1.0:
+        assert h == 0.0
+    else:
+        assert h == -(x * math.log(x) + (1.0 - x) * math.log1p(-x))
+        assert h == pytest.approx(entropy((1.0 - x, x)), abs=1e-15)
 
 
 def test_net_segment_value_zero_cost_piecewise():

@@ -258,6 +258,7 @@ def test_logsumexp_matches_scipy_bit_for_bit():
     from scipy.special import logsumexp
 
     rng = np.random.default_rng(20240611)
+    ragged = []
     for n in range(1, 41):
         for scale in (1e-3, 0.1, 1.0, 30.0, 300.0):
             rows = []
@@ -272,3 +273,6 @@ def test_logsumexp_matches_scipy_bit_for_bit():
             for a, g in zip(rows, got):
                 assert g == float(logsumexp(a)), a
                 assert _logsumexp_rows([a.tolist()]) == [g], a
+            ragged.append(rows[n % len(rows)])
+    # rows of every length in one table, as a sweep's batch passes them
+    assert _logsumexp_rows([a.tolist() for a in ragged]) == [float(logsumexp(a)) for a in ragged]
