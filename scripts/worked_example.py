@@ -67,7 +67,8 @@ def main() -> None:
         gap = net_objective(seg, vals, args.k) - oracle.value
         print("\ngrid oracle:")
         print(f"  best value        {oracle.value:.10f}  ({oracle.method}, grid_n={args.grid_n})")
-        print(f"  solver - oracle   {gap:+.3e}  (resolution bound {oracle.resolution_bound:.3e})")
+        print(f"  solver - oracle   {gap:+.3e}  (resolution bound {oracle.resolution_bound:.3e},"
+              f" upper - value {oracle.upper - oracle.value:.3e})")
 
 
 if __name__ == "__main__":

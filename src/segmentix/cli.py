@@ -161,6 +161,7 @@ def _run_oracle(ns: argparse.Namespace) -> None:
     result = brute_force(inst, grid_n=ns.grid_n)
     payload = {
         "value": result.value,
+        "upper": result.upper,
         "grid_value": result.grid_value,
         "grid_step": result.grid_step,
         "resolution_bound": result.resolution_bound,

@@ -2,9 +2,10 @@
 
 Deliberately independent implementations: plain grid search (two types) and
 a linear program over a simplex grid (three types), each followed by a
-derivative-free local polish. Nothing here shares likelihood-ratio
-machinery with the solvers; tests sandwich solver values between oracle
-values to catch agreement-by-shared-bug.
+refinement off the grid and reported with an upper bound (``upper``).
+Nothing here shares likelihood-ratio machinery with the solvers; tests
+sandwich solver values between oracle values to catch agreement-by-shared-
+bug.
 
 The two-type pair scan scores every grid pair that can win, in O(grid_n)
 cells rather than all of them. For any line L with L(prior) = phi, a pair
@@ -17,12 +18,18 @@ exhaustive scan's own elementwise formula and tie-break, so its results
 keep their bytes. ``pair_scan`` is also the rationalization check's best
 chord search; it is the only one in the package.
 
+A line (or plane) raised by the most any price piece rises above it, a
+closed form, bounds the value from above. The two-type oracle generates
+columns at those maximizers until the bound meets its value to rounding;
+the three-type oracle takes its line from the grid LP's dual.
+
 The two numerical methods are textbook ones written out here: Nelder-Mead
-(1965) for the polish and Dantzig's primal simplex for the three-row grid
-LP. Neither needs scipy, so an oracle run loads nothing beyond numpy. The
-LP starts from the grid cell that holds the prior, a feasible basis that
-above k-bar is already optimal (Dantzig 1963, ch. 7), and solves its
-weights on the optimal basis alone, so they do not depend on the start.
+(1965) for the three-type polish and Dantzig's primal simplex for the
+three-row grid LP. Neither needs scipy, so an oracle run loads nothing
+beyond numpy. The LP starts from the grid cell that holds the prior, a
+feasible basis that above k-bar is already optimal (Dantzig 1963, ch. 7),
+and solves its weights on the optimal basis alone, so they do not depend
+on the start.
 
 A grid's posteriors, their upper tails and their entropies depend only on
 its size; they are built once, read-only, and the last size of each kind is
@@ -55,13 +62,15 @@ from .market import (
 )
 
 _LP_MAX_PIVOTS = 1000  # 1,600 seeded K=3 grid LPs took at most 18 from the prior's cell (22 from the corners)
+_CG_ROUNDS = 32  # two-type column-generation rounds: 5,550 seeded calls on grids 4 to 4000 took at most 9
 _PAIR_CELLS = 1 << 15  # pair cells scored at once: 256 KB temporaries that stay in cache
 
 
 def _nelder_mead(f, x0, xatol: float, fatol: float, maxiter: int) -> tuple[np.ndarray, float]:
     """Minimise ``f`` from ``x0``; returns the best vertex and its value.
 
-    Step for step the unbounded, non-adaptive Nelder-Mead of scipy 1.17's
+    The three-type polish (``_refine_small``) is its only caller. Step for
+    step the unbounded, non-adaptive Nelder-Mead of scipy 1.17's
     ``minimize``: the same coefficients, start simplex, vertex ordering and
     stop test, so oracle results keep the bytes scipy gave them. Vertices
     are lists of Python floats, and ``f`` gets the vertex itself, which it
@@ -140,8 +149,8 @@ def _prior_cell(m: int, mu: np.ndarray) -> list[int]:
     return sorted(i * (m + 1) - i * (i - 1) // 2 + j for i, j in cell)
 
 
-def _grid_lp(P: np.ndarray, g: np.ndarray, mu: np.ndarray, start: list[int]) -> np.ndarray:
-    """Maximise ``g @ lam`` subject to ``P.T @ lam = mu``, ``lam >= 0``.
+def _grid_lp(P: np.ndarray, g: np.ndarray, mu: np.ndarray, start: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Maximise ``g @ lam`` subject to ``P.T @ lam = mu``, ``lam >= 0``; returns lam and the dual y.
 
     Primal simplex on the three rows, from the feasible basis ``start``:
     three rows of P whose hull holds ``mu``, such as ``_prior_cell``'s.
@@ -153,12 +162,16 @@ def _grid_lp(P: np.ndarray, g: np.ndarray, mu: np.ndarray, start: list[int]) -> 
     most 1e-12 and several bases hold the same vertex, so the weights are
     fitted on the points above it alone and normalised. Either way they
     depend on the optimal vertex, not on the start or the pivots' path.
+    The dual y solves B y = g on the optimal basis, as the last pass left
+    it: the plane y . p passes through the basic points and lies above g at
+    every grid point, to the pricing tolerance, and y . mu = g @ lam.
     """
     basis = list(start)
     tol = 1e-12 * max(1.0, float(np.max(np.abs(g))))
     for pivots in range(_LP_MAX_PIVOTS + 1):
         B = P[basis]  # rows are the basic points, so the basis matrix is B.T
-        d = g - P @ np.linalg.solve(B, g[basis])
+        y = np.linalg.solve(B, g[basis])
+        d = g - P @ y
         j = int(np.argmax(d))
         if d[j] <= tol:
             basis.sort()
@@ -169,7 +182,7 @@ def _grid_lp(P: np.ndarray, g: np.ndarray, mu: np.ndarray, start: list[int]) -> 
                 x = x / x.sum()
             lam = np.zeros(len(P))
             lam[support] = x
-            return lam
+            return lam, y
         if pivots == _LP_MAX_PIVOTS:
             break
         x, w = np.linalg.solve(B.T, np.column_stack([mu, P[j]])).T
@@ -182,15 +195,20 @@ def _grid_lp(P: np.ndarray, g: np.ndarray, mu: np.ndarray, start: list[int]) -> 
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Best value found by exhaustive search plus local refinement.
+    """Best value found by exhaustive search plus refinement, and a bound on it.
 
-    ``value`` and ``grid_value`` are net objectives (revenue minus
-    information cost); ``grid_value`` is before the polish step.
-    ``resolution_bound`` is a crude overestimate of how much value the grid
-    alone can miss; the polished value is normally far closer than that.
+    ``value``, ``upper`` and ``grid_value`` are net objectives (revenue
+    minus information cost). ``value`` is the oracle's valuation of
+    ``segmentation``, and the optimum lies in [``value``, ``upper``] up to
+    rounding. ``grid_value`` is the grid's best, before column generation
+    (two types) or the polish (three types). Two-type ``upper`` is within
+    rounding of ``value`` once column generation meets its tolerance;
+    three-type ``upper`` is the grid LP's dual bound. ``resolution_bound``
+    is a crude overestimate of how much value the grid alone can miss.
     """
 
     value: float
+    upper: float
     grid_value: float
     segmentation: Segmentation
     grid_step: float
@@ -330,18 +348,61 @@ def pair_scan(x: np.ndarray, g: np.ndarray, mu: float) -> tuple[float, tuple[flo
     return float(top), (float(xl[i]), float(xh[j]))
 
 
+def _logistic(z: float) -> float:
+    """1 / (1 + exp(z)), without overflow."""
+    if z > 0.0:
+        e = math.exp(-z)
+        return e / (1.0 + e)
+    return 1.0 / (1.0 + math.exp(z))
+
+
 def brute_force_binary(inst: MarketInstance, grid_n: int = 4000) -> OracleResult:
-    """Exhaustive pair search over a uniform grid of two-type posteriors.
+    """Exhaustive pair search over a uniform grid of two-type posteriors,
+    then exact column generation from the best grid pair.
 
     Every pair (x1, x2) with x1 <= prior share <= x2 is a feasible
     two-segment candidate once the mixing weight is read off Bayes
-    plausibility; the best of them is set against the no-segmentation
-    fallback, then polished with Nelder-Mead. The scan scores only the
-    pairs that can win: a line supporting the grid points near the concave
-    envelope at the prior bounds every other pair below a pair already
-    scored (see ``pair_scan``). It returns the value and pair that scoring
-    all of them returns, bit for bit, so oracle results keep their bytes;
-    the cells scored grow as O(grid_n), not O(grid_n**2).
+    plausibility; ``pair_scan`` finds the grid's best (``grid_value``).
+    With x the high-type share, g(x) = max(w1, w2 x) + k H(x) is the larger
+    of two concave price pieces c_t + d_t x + k H(x), d_0 = 0 and d_1 = w2,
+    and the seller's value is g's concave envelope at the prior share mu
+    (concavification). Against a line L(x) = V + s (x - mu), piece t rises
+    most at its tangent point of slope s, x_t = 1 / (1 + exp((s - d_t) / k))
+    (the Gibbs maximizer, in one dimension), so gap = max_t g(x_t) - L(x_t)
+    is g's exact greatest rise above L, and V + max(0, gap) bounds the
+    envelope at mu from above: that is ``upper``.
+
+    The one-atom certificate comes first: L is the tangent at mu on mu's
+    price piece, of slope d + k log((1 - mu) / mu). If its gap is within
+    the tolerance, no pair beats staying put and the result is no
+    segmentation. There is no such tangent at k = 0, and none at
+    w2 mu = w1, where mu sits on the kink.
+
+    Otherwise a restricted master starts from the grid pair's two ends.
+    Each round V is the best of staying put and the master's straddling
+    pairs, scored on floats with the chord formula; s is the slope of the
+    chord through the last two points priced if they straddle mu, and else
+    through the best pair (the grid pair, at first); and both tangent
+    points join the master (Dantzig-Wolfe column generation; Gilmore &
+    Gomory 1961). The chord through the tangent points has slope
+    s + (phi_1 - phi_0) / (x_1 - x_0), phi_t being piece t's tangent
+    intercept: Newton's step on phi_1 - phi_0, whose root is the common
+    tangent, so s converges quadratically. (The best pair's chord is the
+    master's own dual, but where its value ties a better pair's to
+    rounding it can stay tilted, its gap above the tolerance: that ran 2
+    of 1,250 seeded draws to the round cap.) At k = 0 the pieces are
+    lines, and g - L peaks at x = 0 or 1, the points priced. The rounds
+    stop once gap is within the tolerance, after at most ``_CG_ROUNDS``;
+    the grid is never scanned again.
+
+    The tolerance is 32 ulp(S), S = max(w2, k, |V|, |s|). With
+    u = 2**-53 and u S <= ulp(S): g(x) is off by at most u (2 w2 + 5 k),
+    H's logs being within an ulp and its terms at most 1/e; L(x) by
+    u (|V| + 3 |s|); their difference adds u (w2 + k + |V| + |s|); so a
+    gap is off by at most 15 u S. V, a chord's value, is off by
+    10.1 u max|g| (see ``pair_scan``), and L moves with it. A master at the
+    envelope so reads a gap of at most 26 u S and stops, and a gap read
+    within the tolerance leaves the envelope at most 47 ulp(S) above V.
     """
     if len(inst.vals) != 2:
         raise ValidationError("oracle_size", "pair oracle needs exactly 2 types")
@@ -354,31 +415,44 @@ def brute_force_binary(inst: MarketInstance, grid_n: int = 4000) -> OracleResult
     def gfun(x: float) -> float:
         return max(w1, w2 * x) + k * binary_entropy(x)
 
+    def price(V: float, s: float) -> tuple[float, float, tuple[float, float]]:
+        # g's greatest rise above V + s (x - mu), the tolerance, and the points priced
+        tops = (0.0, 1.0) if k == 0.0 else (_logistic(s / k), _logistic((s - w2) / k))
+        tol = 32 * math.ulp(max(w2, k, abs(V), abs(s)))
+        return max(gfun(t) - (V + s * (t - mu)) for t in tops), tol, tops
+
     x, tails, H = _pair_grid(grid_n)
     g = _net_value_points(np.array([w1, w2]), k, tails, H)
 
     prior_ent = binary_entropy(mu)
     base = gfun(mu)  # no-segmentation candidate
     best_pair_v, best_pair = pair_scan(x, g, mu)
-    best_v = max(base, best_pair_v)
-    grid_value = best_v - k * prior_ent
+    grid_value = max(base, best_pair_v) - k * prior_ent
 
-    if best_pair is not None:
-        def neg(p: list[float]) -> float:
-            x1, x2 = p
-            if not (0.0 <= x1 <= mu <= x2 <= 1.0) or x2 - x1 < 1e-12:
-                return 1e9
-            tau = (x2 - mu) / (x2 - x1)
-            return -(tau * gfun(x1) + (1.0 - tau) * gfun(x2))
-
-        px, fun = _nelder_mead(neg, best_pair, 1e-12, 1e-13, 4000)
-        if fun < -best_v:
-            best_v = -float(fun)
-            best_pair = (float(px[0]), float(px[1]))
-    # the pair only counts if it beats staying put
-    use_pair = best_pair is not None and best_v > base
-    if use_pair:
-        x1, x2 = best_pair
+    best_v, gap, pair = base, 0.0, None  # with mu at 0 or 1 (no grid pair) the prior is the only posterior
+    certified = best_pair is None
+    if not certified and k > 0.0 and w2 * mu != w1:
+        gap, tol, _ = price(base, (w2 if w2 * mu > w1 else 0.0) + k * math.log((1.0 - mu) / mu))
+        certified = gap <= tol
+    if not certified:
+        master = {c: gfun(c) for c in best_pair}
+        a, b = best_pair
+        for _ in range(_CG_ROUNDS):
+            pair_v, x1, x2 = max(
+                (((x2 - mu) / (x2 - x1)) * g1 + (1.0 - (x2 - mu) / (x2 - x1)) * g2, x1, x2)
+                for x1, g1 in master.items() if x1 < mu for x2, g2 in master.items() if x2 > mu
+            )
+            best_v = max(base, pair_v)
+            if not a < mu < b:
+                a, b = x1, x2
+            gap, tol, (a, b) = price(best_v, (master[b] - master[a]) / (b - a))
+            if gap <= tol:
+                break
+            master.update((c, gfun(c)) for c in (a, b))
+        if pair_v > base:  # the pair only counts if it beats staying put
+            pair = (x1, x2)
+    if pair is not None:
+        x1, x2 = pair
         tau = (x2 - mu) / (x2 - x1)
         m1 = Market([1.0 - x1, x1])
         m2 = Market([1.0 - x2, x2])
@@ -391,10 +465,10 @@ def brute_force_binary(inst: MarketInstance, grid_n: int = 4000) -> OracleResult
         )
     else:
         seg = no_segmentation(inst.mu_star, inst.vals)
-        best_v = base
     h = 1.0 / grid_n
     return OracleResult(
         value=best_v - k * prior_ent,
+        upper=best_v + max(0.0, gap) - k * prior_ent,
         grid_value=grid_value,
         segmentation=seg,
         grid_step=h,
@@ -412,6 +486,13 @@ def brute_force_small(inst: MarketInstance, grid_n: int = 100) -> OracleResult:
     price are merged (entropy is concave, so merging never hurts) and the
     result is polished with Nelder-Mead in a parameterization that keeps
     Bayes plausibility exact.
+
+    ``upper`` is the grid LP's dual bound: with y its dual, price t's piece
+    S_t . p + k H(p) rises above the plane y . p by at most
+    k log sum_i exp((S_it - y_i) / k) (Gibbs' variational principle; at
+    k = 0, max_i S_it - y_i), S_it being what a type-i buyer pays at
+    price t. So y . mu plus the largest of these rises, or plus 0, bounds
+    the value at mu from above. No column is generated at K = 3.
     """
     if len(inst.vals) != 3:
         raise ValidationError("oracle_size", "simplex oracle needs exactly 3 types")
@@ -423,7 +504,7 @@ def brute_force_small(inst: MarketInstance, grid_n: int = 100) -> OracleResult:
 
     P, tails, H = _simplex_grid(grid_n)
     g = _net_value_points(v, k, tails, H)
-    lam = _grid_lp(P, g, mu, _prior_cell(grid_n, mu))
+    lam, y = _grid_lp(P, g, mu, _prior_cell(grid_n, mu))
     atoms = np.nonzero(lam > 1e-12)[0]
 
     v1, v2, v3 = v.tolist()
@@ -478,12 +559,25 @@ def brute_force_small(inst: MarketInstance, grid_n: int = 100) -> OracleResult:
     h = 1.0 / grid_n
     return OracleResult(
         value=value - k * entropy(inst.mu_star),
+        upper=_dual_bound(inst.vals.values, k, y, mu) - k * entropy(inst.mu_star),
         grid_value=grid_value,
         segmentation=seg,
         grid_step=h,
         resolution_bound=_resolution_bound(h, float(v[-1]), k),
         method="simplex_lp",
     )
+
+
+def _dual_bound(vals: tuple[float, ...], k: float, y: np.ndarray, mu: np.ndarray) -> float:
+    """y . mu plus the most any price piece rises above the plane y . p, if one does."""
+    rise = 0.0
+    for t, vt in enumerate(vals):
+        z = [(vt if i >= t else 0.0) - yi for i, yi in enumerate(y.tolist())]
+        top = max(z)
+        if k > 0.0:  # k log sum exp(z / k), summed from the top term
+            top += k * math.log(math.fsum(math.exp((zi - top) / k) for zi in z))
+        rise = max(rise, top)
+    return float(y @ mu) + rise
 
 
 def _refine_small(posts: np.ndarray, weights: np.ndarray, mu: np.ndarray, gval) -> tuple[float, list, list] | None:

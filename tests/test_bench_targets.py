@@ -2,16 +2,22 @@
 
 ``perfbench/tracing.py`` wraps each (module, attribute) in its ``TARGETS``
 list. A name that is gone breaks every traced run, and a layer that no call
-reaches leaves its p50 without a measurement, which stops the run too.
+reaches leaves its p50 without a measurement, which stops the run too. The
+``inverse`` workload's sandwich checks read ``value``, ``grid_value`` and
+``resolution_bound`` off oracle results, and ``cli-oneshot`` reads the
+``oracle`` subcommand's JSON.
 """
 
+import dataclasses
 import importlib
+import json
 import math
 import sys
 from pathlib import Path
 
 import segmentix.sweeps as sweeps
-from segmentix import KGridSpec, Market, Valuations
+from segmentix import KGridSpec, Market, MarketInstance, Valuations, brute_force, cli
+from segmentix.oracle import OracleResult
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
@@ -36,3 +42,17 @@ def test_a_traced_sweep_reaches_every_layer_it_reports():
         assert metrics[f"{layer}.calls"][0] >= 1, layer
         assert math.isfinite(metrics[f"{layer}.p50_s"][0]), layer
     assert metrics["sweeps.row_ok_frac"][0] == 1.0
+
+
+def test_oracle_results_carry_the_fields_the_sandwich_checks_read(tmp_path):
+    read = {"value", "grid_value", "resolution_bound"}
+    assert read <= {f.name for f in dataclasses.fields(OracleResult)}
+    for mu, k in (((0.4, 0.6), 0.8), ((0.3, 0.4, 0.3), 0.5)):
+        vals = (1.0, 2.0, 3.0)[: len(mu)]
+        res = brute_force(MarketInstance(Valuations(vals), Market(mu), k))
+        assert all(math.isfinite(getattr(res, name)) for name in read)
+        inp, out = tmp_path / "instance.json", tmp_path / "oracle.json"
+        inp.write_text(json.dumps({"valuations": vals, "mu": mu, "k": k}))
+        assert cli.main(["oracle", "--input", str(inp), "--output", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert {name: payload[name] for name in read} == {name: getattr(res, name) for name in read}

@@ -1,6 +1,9 @@
 """Exhaustive-search oracle tests (pair grid and simplex LP)."""
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,9 @@ from segmentix import (
     welfare,
 )
 from segmentix import oracle
+from segmentix.market import binary_entropy
 
+ROOT = Path(__file__).resolve().parents[1]
 V12 = Valuations((1.0, 2.0))
 V123 = Valuations((1.0, 2.0, 3.0))
 MU46 = Market((0.4, 0.6))
@@ -194,6 +199,168 @@ def test_oracle_values_keep_their_bits(inst, grid_n, segments, value, grid_value
     assert len(res.segmentation.segments) == segments
 
 
+# -------------------- certified bounds --------------------
+
+def _fingerprint_inputs():
+    """(K, grid_n, ratio, instance) for each input of scripts/oracle_fingerprint.py at its default seeds."""
+    spec = importlib.util.spec_from_file_location("oracle_fingerprint", ROOT / "scripts" / "oracle_fingerprint.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return [(K, grid_n, ratio, MarketInstance(Valuations(vals), Market(mu), k))
+            for K, grid_n, seed, ratio, vals, mu, k in script.inputs(3)]
+
+
+def _criterion_04_draws():
+    """The 50 two-type instances of acceptance criterion 4, drawn the same way."""
+    rng = np.random.default_rng(20260814)
+    for _ in range(50):
+        w1 = float(rng.uniform(0.5, 3.0))
+        w2 = w1 * float(rng.uniform(1.1, 8.0))
+        m2 = float(rng.uniform(0.05, 0.95))
+        k = float(rng.uniform(0.02, 5.0)) * w1
+        yield MarketInstance(Valuations((w1, w2)), Market((1.0 - m2, m2)), k)
+
+
+def _inverse_k2_inputs(seed):
+    """The benchmark's ``inverse`` K=2 sandwich instances for one seed."""
+    if str(ROOT / "perfbench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    return [MarketInstance(Valuations(vals), Market(mu), k)
+            for vals, mu, k, _ in workloads.Inverse(None).generate(seed)[1]]
+
+
+def _rounding_scale(res, inst):
+    # the stop tolerance is 32 ulp of max(w2, k, |V|, |s|), V the value
+    # before the prior's entropy credit and s the line's slope; on these
+    # inputs |s| is within a few times the rest
+    w2, k = inst.vals[-1], inst.k
+    return 128 * math.ulp(max(w2, k, abs(res.value + k * binary_entropy(inst.mu_star[1]))))
+
+
+@pytest.mark.parametrize("grid_n", [4, 100, 4000])
+def test_binary_oracle_is_certified_against_the_solver(grid_n):
+    cases = list(_criterion_04_draws()) + [inst for seed in (1, 2, 3) for inst in _inverse_k2_inputs(seed)]
+    assert len(cases) == 290
+    for inst in cases:
+        seg = solve_binary(inst)
+        value = net_objective(seg, inst.vals, inst.k)
+        res = brute_force_binary(inst, grid_n=grid_n)
+        assert res.value - 1e-9 <= value <= res.upper + 1e-9, inst
+        assert 0.0 <= res.upper - res.value <= _rounding_scale(res, inst), inst
+        assert len(res.segmentation.segments) == len(seg.segments), inst
+
+
+def test_binary_oracle_reports_one_segment_above_k_bar():
+    # the one-atom certificate: above k-bar no pair beats staying put, and the
+    # result says so even where a pair ties it to rounding
+    rng = np.random.default_rng(20261024)
+    cases = []
+    for _ in range(400):
+        w1 = float(rng.uniform(0.5, 3.0))
+        vals = Valuations((w1, w1 * float(rng.uniform(1.1, 8.0))))
+        m2 = float(rng.uniform(0.05, 0.95))
+        mu = Market((1.0 - m2, m2))
+        cases.append((4000, MarketInstance(vals, mu, (3.0 - float(rng.uniform(0.0, 2.0))) * segmentation_threshold(vals, mu))))
+    cases += [(grid_n, inst) for K, grid_n, ratio, inst in _fingerprint_inputs() if K == 2 and ratio > 1.0]
+    assert len(cases) == 424
+    for grid_n, inst in cases:
+        res = brute_force_binary(inst, grid_n=grid_n)
+        assert len(res.segmentation.segments) == 1, (grid_n, inst)
+        assert 0.0 <= res.upper - res.value <= _rounding_scale(res, inst), (grid_n, inst)
+
+
+def test_binary_oracle_bounds_at_the_edges():
+    # k = 0 prices the ends of [0, 1]; a prior on the kink w2 mu = w1 or at a
+    # degenerate share has no one-atom certificate to run
+    for inst, value in ((MarketInstance(V12, MU46, 0.0), 1.6), (MarketInstance(V12, Market((0.5, 0.5)), 0.0), 1.5),
+                        (MarketInstance(V12, Market((1.0, 0.0)), 0.5), 1.0),
+                        (MarketInstance(V12, Market((0.0, 1.0)), 0.5), 2.0)):
+        res = brute_force_binary(inst, grid_n=100)
+        assert res.value == pytest.approx(value, abs=1e-12)
+        assert res.upper == res.value
+    inst = MarketInstance(V12, Market((0.5, 0.5)), 0.3)
+    seg = solve_binary(inst)
+    res = brute_force_binary(inst, grid_n=100)
+    assert res.value - 1e-12 <= net_objective(seg, V12, 0.3) <= res.upper + 1e-12
+    assert len(res.segmentation.segments) == len(seg.segments) == 2
+    assert (oracle._logistic(-1000.0), oracle._logistic(0.0), oracle._logistic(1000.0)) == (1.0, 0.5, 0.0)
+
+
+def test_binary_oracle_needs_no_polish(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the two-type oracle ran Nelder-Mead")
+
+    monkeypatch.setattr(oracle, "_nelder_mead", refuse)
+    for inst in _criterion_04_draws():
+        brute_force_binary(inst, grid_n=400)
+
+
+def test_binary_oracle_bound_holds_when_rounds_run_out(monkeypatch):
+    # one round from a four-point grid leaves the value short of the optimum;
+    # upper still bounds it
+    monkeypatch.setattr(oracle, "_CG_ROUNDS", 1)
+    widths = []
+    for inst in _criterion_04_draws():
+        value = net_objective(solve_binary(inst), inst.vals, inst.k)
+        res = brute_force_binary(inst, grid_n=4)
+        assert res.value - 1e-9 <= value <= res.upper + 1e-9, inst
+        widths.append(res.upper - res.value)
+    assert max(widths) > 1e-6
+
+
+def test_binary_column_generation_takes_few_rounds(monkeypatch):
+    # two draws just below k-bar where the best pair ties a better one to
+    # rounding; a line through the best pair stays tilted there until the cap
+    priced = []
+    logistic = oracle._logistic
+    monkeypatch.setattr(oracle, "_logistic", lambda z: priced.append(z) or logistic(z))
+    cases = list(_criterion_04_draws()) + _inverse_k2_inputs(1) + [
+        MarketInstance(Valuations((2.336420917609065, 10.49734008487171)),
+                       Market((0.07662567420719002, 0.92337432579281)), 0.9083552405620476),
+        MarketInstance(Valuations((0.8048566092958069, 2.5593500919054195)),
+                       Market((0.6712883400510292, 0.3287116599489708)), 19.473754077543816),
+    ]
+    rounds = []
+    for inst in cases:
+        priced.clear()
+        brute_force_binary(inst, grid_n=4000)
+        rounds.append(len(priced) // 2)  # two tangent points a round, the certificate's included
+    assert max(rounds) <= 5, rounds
+
+
+def test_dual_bound_is_the_greatest_rise_of_a_price_piece():
+    # against the best of a fine simplex grid, for seeded planes y
+    m = 300
+    r = np.arange(m + 1)
+    i, j = np.nonzero(np.add.outer(r, r) <= m)
+    P = np.column_stack([i, j, m - i - j]) / m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        H = -np.where(P > 0.0, P * np.log(P), 0.0).sum(axis=1)
+    tails = np.cumsum(P[:, ::-1], axis=1)[:, ::-1]
+    rng = np.random.default_rng(20261025)
+    for n in range(30):
+        vals = np.sort(rng.uniform(0.5, 5.0, size=3))
+        k = 0.0 if n % 5 == 0 else float(rng.uniform(0.05, 3.0))
+        y = rng.uniform(0.0, 5.0, size=3)
+        mu = rng.dirichlet((2.0, 2.0, 2.0))
+        grid_best = max(0.0, float(np.max((tails * vals).max(axis=1) + k * H - P @ y)))
+        bound = oracle._dual_bound(tuple(vals), k, y, mu) - float(y @ mu)
+        assert grid_best - 1e-12 <= bound <= grid_best + 2e-3 * max(1.0, k), (n, k)
+
+
+def test_simplex_oracle_upper_bounds_its_value():
+    # the grid LP's dual bound, with no column generated; the solver's value
+    # lies under it too
+    cases = [(grid_n, inst) for K, grid_n, ratio, inst in _fingerprint_inputs() if K == 3]
+    assert len(cases) == 60
+    for grid_n, inst in cases:
+        res = brute_force_small(inst, grid_n=grid_n)
+        assert res.value <= res.upper, (grid_n, inst)
+        assert net_objective(solve_ri(inst), inst.vals, inst.k) <= res.upper + 1e-9, (grid_n, inst)
+
+
 # -------------------- the oracle's own numerical methods --------------------
 
 def test_simplex_grid_lists_points_row_major():
@@ -288,12 +455,15 @@ def test_grid_lp_matches_highs():
     for grid_n, vals, k, mu in _lp_cases() + _degenerate_lp_cases():
         P, tails, H = oracle._simplex_grid(grid_n)
         g = oracle._net_value_points(vals, k, tails, H)
-        lam = oracle._grid_lp(P, g, mu, oracle._prior_cell(grid_n, mu))
+        lam, y = oracle._grid_lp(P, g, mu, oracle._prior_cell(grid_n, mu))
         ref = linprog(-g, A_eq=P.T, b_eq=mu, bounds=(0.0, None), method="highs-ds")
         assert ref.success
         assert abs(g @ lam + ref.fun) <= 1e-12 * abs(ref.fun), (grid_n, k, mu)
         assert lam.min() >= 0.0
         assert np.max(np.abs(P.T @ lam - mu)) <= 1e-12
+        # the dual: a plane on or above every grid point, worth the LP's value at mu
+        assert np.max(g - P @ y) <= 1e-12 * max(1.0, np.max(np.abs(g))), (grid_n, k, mu)
+        assert abs(y @ mu + ref.fun) <= 1e-12 * abs(ref.fun), (grid_n, k, mu)
 
 
 def test_prior_cell_holds_the_prior():
@@ -342,8 +512,8 @@ def test_grid_lp_result_does_not_depend_on_its_start():
     for grid_n, vals, k, mu in _lp_cases() + _degenerate_lp_cases():
         P, tails, H = oracle._simplex_grid(grid_n)
         g = oracle._net_value_points(vals, k, tails, H)
-        from_corners = oracle._grid_lp(P, g, mu, _corner_rows(P))
-        from_cell = oracle._grid_lp(P, g, mu, oracle._prior_cell(grid_n, mu))
+        from_corners = oracle._grid_lp(P, g, mu, _corner_rows(P))[0]
+        from_cell = oracle._grid_lp(P, g, mu, oracle._prior_cell(grid_n, mu))[0]
         assert from_corners.tobytes() == from_cell.tobytes(), (grid_n, k, mu)
 
 
