@@ -1,8 +1,8 @@
 """Brute-force oracles for validating the solvers.
 
 Deliberately independent implementations: plain grid search (two types) and
-a linear program over a simplex grid (three types), each followed by a
-refinement off the grid and reported with an upper bound (``upper``).
+a linear program over a simplex grid (three types), each followed by
+column generation off the grid and reported with an upper bound (``upper``).
 Nothing here shares likelihood-ratio machinery with the solvers; tests
 sandwich solver values between oracle values to catch agreement-by-shared-
 bug.
@@ -19,26 +19,23 @@ keep their bytes. ``pair_scan`` is also the rationalization check's best
 chord search; it is the only one in the package.
 
 A line (or plane) raised by the most any price piece rises above it, a
-closed form, bounds the value from above. The two-type oracle generates
-columns at those maximizers until the bound meets its value to rounding;
-the three-type oracle takes its line from the grid LP's dual.
+closed form, bounds the value from above, and where each piece rises most
+is the next column to try. Both oracles first price the tangent at the
+prior, which certifies no segmentation above k-bar, and otherwise generate
+columns from the grid's best until the bound meets the value: the
+two-type oracle to rounding, the three-type one to 1e-11 relative, its
+master re-solved each round by the grid LP from its last basis.
 
-The two numerical methods are textbook ones written out here: Nelder-Mead
-(1965) for the three-type polish and Dantzig's primal simplex for the
-three-row grid LP. Neither needs scipy, so an oracle run loads nothing
-beyond numpy. The LP starts from the grid cell that holds the prior, a
-feasible basis that above k-bar is already optimal (Dantzig 1963, ch. 7),
-and solves its weights on the optimal basis alone, so they do not depend
-on the start.
+The LP is Dantzig's primal simplex on three rows, written out here, so an
+oracle run loads nothing beyond numpy. On the grid it starts from the cell
+that holds the prior, a feasible basis that above k-bar is already optimal
+(Dantzig 1963, ch. 7), and solves its weights on the optimal basis alone,
+so they do not depend on the start.
 
 A grid's posteriors, their upper tails and their entropies depend only on
 its size; they are built once, read-only, and the last size of each kind is
-kept, so a call on it pays only for ``_net_value_points``. The polish keeps
-its simplex as Python floats, and the three-type point value ``gval`` runs
-on floats, with the same operations in the same order as the numpy code
-they replaced: numpy's argsort orders the vertices (its tie order is part
-of the result) and numpy's log, not ``math.log``, takes the entropy's logs,
-so the results keep their bytes.
+kept, so a call on it pays only for ``_net_value_points``, which also
+values the three-type master's points.
 """
 
 from __future__ import annotations
@@ -55,6 +52,7 @@ from .market import (
     Segment,
     Segmentation,
     ValidationError,
+    Valuations,
     binary_entropy,
     entropy,
     no_segmentation,
@@ -63,72 +61,9 @@ from .market import (
 
 _LP_MAX_PIVOTS = 1000  # 1,600 seeded K=3 grid LPs took at most 18 from the prior's cell (22 from the corners)
 _CG_ROUNDS = 32  # two-type column-generation rounds: 5,550 seeded calls on grids 4 to 4000 took at most 9
+_LP_ROUNDS = 64  # three-type column-generation rounds: 1,600 seeded calls at k/k-bar 0.03 to 2 on grids 20 to 100 took at most 23
+_LP_GAP = 1e-11  # three-type stop: U - L <= _LP_GAP * max(1, |L|); see brute_force_small
 _PAIR_CELLS = 1 << 15  # pair cells scored at once: 256 KB temporaries that stay in cache
-
-
-def _nelder_mead(f, x0, xatol: float, fatol: float, maxiter: int) -> tuple[np.ndarray, float]:
-    """Minimise ``f`` from ``x0``; returns the best vertex and its value.
-
-    The three-type polish (``_refine_small``) is its only caller. Step for
-    step the unbounded, non-adaptive Nelder-Mead of scipy 1.17's
-    ``minimize``: the same coefficients, start simplex, vertex ordering and
-    stop test, so oracle results keep the bytes scipy gave them. Vertices
-    are lists of Python floats, and ``f`` gets the vertex itself, which it
-    must not modify. The arithmetic is scipy's element by element; the
-    centroid sums the vertices in order from 0.0, as numpy's axis-0 reduce
-    does, and numpy's argsort orders the vertices, since its tie order (two
-    vertices on a 1e9 wall) is part of the result.
-    """
-    x0 = [float(c) for c in x0]
-    N = len(x0)
-    sim = [x0]
-    for k in range(N):
-        y = list(x0)
-        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
-        sim.append(y)
-    fsim = [f(x) for x in sim]
-    # scipy sorts twice before the first pass; argsort is not stable, so do too
-    for _ in range(2):
-        ind = np.array(fsim).argsort().tolist()
-        sim, fsim = [sim[i] for i in ind], [fsim[i] for i in ind]
-    iterations = 1
-    while iterations < maxiter:
-        best, f0 = sim[0], fsim[0]
-        if (all(abs(a - b) <= xatol for y in sim[1:] for a, b in zip(y, best))
-                and all(abs(f0 - fy) <= fatol for fy in fsim[1:])):
-            break
-        xbar = [0.0] * N
-        for y in sim[:-1]:
-            xbar = [s + a for s, a in zip(xbar, y)]
-        xbar = [s / N for s in xbar]
-        worst = sim[-1]
-        xr = [2 * b - w for b, w in zip(xbar, worst)]  # reflect the worst vertex through the centroid
-        fxr = f(xr)
-        if fxr < f0:
-            xe = [3 * b - 2 * w for b, w in zip(xbar, worst)]  # expand
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:  # contract outside
-                xc = [1.5 * b - 0.5 * w for b, w in zip(xbar, worst)]
-                fxc = f(xc)
-                shrink = not fxc <= fxr
-            else:  # contract inside
-                xc = [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)]
-                fxc = f(xc)
-                shrink = not fxc < fsim[-1]
-            if not shrink:
-                sim[-1], fsim[-1] = xc, fxc
-            else:  # halve every vertex's distance to the best
-                for j in range(1, N + 1):
-                    sim[j] = [b + 0.5 * (a - b) for a, b in zip(sim[j], best)]
-                    fsim[j] = f(sim[j])
-        iterations += 1
-        ind = np.array(fsim).argsort().tolist()
-        sim, fsim = [sim[i] for i in ind], [fsim[i] for i in ind]
-    return np.array(sim[0]), np.min(fsim)
 
 
 def _prior_cell(m: int, mu: np.ndarray) -> list[int]:
@@ -149,8 +84,8 @@ def _prior_cell(m: int, mu: np.ndarray) -> list[int]:
     return sorted(i * (m + 1) - i * (i - 1) // 2 + j for i, j in cell)
 
 
-def _grid_lp(P: np.ndarray, g: np.ndarray, mu: np.ndarray, start: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Maximise ``g @ lam`` subject to ``P.T @ lam = mu``, ``lam >= 0``; returns lam and the dual y.
+def _grid_lp(P: np.ndarray, g: np.ndarray, mu: np.ndarray, start: list[int]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Maximise ``g @ lam`` subject to ``P.T @ lam = mu``, ``lam >= 0``; returns lam, the dual y and the basis.
 
     Primal simplex on the three rows, from the feasible basis ``start``:
     three rows of P whose hull holds ``mu``, such as ``_prior_cell``'s.
@@ -164,7 +99,9 @@ def _grid_lp(P: np.ndarray, g: np.ndarray, mu: np.ndarray, start: list[int]) -> 
     depend on the optimal vertex, not on the start or the pivots' path.
     The dual y solves B y = g on the optimal basis, as the last pass left
     it: the plane y . p passes through the basic points and lies above g at
-    every grid point, to the pricing tolerance, and y . mu = g @ lam.
+    every grid point, to the pricing tolerance, and y . mu = g @ lam. The
+    optimal basis, in ascending row order, is a feasible start for the same
+    LP with more points appended to P.
     """
     basis = list(start)
     tol = 1e-12 * max(1.0, float(np.max(np.abs(g))))
@@ -182,7 +119,7 @@ def _grid_lp(P: np.ndarray, g: np.ndarray, mu: np.ndarray, start: list[int]) -> 
                 x = x / x.sum()
             lam = np.zeros(len(P))
             lam[support] = x
-            return lam, y
+            return lam, y, basis
         if pivots == _LP_MAX_PIVOTS:
             break
         x, w = np.linalg.solve(B.T, np.column_stack([mu, P[j]])).T
@@ -195,16 +132,18 @@ def _grid_lp(P: np.ndarray, g: np.ndarray, mu: np.ndarray, start: list[int]) -> 
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Best value found by exhaustive search plus refinement, and a bound on it.
+    """Best value found by grid search plus column generation, and a bound on it.
 
     ``value``, ``upper`` and ``grid_value`` are net objectives (revenue
     minus information cost). ``value`` is the oracle's valuation of
     ``segmentation``, and the optimum lies in [``value``, ``upper``] up to
-    rounding. ``grid_value`` is the grid's best, before column generation
-    (two types) or the polish (three types). Two-type ``upper`` is within
-    rounding of ``value`` once column generation meets its tolerance;
-    three-type ``upper`` is the grid LP's dual bound. ``resolution_bound``
-    is a crude overestimate of how much value the grid alone can miss.
+    rounding. ``grid_value`` is the grid's best, before column generation,
+    for both type counts. Once column generation meets its tolerance,
+    ``upper`` is within rounding of ``value`` (two types) or within 1e-11
+    of it relative to the value before the prior's entropy credit (three
+    types); it is wider only where the rounds run out.
+    ``resolution_bound`` is a crude overestimate of how much value the grid
+    alone can miss.
     """
 
     value: float
@@ -219,14 +158,14 @@ class OracleResult:
 def _grid_terms(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Upper tails and entropies of the row-posteriors of P, for ``_net_value_points``."""
     tails = np.ascontiguousarray(np.cumsum(P[:, ::-1], axis=1)[:, ::-1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(P > 0.0, np.log(np.where(P > 0.0, P, 1.0)), 0.0)
-    return tails, -(P * logs).sum(axis=-1)
+    return tails, -(P * np.log(np.where(P > 0.0, P, 1.0))).sum(axis=-1)  # log 1 = 0 where P = 0
 
 
 def _net_value_points(vals: np.ndarray, k: float, tails: np.ndarray, H: np.ndarray) -> np.ndarray:
     """Best revenue plus entropy credit at each grid point, from its tails and entropy."""
-    return (tails * vals).max(axis=1) + k * H
+    # the best price column by column: numpy's max along a row of two or
+    # three entries takes five times as long on a grid
+    return functools.reduce(np.maximum, (tails * vals).T) + k * H
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -477,170 +416,133 @@ def brute_force_binary(inst: MarketInstance, grid_n: int = 4000) -> OracleResult
     )
 
 
+def _gibbs_rise(vals: tuple[float, ...], k: float, y: list[float], mu: np.ndarray) -> tuple[float, list[np.ndarray]]:
+    """The most any price piece rises above the plane y . p on the face that
+    holds ``mu``, and the point where each piece that rises above it peaks.
+
+    Piece t is S_t . p + k H(p), S_it being what a type-i buyer pays at
+    price t. By Gibbs' variational principle it rises at most
+    k log sum_i exp((S_it - y_i) / k) above the plane, at p proportional to
+    exp((S_t - y) / k); at k = 0, max_i S_it - y_i, at that type's vertex.
+    The sums run over the types ``mu`` holds: a Bayes-plausible posterior
+    of ``mu`` holds no other type.
+    """
+    face = [i for i, m in enumerate(mu.tolist()) if m > 0.0]
+    rise, peaks = -math.inf, []
+    for t, vt in enumerate(vals):
+        z = [(vt if i >= t else 0.0) - y[i] for i in face]
+        top = max(z)
+        if k > 0.0:  # k log sum exp(z / k), summed from the top term
+            e = [math.exp((zi - top) / k) for zi in z]
+            total = math.fsum(e)
+            top += k * math.log(total)
+            x = [ei / total for ei in e]
+        else:
+            x = [0.0] * len(z)
+            x[z.index(top)] = 1.0
+        rise = max(rise, top)
+        if top > 0.0:
+            peak = np.zeros(len(mu))
+            peak[face] = x
+            peaks.append(peak)
+    return rise, peaks
+
+
+def _merge_atoms(points: np.ndarray, lam: np.ndarray, vals: Valuations) -> tuple[list, np.ndarray]:
+    """The atoms of ``lam`` merged by optimal price, in price order: their
+    weights and posteriors. Entropy is concave, so merging never lowers the
+    value."""
+    groups: dict[int, tuple[float, np.ndarray]] = {}
+    for a in np.nonzero(lam > 1e-12)[0]:
+        pi = optimal_price(Market(points[a]), vals)
+        w_old, p_old = groups.get(pi, (0.0, np.zeros(len(vals))))
+        groups[pi] = (w_old + lam[a], p_old + lam[a] * points[a])
+    return [groups[pi][0] for pi in sorted(groups)], np.array([groups[pi][1] / groups[pi][0] for pi in sorted(groups)])
+
+
 def brute_force_small(inst: MarketInstance, grid_n: int = 100) -> OracleResult:
-    """LP-over-grid oracle for three-type markets.
+    """LP over a simplex grid for three-type markets, then certified column
+    generation.
 
     Candidate posteriors are every point of a resolution-``grid_n`` simplex
     grid; the best Bayes-plausible mixture over them is a linear program
-    whose basic optimum uses at most three atoms. Atoms sharing an optimal
-    price are merged (entropy is concave, so merging never hurts) and the
-    result is polished with Nelder-Mead in a parameterization that keeps
-    Bayes plausibility exact.
+    whose basic optimum uses at most three atoms, solved by ``_grid_lp``
+    from the grid cell that holds the prior. Atoms sharing an optimal price
+    are merged; that mixture's value is ``grid_value``.
 
-    ``upper`` is the grid LP's dual bound: with y its dual, price t's piece
-    S_t . p + k H(p) rises above the plane y . p by at most
-    k log sum_i exp((S_it - y_i) / k) (Gibbs' variational principle; at
-    k = 0, max_i S_it - y_i), S_it being what a type-i buyer pays at
-    price t. So y . mu plus the largest of these rises, or plus 0, bounds
-    the value at mu from above. No column is generated at K = 3.
+    The value at mu is the concave envelope of g(p) = max_t S_t . p + k H(p)
+    (concavification). For any plane y . p, y . mu plus the most a price
+    piece rises above the plane (``_gibbs_rise``), or plus 0, bounds it from
+    above. The one-atom certificate comes first: the tangent plane at mu on
+    mu's best price piece t*, y_i = S_it* - k log mu_i, passes through
+    g(mu), and the pieces rise at most
+    gap = max_t k log sum_i mu_i exp((S_it - S_it*) / k) above it. If gap
+    is within the tolerance, the result is no segmentation, and ``upper``
+    = g(mu) + gap. There is no such plane at k = 0, nor where some
+    mu_i = 0.
+
+    Otherwise a restricted master starts from the grid LP's optimal basis
+    plus mu. Each round ``_grid_lp`` solves the master from its last basis,
+    giving the lower bound L = g @ lam and the dual y; U, the least of the
+    rounds' bounds y . mu + max(0, rise), is ``upper``; and every piece's
+    peak above y joins the master (Dantzig-Wolfe column generation; Gilmore
+    & Gomory 1961). The rounds stop once U - L <= 1e-11 max(1, |L|), or
+    after ``_LP_ROUNDS``. That tolerance sits ten times above the master
+    LP's own pricing tolerance, 1e-12 max(1, |g|_inf), below which its dual
+    plane is not exact; from a stop at 1e-12 the rounds tail off. The
+    master's atoms are merged as the grid's are; a single group is no
+    segmentation, valued g(mu).
     """
     if len(inst.vals) != 3:
         raise ValidationError("oracle_size", "simplex oracle needs exactly 3 types")
     if grid_n < 4:
         raise ValidationError("grid_size", f"grid_n must be >= 4, got {grid_n}")
-    v = inst.vals.as_array()
-    k = inst.k
-    mu = inst.mu_star.as_array()
+    vals, k = inst.vals, inst.k
+    v, mu = vals.as_array(), inst.mu_star.as_array()
 
     P, tails, H = _simplex_grid(grid_n)
-    g = _net_value_points(v, k, tails, H)
-    lam, y = _grid_lp(P, g, mu, _prior_cell(grid_n, mu))
-    atoms = np.nonzero(lam > 1e-12)[0]
+    lam, _, basis = _grid_lp(P, _net_value_points(v, k, tails, H), mu, _prior_cell(grid_n, mu))
+    prior_ent = entropy(inst.mu_star)
+    grid_weights, grid_posts = _merge_atoms(P, lam, vals)
+    g = _net_value_points(v, k, *_grid_terms(np.vstack([grid_posts, mu]))).tolist()  # the merged atoms, then mu
+    grid_value = math.fsum(w * gp for w, gp in zip(grid_weights, g)) - k * prior_ent
+    base = g[-1]
 
-    v1, v2, v3 = v.tolist()
-
-    def gval(p) -> float:
-        # one grid point's value on floats: the tails summed from the top
-        # down, numpy's log (not math.log, which differs in the last bit) and
-        # the entropy terms summed from 0.0 left to right, as numpy sums three
-        p1, p2, p3 = p
-        t2 = p3 + p2
-        l1, l2, l3 = np.log([p1 if p1 > 0.0 else 1.0, p2 if p2 > 0.0 else 1.0, p3 if p3 > 0.0 else 1.0]).tolist()
-        return float(max((t2 + p1) * v1, t2 * v2, p3 * v3) + k * -(0.0 + p1 * l1 + p2 * l2 + p3 * l3))
-
-    # merge atoms that share an optimal price
-    groups: dict[int, tuple[float, np.ndarray]] = {}
-    for a in atoms:
-        m = Market(P[a])
-        pi = optimal_price(m, inst.vals)
-        w_old, p_old = groups.get(pi, (0.0, np.zeros(3)))
-        groups[pi] = (w_old + lam[a], p_old + lam[a] * P[a])
-    posts = []
-    weights = []
-    for pi in sorted(groups):
-        w, acc = groups[pi]
-        posts.append(acc / w)
-        weights.append(w)
-    value = math.fsum(w * gval(p) for w, p in zip(weights, posts))
-    grid_value = value - k * entropy(inst.mu_star)
-
-    refined = _refine_small(np.array(posts), np.array(weights), mu, gval)
-    if refined is not None and refined[0] > value:
-        value, posts, weights = refined
-
-    base = gval(mu)
-    if base >= value:
-        seg = no_segmentation(inst.mu_star, inst.vals)
-        value = base
+    weights, gap = [1.0], math.inf  # one segment unless column generation finds more
+    if k > 0.0 and mu.min() > 0.0:
+        t = optimal_price(inst.mu_star, vals)
+        y = [(v[t] if i >= t else 0.0) - k * math.log(m) for i, m in enumerate(mu.tolist())]
+        gap = _gibbs_rise(vals.values, k, y, mu)[0]
+        upper = base + max(0.0, gap)
+    if not gap <= _LP_GAP * max(1.0, abs(base)):
+        X, start, upper = np.vstack([P[basis], mu]), [0, 1, 2], math.inf
+        for _ in range(_LP_ROUNDS):
+            gX = _net_value_points(v, k, *_grid_terms(X))
+            lam, y, start = _grid_lp(X, gX, mu, start)
+            low = float(gX @ lam)
+            rise, peaks = _gibbs_rise(vals.values, k, y.tolist(), mu)
+            upper = min(upper, float(y @ mu) + max(0.0, rise))
+            if upper - low <= _LP_GAP * max(1.0, abs(low)):
+                break
+            X = np.vstack([X, *peaks])
+        weights, posts = _merge_atoms(X, lam, vals)
+        value = math.fsum(w * gp for w, gp in zip(weights, _net_value_points(v, k, *_grid_terms(posts)).tolist()))
+    if len(weights) == 1:
+        seg, value = no_segmentation(inst.mu_star, vals), base
     else:
-        segments = []
-        for w, p in zip(weights, posts):
-            if w <= 1e-12:
-                continue
-            p = np.clip(np.asarray(p, dtype=float), 0.0, None)
-            m = Market(p / p.sum())
-            segments.append(Segment(m, float(w), optimal_price(m, inst.vals)))
-        if len(segments) == 1:
-            seg = no_segmentation(inst.mu_star, inst.vals)
-        else:
-            total = math.fsum(s.weight for s in segments)
-            segments = [Segment(s.market, s.weight / total, s.price_index) for s in segments]
-            seg = Segmentation(inst.mu_star, segments)
+        total = math.fsum(weights)
+        markets = [Market(p) for p in posts]
+        seg = Segmentation(inst.mu_star, [Segment(m, w / total, optimal_price(m, vals)) for w, m in zip(weights, markets)])
     h = 1.0 / grid_n
     return OracleResult(
-        value=value - k * entropy(inst.mu_star),
-        upper=_dual_bound(inst.vals.values, k, y, mu) - k * entropy(inst.mu_star),
+        value=value - k * prior_ent,
+        upper=max(upper, value) - k * prior_ent,  # both bound the optimum; rounding can put U an ulp under
         grid_value=grid_value,
         segmentation=seg,
         grid_step=h,
         resolution_bound=_resolution_bound(h, float(v[-1]), k),
         method="simplex_lp",
     )
-
-
-def _dual_bound(vals: tuple[float, ...], k: float, y: np.ndarray, mu: np.ndarray) -> float:
-    """y . mu plus the most any price piece rises above the plane y . p, if one does."""
-    rise = 0.0
-    for t, vt in enumerate(vals):
-        z = [(vt if i >= t else 0.0) - yi for i, yi in enumerate(y.tolist())]
-        top = max(z)
-        if k > 0.0:  # k log sum exp(z / k), summed from the top term
-            top += k * math.log(math.fsum(math.exp((zi - top) / k) for zi in z))
-        rise = max(rise, top)
-    return float(y @ mu) + rise
-
-
-def _refine_small(posts: np.ndarray, weights: np.ndarray, mu: np.ndarray, gval) -> tuple[float, list, list] | None:
-    """Polish an LP solution; parameterizations keep Bayes exact by design."""
-    s = len(weights)
-    if s == 1:
-        return None
-    # below a few ulps of the objective the vertex values of a flat optimum
-    # agree only by chance, and the polish would run to its iteration cap
-    fatol = max(1e-13, 4 * math.ulp(max(abs(gval(p)) for p in posts)))
-    if s == 2:
-        def neg(p: np.ndarray) -> float:
-            a, b, tau = p
-            x1 = np.array([a, b, 1.0 - a - b])
-            if x1.min() < 0.0 or not (1e-12 < tau < 1.0 - 1e-12):
-                return 1e9
-            x2 = (mu - tau * x1) / (1.0 - tau)
-            if x2.min() < -1e-12:
-                return 1e9
-            x2 = np.clip(x2, 0.0, None)
-            return -(tau * gval(x1) + (1.0 - tau) * gval(x2 / x2.sum()))
-
-        p0 = np.array([posts[0][0], posts[0][1], weights[0]])
-        px, fun = _nelder_mead(neg, p0, 1e-12, fatol, 6000)
-        if fun >= 1e9:
-            return None
-        a, b, tau = px
-        x1 = np.array([a, b, 1.0 - a - b])
-        x2 = np.clip((mu - tau * x1) / (1.0 - tau), 0.0, None)
-        x2 = x2 / x2.sum()
-        return (-float(fun), [x1, x2], [float(tau), 1.0 - float(tau)])
-    if s == 3:
-        def unpack(p: np.ndarray) -> np.ndarray | None:
-            X = np.empty((3, 3))
-            for i in range(3):
-                a, b = p[2 * i], p[2 * i + 1]
-                if a < 0.0 or b < 0.0 or a + b > 1.0:
-                    return None
-                X[i] = (a, b, 1.0 - a - b)
-            return X
-
-        def neg(p: np.ndarray) -> float:
-            X = unpack(p)
-            if X is None:
-                return 1e9
-            try:
-                lam = np.linalg.solve(X.T, mu)
-            except np.linalg.LinAlgError:
-                return 1e9
-            if lam.min() < -1e-10 or lam.max() > 1.0 + 1e-10:
-                return 1e9
-            lam = np.clip(lam, 0.0, None)
-            return -math.fsum(l * gval(x) for l, x in zip(lam, X))
-
-        p0 = np.array([c for x in posts for c in x[:2]])
-        px, fun = _nelder_mead(neg, p0, 1e-12, fatol, 12000)
-        if fun >= 1e9:
-            return None
-        X = unpack(px)
-        lam = np.clip(np.linalg.solve(X.T, mu), 0.0, None)
-        lam = lam / lam.sum()
-        return (-float(fun), list(X), list(map(float, lam)))
-    return None
 
 
 def brute_force(inst: MarketInstance, grid_n: int | None = None) -> OracleResult:

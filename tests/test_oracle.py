@@ -24,7 +24,7 @@ from segmentix import (
     welfare,
 )
 from segmentix import oracle
-from segmentix.market import binary_entropy
+from segmentix.market import binary_entropy, entropy
 
 ROOT = Path(__file__).resolve().parents[1]
 V12 = Valuations((1.0, 2.0))
@@ -185,12 +185,12 @@ def test_oracle_results_do_not_depend_on_the_grid_cache():
 # otherwise they can move with correct code. scripts/oracle_fingerprint.py,
 # run on two source trees on one host, is the comparison that holds anywhere.
 @pytest.mark.parametrize("inst,grid_n,segments,value,grid_value", [
-    # the polish moves the grid pair
+    # column generation moves the grid pair
     (MarketInstance(V12, MU46, 0.8), 4000, 2, "0x1.435cbece20760p+0", "0x1.435cbeb5744eep+0"),
-    # a two-atom and a three-atom polish
-    (MarketInstance(V123, Market((0.2, 0.3, 0.5)), 1.0), 100, 2, "0x1.bd7df745f6f92p+0", "0x1.bd7c7db2751f8p+0"),
-    (MarketInstance(V123, Market((0.3, 0.4, 0.3)), 0.5), 100, 3, "0x1.8cccdbaadc270p+0", "0x1.8cc23efdb2900p+0"),
-    # above k-bar (1.4427): one atom, no polish
+    # column generation from a two-atom and a three-atom grid optimum
+    (MarketInstance(V123, Market((0.2, 0.3, 0.5)), 1.0), 100, 2, "0x1.bd7df745e9bd4p+0", "0x1.bd7c7db2751f8p+0"),
+    (MarketInstance(V123, Market((0.3, 0.4, 0.3)), 0.5), 100, 3, "0x1.8cccdbaadc272p+0", "0x1.8cc23efdb2900p+0"),
+    # above k-bar (1.4427): the one-atom certificate holds
     (MarketInstance(V123, Market((0.3, 0.4, 0.3)), 3.0), 100, 1, "0x1.6666666666664p+0", "0x1.6666666666664p+0"),
 ])
 def test_oracle_values_keep_their_bits(inst, grid_n, segments, value, grid_value):
@@ -201,13 +201,13 @@ def test_oracle_values_keep_their_bits(inst, grid_n, segments, value, grid_value
 
 # -------------------- certified bounds --------------------
 
-def _fingerprint_inputs():
-    """(K, grid_n, ratio, instance) for each input of scripts/oracle_fingerprint.py at its default seeds."""
+def _fingerprint_inputs(seeds=3):
+    """(K, grid_n, ratio, instance) for each input of scripts/oracle_fingerprint.py at ``seeds`` seeds (its default 3)."""
     spec = importlib.util.spec_from_file_location("oracle_fingerprint", ROOT / "scripts" / "oracle_fingerprint.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return [(K, grid_n, ratio, MarketInstance(Valuations(vals), Market(mu), k))
-            for K, grid_n, seed, ratio, vals, mu, k in script.inputs(3)]
+            for K, grid_n, seed, ratio, vals, mu, k in script.inputs(seeds)]
 
 
 def _criterion_04_draws():
@@ -221,14 +221,14 @@ def _criterion_04_draws():
         yield MarketInstance(Valuations((w1, w2)), Market((1.0 - m2, m2)), k)
 
 
-def _inverse_k2_inputs(seed):
-    """The benchmark's ``inverse`` K=2 sandwich instances for one seed."""
+def _inverse_inputs(seed, K):
+    """The benchmark's ``inverse`` sandwich instances with K = 2 or 3 types for one seed."""
     if str(ROOT / "perfbench") not in sys.path:
         sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
     return [MarketInstance(Valuations(vals), Market(mu), k)
-            for vals, mu, k, _ in workloads.Inverse(None).generate(seed)[1]]
+            for vals, mu, k, _ in workloads.Inverse(None).generate(seed)[K - 1]]
 
 
 def _rounding_scale(res, inst):
@@ -241,7 +241,7 @@ def _rounding_scale(res, inst):
 
 @pytest.mark.parametrize("grid_n", [4, 100, 4000])
 def test_binary_oracle_is_certified_against_the_solver(grid_n):
-    cases = list(_criterion_04_draws()) + [inst for seed in (1, 2, 3) for inst in _inverse_k2_inputs(seed)]
+    cases = list(_criterion_04_draws()) + [inst for seed in (1, 2, 3) for inst in _inverse_inputs(seed, 2)]
     assert len(cases) == 290
     for inst in cases:
         seg = solve_binary(inst)
@@ -288,15 +288,6 @@ def test_binary_oracle_bounds_at_the_edges():
     assert (oracle._logistic(-1000.0), oracle._logistic(0.0), oracle._logistic(1000.0)) == (1.0, 0.5, 0.0)
 
 
-def test_binary_oracle_needs_no_polish(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the two-type oracle ran Nelder-Mead")
-
-    monkeypatch.setattr(oracle, "_nelder_mead", refuse)
-    for inst in _criterion_04_draws():
-        brute_force_binary(inst, grid_n=400)
-
-
 def test_binary_oracle_bound_holds_when_rounds_run_out(monkeypatch):
     # one round from a four-point grid leaves the value short of the optimum;
     # upper still bounds it
@@ -316,7 +307,7 @@ def test_binary_column_generation_takes_few_rounds(monkeypatch):
     priced = []
     logistic = oracle._logistic
     monkeypatch.setattr(oracle, "_logistic", lambda z: priced.append(z) or logistic(z))
-    cases = list(_criterion_04_draws()) + _inverse_k2_inputs(1) + [
+    cases = list(_criterion_04_draws()) + _inverse_inputs(1, 2) + [
         MarketInstance(Valuations((2.336420917609065, 10.49734008487171)),
                        Market((0.07662567420719002, 0.92337432579281)), 0.9083552405620476),
         MarketInstance(Valuations((0.8048566092958069, 2.5593500919054195)),
@@ -331,7 +322,8 @@ def test_binary_column_generation_takes_few_rounds(monkeypatch):
 
 
 def test_dual_bound_is_the_greatest_rise_of_a_price_piece():
-    # against the best of a fine simplex grid, for seeded planes y
+    # against the best of a fine simplex grid, for seeded planes y, on the
+    # face of mu's support; each rising piece peaks where it rises most
     m = 300
     r = np.arange(m + 1)
     i, j = np.nonzero(np.add.outer(r, r) <= m)
@@ -345,20 +337,117 @@ def test_dual_bound_is_the_greatest_rise_of_a_price_piece():
         k = 0.0 if n % 5 == 0 else float(rng.uniform(0.05, 3.0))
         y = rng.uniform(0.0, 5.0, size=3)
         mu = rng.dirichlet((2.0, 2.0, 2.0))
-        grid_best = max(0.0, float(np.max((tails * vals).max(axis=1) + k * H - P @ y)))
-        bound = oracle._dual_bound(tuple(vals), k, y, mu) - float(y @ mu)
-        assert grid_best - 1e-12 <= bound <= grid_best + 2e-3 * max(1.0, k), (n, k)
+        if n % 3 == 2:
+            mu[0] = 0.0  # on the face p_0 = 0
+            mu /= mu.sum()
+        on_face = P[:, 0] == 0.0 if n % 3 == 2 else np.ones(len(P), dtype=bool)
+        rises = ((tails * vals).max(axis=1) + k * H - P @ y)[on_face]
+        rise, peaks = oracle._gibbs_rise(tuple(vals), k, y.tolist(), mu)
+        assert float(np.max(rises)) - 1e-12 <= rise <= float(np.max(rises)) + 2e-3 * max(1.0, k), (n, k)
+        assert bool(peaks) == (rise > 0.0), (n, k)
+        if peaks:
+            X = np.array(peaks)
+            assert np.all(np.abs(X.sum(axis=1) - 1.0) <= 1e-15) and np.all(X[:, mu == 0.0] == 0.0), (n, k)
+            peak_rises = oracle._net_value_points(vals, k, *oracle._grid_terms(X)) - X @ y
+            assert abs(float(np.max(peak_rises)) - rise) <= 1e-12, (n, k)
+
+
+def _certified_width(res, inst):
+    # column generation stops once U - L <= 1e-11 max(1, |L|), L the value
+    # before the prior's entropy credit; the credit's subtraction adds rounding
+    gross = abs(res.value) + inst.k * entropy(inst.mu_star)
+    return 1e-11 * max(1.0, gross) + 8 * math.ulp(gross)
 
 
 def test_simplex_oracle_upper_bounds_its_value():
-    # the grid LP's dual bound, with no column generated; the solver's value
-    # lies under it too
+    # the certified width: the solver's value lies between value and upper,
+    # and the segment counts agree
     cases = [(grid_n, inst) for K, grid_n, ratio, inst in _fingerprint_inputs() if K == 3]
     assert len(cases) == 60
     for grid_n, inst in cases:
         res = brute_force_small(inst, grid_n=grid_n)
-        assert res.value <= res.upper, (grid_n, inst)
-        assert net_objective(solve_ri(inst), inst.vals, inst.k) <= res.upper + 1e-9, (grid_n, inst)
+        seg = solve_ri(inst)
+        value = net_objective(seg, inst.vals, inst.k)
+        assert 0.0 <= res.upper - res.value <= _certified_width(res, inst), (grid_n, inst)
+        assert res.value - 1e-9 <= value <= res.upper + 1e-9, (grid_n, inst)
+        assert len(res.segmentation.segments) == len(seg.segments), (grid_n, inst)
+
+
+def _count_grid_lps(monkeypatch):
+    calls = []
+    grid_lp = oracle._grid_lp
+    monkeypatch.setattr(oracle, "_grid_lp", lambda *args: calls.append(1) or grid_lp(*args))
+    return calls
+
+
+def test_simplex_oracle_reports_one_segment_above_k_bar(monkeypatch):
+    # the one-atom certificate settles every input, so no column is
+    # generated: the grid LP is the only LP solved
+    cases = [(100, inst) for seed in range(1, 11) for inst in _inverse_inputs(seed, 3)]
+    cases += [(grid_n, inst) for K, grid_n, ratio, inst in _fingerprint_inputs(10) if K == 3 and ratio > 1.0]
+    assert len(cases) == 840
+    calls = _count_grid_lps(monkeypatch)
+    for grid_n, inst in cases:
+        calls.clear()
+        res = brute_force_small(inst, grid_n=grid_n)
+        assert len(res.segmentation.segments) == 1, (grid_n, inst)
+        assert 0.0 <= res.upper - res.value <= _certified_width(res, inst), (grid_n, inst)
+        assert len(calls) == 1, (grid_n, inst)
+
+
+@pytest.mark.parametrize("inst", [
+    # k/k-bar = 0.05, gen.instances(default_rng(1515), 3, full(60, 0.05))[45]
+    # in perfbench/gen.py: a three-atom Nelder-Mead polish ran to its cap
+    # here, for 2.5 s, and ended 1.0e-4 below the solver
+    MarketInstance(Valuations((0.8888923905120165, 1.540994278796436, 3.6391244118054957)),
+                   Market((0.14105393867621882, 0.5794435429343348, 0.27950251838944656)), 0.21867909591036427),
+    # a two-atom polish stalled 2.7e-4 below the solver from starts a few ulps
+    # off the LP's weights
+    MarketInstance(Valuations((0.8877375075526407, 1.0204716817389037, 4.6068747561639265)),
+                   Market((0.3081368649043833, 0.2673185937101704, 0.42454454138544634)), 0.5450048384336619),
+    # far above k-bar, at a flat optimum of |objective| ~ 770, where the polish
+    # once ran to its cap and then reported two segments
+    MarketInstance(Valuations((0.7214253068258829, 2.6806231442982362, 3.659868529815904)),
+                   Market((0.08770050957841785, 0.24459192789326636, 0.6677075625283158)), 926.4137973813238),
+], ids=["three_atoms_at_0.05_k_bar", "two_atoms_near_a_wall", "flat_far_above_k_bar"])
+def test_simplex_oracle_is_certified_where_the_polish_was_not(inst, monkeypatch):
+    calls = _count_grid_lps(monkeypatch)
+    res = brute_force_small(inst)
+    assert len(calls) <= oracle._LP_ROUNDS  # the grid LP, then rounds that stopped short of the cap
+    seg = solve_ri(inst)
+    value = net_objective(seg, inst.vals, inst.k)
+    assert res.value - 1e-9 <= value <= res.upper + 1e-9
+    assert 0.0 <= res.upper - res.value <= _certified_width(res, inst)
+    assert len(res.segmentation.segments) == len(seg.segments)
+
+
+def test_simplex_oracle_bounds_at_the_edges():
+    # at k = 0 the peaks are vertices; a prior on a face has no one-atom
+    # certificate, and its columns stay on the face
+    for mu, k in (((0.3, 0.4, 0.3), 0.0), ((0.0, 0.35, 0.65), 0.0), ((0.0, 0.35, 0.65), 0.5),
+                  ((0.5, 0.5, 0.0), 0.3), ((0.2, 0.0, 0.8), 1.0), ((0.0, 0.0, 1.0), 0.7), ((0.0, 0.35, 0.65), 50.0)):
+        inst = MarketInstance(V123, Market(mu), k)
+        res = brute_force_small(inst, grid_n=100)
+        seg = solve_ri(inst)
+        value = net_objective(seg, V123, k)
+        assert res.value - 1e-12 <= value <= res.upper + 1e-12, (mu, k)
+        assert 0.0 <= res.upper - res.value <= _certified_width(res, inst), (mu, k)
+        assert len(res.segmentation.segments) == len(seg.segments), (mu, k)
+        if k == 0.0:
+            assert res.value == pytest.approx(float(np.dot(mu, V123.values)), abs=1e-12)
+
+
+def test_simplex_oracle_bound_holds_when_rounds_run_out(monkeypatch):
+    # one round leaves the value short of the optimum; upper still bounds it
+    monkeypatch.setattr(oracle, "_LP_ROUNDS", 1)
+    widths = []
+    for K, grid_n, ratio, inst in _fingerprint_inputs():
+        if K == 3 and ratio < 1.0:
+            value = net_objective(solve_ri(inst), inst.vals, inst.k)
+            res = brute_force_small(inst, grid_n=grid_n)
+            assert res.value - 1e-9 <= value <= res.upper + 1e-9, inst
+            widths.append(res.upper - res.value)
+    assert max(widths) > 1e-6
 
 
 # -------------------- the oracle's own numerical methods --------------------
@@ -367,50 +456,6 @@ def test_simplex_grid_lists_points_row_major():
     for m in (4, 20, 60, 100, 137):
         pts = [(i, j, m - i - j) for i in range(m + 1) for j in range(m + 1 - i)]
         assert oracle._simplex_grid(m)[0].tobytes() == (np.asarray(pts, dtype=float) / m).tobytes()
-
-
-def _walled(f, lo, hi):
-    # the oracle's objectives return 1e9 outside their feasible set
-    return lambda x: 1e9 if np.min(x) < lo or np.max(x) > hi else f(x)
-
-
-def test_nelder_mead_matches_scipy_bit_for_bit():
-    # the polish must keep the bytes scipy's Nelder-Mead gave oracle results
-    from scipy.optimize import minimize
-
-    cases = []
-    rng = np.random.default_rng(20261018)
-    for dim in (2, 3, 6):
-        for trial in range(8):
-            A = rng.normal(size=(dim, dim))
-            H = A @ A.T + 0.1 * np.eye(dim)
-            c = rng.uniform(0.0, 1.0, size=dim)
-            # the polish hands its objective a list of floats, scipy an array
-            quad = lambda x, H=H, c=c: float((np.asarray(x) - c) @ H @ (np.asarray(x) - c))
-            bumpy = lambda x, c=c: float(np.sum(np.abs(np.asarray(x) - c)) + np.prod(np.cos(3.0 * np.asarray(x))))
-            x0 = rng.uniform(0.0, 1.0, size=dim)
-            if trial % 3 == 0:
-                x0[rng.integers(dim)] = 0.0  # the start simplex steps 0.00025 off a zero coordinate
-            cases += [(dim, trial, f, x0) for f in (quad, bumpy, _walled(quad, 0.0, 1.0), _walled(bumpy, 0.1, 0.9))]
-    # start vertices on a 1e9 wall: 1.05 x0 crosses the wall at 1 in each of
-    # the first `ties` coordinates, so that many start vertices tie (all of
-    # them on the wall at 0.9), and the vertex order is argsort's tie order
-    rng = np.random.default_rng(20261021)
-    for dim in (2, 3, 6):
-        for ties in range(2, dim + 1):
-            c = rng.uniform(0.0, 1.0, size=dim)
-            x0 = rng.uniform(0.0, 0.9, size=dim)
-            x0[:ties] = rng.uniform(0.96, 1.0, size=ties)
-            quad = lambda x, c=c: float(np.sum((np.asarray(x) - c) ** 2))
-            bumpy = lambda x, c=c: float(np.sum(np.abs(np.asarray(x) - c)) + np.prod(np.cos(3.0 * np.asarray(x))))
-            cases += [(dim, ties, f, x0) for f in (_walled(quad, 0.0, 1.0), _walled(bumpy, 0.1, 0.9))]
-    for dim, trial, f, x0 in cases:
-        for xatol, fatol, maxiter in ((1e-12, 1e-13, 4000), (1e-4, 1e-4, 12000), (1e-12, 1e-13, 7)):
-            x, fun = oracle._nelder_mead(f, x0.copy(), xatol, fatol, maxiter)
-            ref = minimize(f, x0.copy(), method="Nelder-Mead",
-                           options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter})
-            assert x.tobytes() == ref.x.tobytes(), (dim, trial, maxiter)
-            assert fun == ref.fun
 
 
 def _lp_cases():
@@ -455,7 +500,7 @@ def test_grid_lp_matches_highs():
     for grid_n, vals, k, mu in _lp_cases() + _degenerate_lp_cases():
         P, tails, H = oracle._simplex_grid(grid_n)
         g = oracle._net_value_points(vals, k, tails, H)
-        lam, y = oracle._grid_lp(P, g, mu, oracle._prior_cell(grid_n, mu))
+        lam, y, basis = oracle._grid_lp(P, g, mu, oracle._prior_cell(grid_n, mu))
         ref = linprog(-g, A_eq=P.T, b_eq=mu, bounds=(0.0, None), method="highs-ds")
         assert ref.success
         assert abs(g @ lam + ref.fun) <= 1e-12 * abs(ref.fun), (grid_n, k, mu)
@@ -509,12 +554,15 @@ def test_grid_lp_result_does_not_depend_on_its_start():
     # pivots' path leave no trace in its bits. An LP with two optimal
     # vertices of exactly equal value (symmetric entropies at one price;
     # 2 of 3,000 random draws on grids 4 and 5) can end on either.
+    # The optimal basis it returns is a start that needs no pivot.
     for grid_n, vals, k, mu in _lp_cases() + _degenerate_lp_cases():
         P, tails, H = oracle._simplex_grid(grid_n)
         g = oracle._net_value_points(vals, k, tails, H)
         from_corners = oracle._grid_lp(P, g, mu, _corner_rows(P))[0]
-        from_cell = oracle._grid_lp(P, g, mu, oracle._prior_cell(grid_n, mu))[0]
+        from_cell, _, basis = oracle._grid_lp(P, g, mu, oracle._prior_cell(grid_n, mu))
         assert from_corners.tobytes() == from_cell.tobytes(), (grid_n, k, mu)
+        again = oracle._grid_lp(P, g, mu, basis)
+        assert again[0].tobytes() == from_cell.tobytes() and again[2] == basis, (grid_n, k, mu)
 
 
 def test_grid_lp_starts_in_the_prior_cell(monkeypatch):
@@ -539,25 +587,3 @@ def test_grid_lp_pivot_cap_is_an_oracle_lp_error(monkeypatch):
     with pytest.raises(ValidationError) as err:
         brute_force_small(MarketInstance(V123, Market((0.3, 0.4, 0.3)), 0.5))
     assert err.value.invariant == "oracle_lp"
-
-
-def test_polish_stops_at_a_flat_optimum(monkeypatch):
-    # far above k-bar the polish reaches a flat optimum at |objective| ~ 770,
-    # where a 1e-13 value spread is under one ulp; it used to run to its cap
-    evals = []
-    nelder_mead = oracle._nelder_mead
-
-    def counted(f, *args):
-        def g(x):
-            evals.append(1)
-            return f(x)
-        return nelder_mead(g, *args)
-
-    monkeypatch.setattr(oracle, "_nelder_mead", counted)
-    inst = MarketInstance(Valuations((0.7214253068258829, 2.6806231442982362, 3.659868529815904)),
-                          Market((0.08770050957841785, 0.24459192789326636, 0.6677075625283158)),
-                          926.4137973813238)
-    result = brute_force_small(inst)
-    assert len(evals) < 1000
-    solver_value = net_objective(solve_ri(inst), inst.vals, inst.k)
-    assert solver_value - result.resolution_bound <= result.value <= solver_value + 1e-6
