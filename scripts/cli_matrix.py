@@ -49,6 +49,10 @@ INPUTS = {
                           "k": 0.8853969049295498},
     "inst2_tinylo.json": {"valuations": [6.58810979414354, 27.141280667075595], "mu": [9.341843475483123e-25, 1.0],
                           "k": 0.002461952748699573},
+    # dividing this prior by its fsum once leaves an fsum other than 1; the
+    # sweep's grid is the benchmark's for this market, holding the solve's k
+    "inst2_renorm.json": {"valuations": [2.2580222068777105, 3.3759214995278573],
+                          "mu": [0.8172438280513341, 0.18275617194866606], "k": 0.03703337939781618},
     "sweep2.json": {"valuations": [1.0, 2.0], "mu": [0.4, 0.6]},
     "sweep2k.json": {"valuations": [1.0, 4.0], "mu": [0.5, 0.5], "k": 0.1},
     "sweep3.json": {"valuations": [1.0, 2.0, 3.0], "mu": [0.3, 0.4, 0.3]},
@@ -123,6 +127,7 @@ def invocations() -> list[tuple[list[str], str | None]]:
     add("solve", "--input", "inst2_zero.json", out="seg2_zero.json")
     add("solve", "--input", "inst2_tinyhi.json", out="seg2_tinyhi.json")
     add("solve", "--input", "inst2_tinylo.json", out="seg2_tinylo.json")
+    add("solve", "--input", "inst2_renorm.json", out="seg2_renorm.json")
 
     # every subcommand
     add("solve", "--input", "inst2.json")
@@ -161,6 +166,7 @@ def invocations() -> list[tuple[list[str], str | None]]:
     add("sweep", "--input", "sweep2.json", "--k-grid", "0.1:10:12", "--tol", "1e-9", "--max-iters", "1000")
     add("sweep", "--input", "inst2_tinyhi.json", "--k-grid", "0.001:1:25")
     add("sweep", "--input", "inst2_tinylo.json", "--k-grid", "0.001:1:25")
+    add("sweep", "--input", "inst2_renorm.json", "--k-grid", "0.03375921499527857:337.59214995278575:200")
     for grid in ("1:2", "1:2:3:4", "a:b:c", "0.1:10:x", "0.1:10:2.5", "0:1:5", "-1:1:5",
                  "5:1:5", "0.1:inf:5", "0.1:10:1", "0.1:10:0", ":::", "nan:1:5"):
         add("sweep", "--input", "sweep2.json", f"--k-grid={grid}")
@@ -174,6 +180,7 @@ def invocations() -> list[tuple[list[str], str | None]]:
     add("verify", "--input", "seg2_zero.json", "--instance", "inst2_zero.json")
     add("verify", "--input", "seg2_tinyhi.json", "--instance", "inst2_tinyhi.json")
     add("verify", "--input", "seg2_tinylo.json", "--instance", "inst2_tinylo.json")
+    add("verify", "--input", "seg2_renorm.json", "--instance", "inst2_renorm.json")
     add("verify", "--input", "seg2.json", "--instance", "inst2.json", "--tol", "1e-14")
     add("verify", "--input", "seg2.json", "--instance", "inst2.json", "--tol", "0.5")
     add("verify", "--input", "seg2.json", "--instance", "inst2b.json")

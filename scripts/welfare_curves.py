@@ -13,8 +13,8 @@ import argparse
 import sys
 
 from segmentix import (
-    KGridSpec,
     Market,
+    ValidationError,
     Valuations,
     classify_monotonicity,
     default_k_grid,
@@ -23,6 +23,7 @@ from segmentix import (
     to_csv,
     to_svg,
 )
+from segmentix.cli import parse_k_grid
 
 
 def main() -> None:
@@ -37,8 +38,11 @@ def main() -> None:
     vals = Valuations(args.valuations)
     mu_star = Market(args.mu)
     if args.k_grid:
-        lo, hi, n = args.k_grid.split(":")
-        grid = KGridSpec(lo=float(lo), hi=float(hi), n=int(n))
+        try:
+            grid = parse_k_grid(args.k_grid)
+        except ValidationError as exc:
+            sys.stderr.write(f"error [{exc.invariant}]: {exc.message}\n")
+            sys.exit(2)
     else:
         grid = default_k_grid(vals)
 

@@ -159,16 +159,15 @@ class EnvelopeResult:
     """Sampled net-value curve, its upper concave envelope, and the gap interval.
 
     ``interval`` is the maximal grid interval on which the envelope exceeds
-    the curve by more than ``gap_tol`` (the region whose priors strictly
-    benefit from segmentation); ``None`` when there is no such interval
-    around the reference prior.
+    the curve by more than ``ENVELOPE_GAP_TOL`` (the region whose priors
+    strictly benefit from segmentation); ``None`` when there is no such
+    interval around the reference prior.
     """
 
     grid: np.ndarray
     values: np.ndarray
     envelope: np.ndarray
     interval: tuple[float, float] | None
-    gap_tol: float
 
 
 def upper_concave_hull(x: np.ndarray, y: np.ndarray) -> tuple[list[float], list[float]]:
@@ -210,7 +209,6 @@ def concave_envelope(
     k: float,
     grid_n: int,
     mu_star: Market | None = None,
-    gap_tol: float = ENVELOPE_GAP_TOL,
 ) -> EnvelopeResult:
     """Concavify the two-type net-value curve on ``grid_n + 1`` points.
 
@@ -226,7 +224,7 @@ def concave_envelope(
     x = np.linspace(0.0, 1.0, grid_n + 1)
     y = net_value_curve(vals, k, x)
     env = np.interp(x, *upper_concave_hull(x, y))
-    gap = env - y > gap_tol
+    gap = env - y > ENVELOPE_GAP_TOL
     interval: tuple[float, float] | None = None
     if gap.any():
         # contiguous runs of grid points with a strict envelope gap
@@ -244,7 +242,7 @@ def concave_envelope(
                 if x[s] <= mu <= x[e]:
                     interval = (float(x[s]), float(x[e]))
                     break
-    return EnvelopeResult(grid=x, values=y, envelope=env, interval=interval, gap_tol=gap_tol)
+    return EnvelopeResult(grid=x, values=y, envelope=env, interval=interval)
 
 
 def binary_net_value(inst: MarketInstance) -> float:

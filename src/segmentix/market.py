@@ -81,11 +81,14 @@ class Valuations:
 
 @dataclass(frozen=True)
 class Market:
-    """Probability vector over buyer types.
+    """Probability vector over buyer types, in a normal form: its weights ``fsum`` to exactly 1.
 
     Weights must be nonnegative and sum to one within ``WEIGHT_SUM_TOL``;
-    inputs inside the tolerance are renormalized exactly, anything else is
-    rejected.
+    anything else is rejected. Inputs inside the tolerance whose ``fsum``
+    is not 1 are divided by it. If the quotients still do not ``fsum`` to
+    1, their first largest weight is replaced by ``fsum([1, -others])``,
+    which rounds by at most 2⁻⁵⁴, so the new ``fsum`` rounds to 1. So
+    ``Market(m.weights) == m`` for every market ``m``.
     """
 
     weights: tuple[float, ...]
@@ -102,7 +105,12 @@ class Market:
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValidationError("market_weight_sum", f"weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}")
         if total != 1.0:
-            w = tuple(x / total for x in w)
+            w = [x / total for x in w]
+            if math.fsum(w) != 1.0:
+                top = w.index(max(w))
+                w[top] = 0.0
+                w[top] = math.fsum([1.0, *[-x for x in w]])
+            w = tuple(w)
         object.__setattr__(self, "weights", w)
 
     def __len__(self) -> int:
@@ -113,10 +121,6 @@ class Market:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.weights, dtype=float)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, x in enumerate(self.weights) if x > 0.0)
 
 
 @dataclass(frozen=True)
@@ -262,11 +266,11 @@ def optimal_price(market: Market, vals: Valuations) -> int:
     return rev.index(max(rev))  # the first maximizer, as np.argmax finds it
 
 
-def price_region(market: Market, vals: Valuations, tol: float = PRICE_OPT_TOL) -> tuple[int, ...]:
-    """All price indices whose revenue is within ``tol`` of the maximum."""
+def price_region(market: Market, vals: Valuations) -> tuple[int, ...]:
+    """All price indices whose revenue is within ``PRICE_OPT_TOL`` of the maximum."""
     rev = all_revenues(market, vals)
     best = float(np.max(rev))
-    return tuple(int(i) for i in np.nonzero(rev >= best - tol)[0])
+    return tuple(int(i) for i in np.nonzero(rev >= best - PRICE_OPT_TOL)[0])
 
 
 def check_segment_prices(seg: Segmentation, vals: Valuations, tol: float = PRICE_OPT_TOL) -> None:
@@ -381,12 +385,9 @@ class SurplusTriangle:
             (0.0, self.full_surplus),
         )
 
-    def contains(self, cs: float, ps: float, cs_tol: float = 1e-12, ps_tol: float = 1e-9) -> bool:
-        return (
-            cs >= -cs_tol
-            and ps >= self.uniform_profit - ps_tol
-            and cs + ps <= self.full_surplus + ps_tol
-        )
+    def contains(self, cs: float, ps: float) -> bool:
+        """Membership with float slack: 1e-12 on CS, 1e-9 on PS and on CS + PS."""
+        return cs >= -1e-12 and ps >= self.uniform_profit - 1e-9 and cs + ps <= self.full_surplus + 1e-9
 
 
 def surplus_triangle(mu_star: Market, vals: Valuations) -> SurplusTriangle:

@@ -37,6 +37,7 @@ from .oracle import pair_scan
 
 SLOPE_FLOOR = 1e-6
 MIN_VERIFY_GRID_N = 2000  # coarser grids cannot place the argmax within two steps of the target
+CS_PS_TOL = 1e-3  # how far the re-optimized (CS, PS) may land from the target
 
 
 @dataclass(frozen=True)
@@ -282,7 +283,6 @@ def verify_rationalization(
     spec: ConvexCostSpec,
     target: RationalizationTarget,
     grid_n: int = 4000,
-    cs_ps_tol: float = 1e-3,
 ) -> RationalizationReport:
     """Re-optimize from scratch under the constructed cost and compare.
 
@@ -293,7 +293,7 @@ def verify_rationalization(
     tangent searches for the hull edge over the prior and then scores only
     the pairs near that line, O(grid_n) cells in all. Passes when the
     argmax lands within two grid steps of the intended segments and
-    reproduces the target welfare within ``cs_ps_tol``. When no pair beats
+    reproduces the target welfare within ``CS_PS_TOL``. When no pair beats
     staying put (the prior a vertex of the hull among them), the report is
     the failed no-segmentation one, and its message quotes the best pair's
     value.
@@ -348,10 +348,10 @@ def verify_rationalization(
             f"argmax ({x1}, {x2}) is {steps:.1f} grid steps from intended "
             f"({intended.mu1}, {intended.mu2})"
         )
-    if abs(rep.cs - target.cs) > cs_ps_tol or abs(rep.ps_gross - target.ps) > cs_ps_tol:
+    if abs(rep.cs - target.cs) > CS_PS_TOL or abs(rep.ps_gross - target.ps) > CS_PS_TOL:
         messages.append(
             f"realized (CS, PS) = ({rep.cs}, {rep.ps_gross}) misses target "
-            f"({target.cs}, {target.ps}) beyond {cs_ps_tol}"
+            f"({target.cs}, {target.ps}) beyond {CS_PS_TOL}"
         )
     return RationalizationReport(
         passed=not messages,

@@ -20,6 +20,7 @@ import numpy as np
 from .binary import solve_binary
 from .market import (
     BAYES_TOL,
+    EXP_OVERFLOW,
     Market,
     MarketInstance,
     Segment,
@@ -206,7 +207,7 @@ def verify_optimality(
     reports = []
     for ilr, bayes, failures, price_slacks in rows:
         if price_slacks is None:
-            price_slacks = tuple([math.expm1(min(next(slack_logs), 700.0)) for _ in range(K)])
+            price_slacks = tuple([math.expm1(min(next(slack_logs), EXP_OVERFLOW)) for _ in range(K)])
         slack_excess = max(price_slacks, default=0.0)
         if price_slacks and slack_excess > tol:
             failures.append("price_slack")

@@ -2,9 +2,8 @@
 
 Runs the solver across a ladder of information-cost scales, classifies how
 each welfare account moves with the cost, and checks the boundary-prior
-always-segments property. The surplus-triangle bounds that every sweep
-locus must respect live in ``market`` and are re-exported here. Output is
-tabular (CSV) with an optional self-contained SVG chart.
+always-segments property. Output is tabular (CSV) with an optional
+self-contained SVG chart.
 """
 
 from __future__ import annotations
@@ -20,13 +19,11 @@ from .market import (
     Market,
     MarketInstance,
     Segmentation,
-    SurplusTriangle,
     ValidationError,
     Valuations,
     WelfareReport,
     all_revenues,
     binary_entropy,
-    surplus_triangle,
     welfare,
 )
 from .solver import OptimalityReport, SolveOptions, SolverError, solve, verify_optimality
@@ -79,10 +76,9 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepTable:
-    """Sweep rows in strictly increasing k order plus the grid that produced them."""
+    """Sweep rows in strictly increasing k order."""
 
     rows: tuple[SweepRow, ...]
-    grid: KGridSpec | None
 
     def __post_init__(self):
         ks = [r.k for r in self.rows]
@@ -107,20 +103,18 @@ def sweep_k(
 ) -> SweepTable:
     """Solve one market at every cost scale on the grid, in grid order, in this process.
 
-    Rows that fail to converge are recorded with their error and the sweep
-    continues. The solved rows are then accounted by one ``welfare`` call
-    and certified by one ``verify_optimality`` call, each over the whole
-    batch, so each numpy call those two make is made once per sweep, not
-    once per row; a row has the bytes of its one-row calls. A row whose
-    accounts fail raises its ``ValidationError``, the first such row in grid
-    order. ``max_workers`` is accepted and ignored.
+    Each row solves ``mu_star`` as given, so it is ``solve`` on that prior at
+    the row's k. Rows that fail to converge are recorded with their error
+    and the sweep continues. The solved rows are then accounted by one
+    ``welfare`` call and certified by one ``verify_optimality`` call, each
+    over the whole batch, so each numpy call those two make is made once
+    per sweep, not once per row; a row has the bytes of its one-row calls.
+    A row whose accounts fail raises its ``ValidationError``, the first
+    such row in grid order. ``max_workers`` is accepted and ignored.
     """
-    grid_spec = None
     if k_grid is None:
-        grid_spec = default_k_grid(vals)
-        ks = grid_spec.as_array()
+        ks = default_k_grid(vals).as_array()
     elif isinstance(k_grid, KGridSpec):
-        grid_spec = k_grid
         ks = k_grid.as_array()
     else:
         ks = np.asarray(list(k_grid), dtype=float)
@@ -128,15 +122,11 @@ def sweep_k(
             raise ValidationError("k_grid", "grid must be non-empty")
         if np.any(ks <= 0.0) or np.any(np.diff(ks) <= 0.0):
             raise ValidationError("k_grid", "grid must be positive and strictly increasing")
-    # Market(weights) renormalizes, which can move a normalized prior's last
-    # bit again; rows solve that rebuilt prior, so sweep bytes stay those of
-    # earlier releases
-    prior = Market(mu_star.weights)
     ks = ks.tolist()
     segs: list[Segmentation | str] = []  # per k: the solution, or why the solver failed
     for k in ks:
         try:
-            segs.append(solve(MarketInstance(vals, prior, k), options))
+            segs.append(solve(MarketInstance(vals, mu_star, k), options))
         except SolverError as e:
             segs.append(str(e))
     solved = [(seg, k) for seg, k in zip(segs, ks) if not isinstance(seg, str)]
@@ -150,22 +140,19 @@ def sweep_k(
         else:
             prices = tuple(vals[i] for i in seg.price_indices())
             rows.append(SweepRow(k, next(reports), len(seg.segments), prices, next(verified)))
-    return SweepTable(rows=tuple(rows), grid=grid_spec)
+    return SweepTable(rows=tuple(rows))
 
 
-def classify_monotonicity(values: Iterable[float], tol: float | None = None) -> str:
+def classify_monotonicity(values: Iterable[float]) -> str:
     """Label a series nondecreasing, nonincreasing, or nonmonotone.
 
-    ``tol`` absorbs float noise in the successive differences; it defaults
-    to 1e-9 of the series magnitude. A constant series counts as
-    nondecreasing (checked first).
+    Successive differences within 1e-9 of the series magnitude count as
+    float noise. A constant series counts as nondecreasing (checked first).
     """
     vals = [float(v) for v in values]
     if len(vals) < 3:
         raise ValidationError("series_size", f"need at least 3 points, got {len(vals)}")
-    if tol is None:
-        scale = max(abs(v) for v in vals)
-        tol = 1e-9 * scale
+    tol = 1e-9 * max(abs(v) for v in vals)
     diffs = [b - a for a, b in zip(vals, vals[1:])]
     if all(d >= -tol for d in diffs):
         return "nondecreasing"
@@ -261,8 +248,9 @@ _SVG_SERIES = ("cs", "ps_gross", "ps_net", "ts_gross")
 _SVG_COLORS = {"cs": "#1f77b4", "ps_gross": "#d62728", "ps_net": "#ff7f0e", "ts_gross": "#2ca02c"}
 
 
-def to_svg(table: SweepTable, width: int = 800, height: int = 500) -> str:
-    """Self-contained SVG line chart of the welfare accounts against log10(k)."""
+def to_svg(table: SweepTable) -> str:
+    """Self-contained 800 x 500 SVG line chart of the welfare accounts against log10(k)."""
+    width, height = 800, 500
     pts = {name: table.series(name) for name in _SVG_SERIES}
     all_k = [k for series in pts.values() for k, _ in series]
     all_v = [v for series in pts.values() for _, v in series]

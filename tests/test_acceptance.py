@@ -243,7 +243,7 @@ def test_criterion_09_rationalizer_round_trip():
         count += 1
         r1, r2 = foc_residuals(spec, seg, vals)
         assert abs(r1) < 1e-9 and abs(r2) < 1e-9, (cs, ps)
-        report = verify_rationalization(spec, target, grid_n=4000, cs_ps_tol=1e-3)
+        report = verify_rationalization(spec, target, grid_n=4000)
         assert report.passed, (cs, ps, report.messages)
     assert time.perf_counter() - t0 < 120.0
 

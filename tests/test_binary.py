@@ -25,6 +25,7 @@ from segmentix import (
     verify_optimality,
     welfare,
 )
+from segmentix.binary import ENVELOPE_GAP_TOL
 
 V12 = Valuations((1.0, 2.0))
 MU46 = Market((0.4, 0.6))
@@ -328,7 +329,7 @@ def test_envelope_bytes_match_interpolated_scan():
         assert res.grid.tobytes() == x.tobytes()
         assert res.values.tobytes() == y.tobytes()
         assert res.envelope.tobytes() == env.tobytes(), (w1, w2, k)
-        assert res.interval == _gap_run_around(x, env - y > res.gap_tol, mu[1]), (w1, w2, k)
+        assert res.interval == _gap_run_around(x, env - y > ENVELOPE_GAP_TOL, mu[1]), (w1, w2, k)
 
 
 def test_binary_net_value_equals_objective():

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from segmentix import (
@@ -11,6 +12,7 @@ from segmentix import (
     Segmentation,
     ValidationError,
     Valuations,
+    solve,
     solve_binary,
 )
 from segmentix import files
@@ -116,6 +118,20 @@ def test_segmentation_round_trip(tmp_path):
         assert a.price_index == b.price_index
         assert a.weight == pytest.approx(b.weight, abs=1e-15)
         assert a.market.weights == pytest.approx(b.market.weights, abs=1e-15)
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 5])
+def test_solve_output_reads_back_unchanged(K):
+    # a written segmentation must load as the one solve returned, bit for bit,
+    # so verify --instance certifies the numbers solve wrote
+    rng = np.random.default_rng([7, K])
+    for _ in range(100):
+        vals = Valuations(np.cumsum(rng.uniform(0.2, 2.0, K)).tolist())
+        mu = Market(rng.dirichlet(np.ones(K)).tolist())
+        k = vals[K - 1] * 10 ** rng.uniform(-2.0, 0.0)
+        seg = solve(MarketInstance(vals, mu, k))
+        text = files.dump_json(files.segmentation_to_dict(seg, vals))
+        assert files.parse_segmentation(json.loads(text), vals, "seg.json") == seg, (vals, mu, k)
 
 
 def test_segmentation_price_resolves_by_value(tmp_path):

@@ -69,6 +69,34 @@ def test_market_normalizes_tiny_drift():
     assert math.fsum(m.weights) == 1.0
 
 
+@st.composite
+def _in_tolerance_weights(draw):
+    """K = 2-10 weights with zeros and tiny shares, scaled by a relative drift below 1e-12."""
+    k = draw(st.integers(2, 10))
+    raw = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e-12), st.floats(1e-6, 1.0)),
+                        min_size=k, max_size=k))
+    raw[draw(st.integers(0, k - 1))] = draw(st.floats(0.01, 1.0))  # some weight is not tiny
+    total = math.fsum(raw)
+    drift = draw(st.floats(-0.9e-12, 0.9e-12))
+    return [x / total * (1.0 + drift) for x in raw]
+
+
+@given(_in_tolerance_weights())
+def test_market_is_its_own_normal_form(w):
+    m = Market(w)
+    assert math.fsum(m.weights) == 1.0
+    assert Market(m.weights) == m
+
+
+def test_market_normal_form_of_a_prior_that_renormalized_twice():
+    # dividing by the fsum once left this prior with an fsum other than 1
+    w = (0.8172438280513341, 0.18275617194866606)
+    m = Market(w)
+    assert math.fsum(m.weights) == 1.0
+    assert Market(m.weights) == m
+    assert m.weights[1] == w[1] / math.fsum(w)  # only the largest weight is set from the others
+
+
 # -------------------- payoffs and revenue --------------------
 
 def test_seller_and_buyer_payoffs():

@@ -15,6 +15,15 @@ import segmentix
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _run_script(argv, cwd):
+    src = str(Path(segmentix.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        env=env, cwd=cwd, capture_output=True, text=True, timeout=60,
+    )
+
+
 @pytest.mark.parametrize(
     "argv,key_line",
     [
@@ -25,18 +34,19 @@ ROOT = Path(__file__).resolve().parents[1]
     ],
 )
 def test_script_runs(argv, key_line, tmp_path):
-    src = str(Path(segmentix.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
-    )
+    out = _run_script(argv, tmp_path)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert key_line in lines
     if argv[0] == "surplus_locus.py":
         targets = [line for line in lines if line.startswith("  target ")]
         assert len(targets) == 5 and all(line.endswith("  ok") for line in targets)
+
+
+def test_welfare_curves_rejects_a_malformed_k_grid(tmp_path):
+    out = _run_script(["welfare_curves.py", "--k-grid", "1:2"], tmp_path)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == "error [k_grid]: --k-grid wants MIN:MAX:N, got '1:2'\n"
 
 
 def test_oracle_fingerprint_prints_one_digest_per_input(tmp_path):
