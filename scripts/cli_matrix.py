@@ -53,6 +53,12 @@ INPUTS = {
     # sweep's grid is the benchmark's for this market, holding the solve's k
     "inst2_renorm.json": {"valuations": [2.2580222068777105, 3.3759214995278573],
                           "mu": [0.8172438280513341, 0.18275617194866606], "k": 0.03703337939781618},
+    # v/k near 5e9 and 2.6e9: exact optima whose absolute-form certificate terms cancel
+    "inst2_scale.json": {"valuations": [4.413445638302532e-05, 787429.3722137071],
+                         "mu": [0.9104628401207199, 0.08953715987928008], "k": 0.00015404285238829974},
+    "inst3_scale.json": {"valuations": [0.0009495858196874592, 0.2893408819795903, 1658541.1634981295],
+                         "mu": [0.5488995310487239, 0.22743785531034033, 0.2236626136409358],
+                         "k": 0.0006312048587303156},
     "sweep2.json": {"valuations": [1.0, 2.0], "mu": [0.4, 0.6]},
     "sweep2k.json": {"valuations": [1.0, 4.0], "mu": [0.5, 0.5], "k": 0.1},
     "sweep3.json": {"valuations": [1.0, 2.0, 3.0], "mu": [0.3, 0.4, 0.3]},
@@ -128,6 +134,8 @@ def invocations() -> list[tuple[list[str], str | None]]:
     add("solve", "--input", "inst2_tinyhi.json", out="seg2_tinyhi.json")
     add("solve", "--input", "inst2_tinylo.json", out="seg2_tinylo.json")
     add("solve", "--input", "inst2_renorm.json", out="seg2_renorm.json")
+    add("solve", "--input", "inst2_scale.json", out="seg2_scale.json")
+    add("solve", "--input", "inst3_scale.json", out="seg3_scale.json")
 
     # every subcommand
     add("solve", "--input", "inst2.json")
@@ -181,6 +189,8 @@ def invocations() -> list[tuple[list[str], str | None]]:
     add("verify", "--input", "seg2_tinyhi.json", "--instance", "inst2_tinyhi.json")
     add("verify", "--input", "seg2_tinylo.json", "--instance", "inst2_tinylo.json")
     add("verify", "--input", "seg2_renorm.json", "--instance", "inst2_renorm.json")
+    add("verify", "--input", "seg2_scale.json", "--instance", "inst2_scale.json")
+    add("verify", "--input", "seg3_scale.json", "--instance", "inst3_scale.json")
     add("verify", "--input", "seg2.json", "--instance", "inst2.json", "--tol", "1e-14")
     add("verify", "--input", "seg2.json", "--instance", "inst2.json", "--tol", "0.5")
     add("verify", "--input", "seg2.json", "--instance", "inst2b.json")

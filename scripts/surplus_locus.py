@@ -10,6 +10,7 @@ convex information cost making that exact point optimal.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -86,4 +87,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ValidationError as exc:
+        sys.stderr.write(f"error [{exc.invariant}]: {exc.message}\n")
+        sys.exit(2)

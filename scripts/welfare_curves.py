@@ -37,14 +37,7 @@ def main() -> None:
 
     vals = Valuations(args.valuations)
     mu_star = Market(args.mu)
-    if args.k_grid:
-        try:
-            grid = parse_k_grid(args.k_grid)
-        except ValidationError as exc:
-            sys.stderr.write(f"error [{exc.invariant}]: {exc.message}\n")
-            sys.exit(2)
-    else:
-        grid = default_k_grid(vals)
+    grid = parse_k_grid(args.k_grid) if args.k_grid else default_k_grid(vals)
 
     kbar = segmentation_threshold(vals, mu_star)
     table = sweep_k(vals, mu_star, grid)
@@ -70,4 +63,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ValidationError as exc:
+        sys.stderr.write(f"error [{exc.invariant}]: {exc.message}\n")
+        sys.exit(2)

@@ -8,10 +8,12 @@ grid-oracle confirmation of the achieved value.
 """
 
 import argparse
+import sys
 
 from segmentix import (
     Market,
     MarketInstance,
+    ValidationError,
     Valuations,
     brute_force,
     net_objective,
@@ -72,4 +74,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ValidationError as exc:
+        sys.stderr.write(f"error [{exc.invariant}]: {exc.message}\n")
+        sys.exit(2)

@@ -29,7 +29,6 @@ from .market import (
     ValidationError,
     Valuations,
     _batch_rows,
-    _numpy_order_sum,
     no_segmentation,
     perfect_discrimination,
     seller_payoff,
@@ -89,26 +88,12 @@ def payoff_matrix(vals: Valuations) -> np.ndarray:
     return np.array(_payoffs(vals))
 
 
-def _logsumexp_rows(rows: list[list[float]]) -> list[float]:
-    """log(sum(exp(row))) of each row of a table, as scipy.special.logsumexp does it.
-
-    Rows may differ in length; each must be nonempty. Each row's maxima are
-    taken out of its sum and counted, and each step follows scipy 1.17's
-    arithmetic, so certificate slacks keep the bytes they had when scipy
-    computed them, without loading scipy.special. One np.exp call covers
-    every entry of every row, one np.log1p and one np.log call every row,
-    and each row is summed in numpy's order.
-    """
-    tops = [max(row) for row in rows]
-    counts = [float(row.count(top)) for row, top in zip(rows, tops)]
-    exps = np.exp([(-math.inf if x == top else x) - top for row, top in zip(rows, tops) for x in row]).tolist()
-    rest = []
-    end = 0
-    for row in rows:
-        start, end = end, end + len(row)
-        rest.append(_numpy_order_sum(exps[start:end]))
-    log1p = np.log1p([r / m for r, m in zip(rest, counts)]).tolist()
-    return [a + b + top for a, b, top in zip(log1p, np.log(counts).tolist(), tops)]
+def _log_sum_exp(x: list[float]) -> float:
+    """log(sum(exp(x))) with the largest term taken out, so no exp overflows."""
+    top = max(x)
+    if math.isinf(top):
+        return top
+    return top + math.log(math.fsum([math.exp(v - top) for v in x]))
 
 
 def verify_optimality(
@@ -135,17 +120,19 @@ def verify_optimality(
     is checked, in order, before any is certified, so the first row that
     fails raises. The payoff table is built once per batch.
 
-    Arithmetic: numpy is called only for log, exp and log1p, whose SIMD
-    code differs from the math module's in the last bit on a few percent of
-    inputs; each is called once per batch, over all its entries (one np.log
-    over every posterior, then one ``_logsumexp_rows`` over every row's K
-    price slacks). An elementwise ufunc gives each entry the same bits
-    however many entries share the call, so a batch row has the bytes of
-    its one-row call. Sums keep np.sum's order, left to right below 8 terms
-    and pairwise from 8 on, where they stay np.sum calls. Products,
-    quotients, differences, max, min and comparisons are correctly rounded
-    either way and run on Python floats, so the report has the bytes the
-    all-numpy certificate gave it.
+    Arithmetic: every term is a payoff difference. For a served type i, j*
+    is the segment where its invariant ``log post[i][j] - S[i][p_j]/k``
+    peaks, found by comparing differences, and ``log post[i][j*] +
+    (S[i][t] - S[i][p_j*])/k`` is the log mass the invariant at j* implies
+    for type i at price t. The spread compares each positive posterior
+    entry with the term at its segment's price, the zero-mass test reads
+    the term at a zero entry's segment's price, and price t's slack is the
+    log-sum-exp of the served types' terms at t, as in
+    ``segmentation_threshold``. In the absolute form ``log post - S/k``,
+    terms of size v/k cancel, so its rounding grows with v/k. Here a term
+    that matters is near a log posterior (|log post| < 746) and one far
+    below it adds nothing, so the error scales with |log post| and not with
+    v/k. All of it runs on Python floats with the math module.
     """
     one, segs, ks = _batch_rows(seg, k)
     K = len(vals)
@@ -155,13 +142,7 @@ def verify_optimality(
         if kk > 0.0 and len(s.prior) != K:
             raise ValidationError("instance_shape", f"{len(s.prior)} types in the segmentation against {K} valuations")
     S = _payoffs(vals)
-    # zero entries are logged as 1.0 and masked to -inf below
-    logs = np.log(
-        [x if x > 0.0 else 1.0 for s, kk in zip(segs, ks) if kk > 0.0 for c in s.segments for x in c.market.weights]
-    ).tolist()
-    end = 0
-    rows = []  # (ilr residual, bayes residual, failures, price slacks: None while they are in the batch's table)
-    tables = []  # K slack rows for each row whose served types have a finite invariant
+    reports = []
     for s, kk in zip(segs, ks):
         failures: list[str] = []
         bayes = s.bayes_residual
@@ -172,44 +153,41 @@ def verify_optimality(
                 w = c.market.weights
                 if max(w) < 1.0 - 1e-12 or w[c.price_index] < 1.0 - 1e-12:
                     failures.append(f"discrimination_limit_segment_{j}")
-            rows.append((0.0, bayes, failures, ()))  # no price slacks in the discrimination limit
+            reports.append(OptimalityReport(0.0, 0.0, bayes, not failures, tuple(failures)))
             continue
         posts = [c.market.weights for c in s.segments]
-        start, end = end, end + K * len(posts)
         price_idx = s.price_indices()
         ilr = 0.0
-        base_log = []  # (type, invariant value on log scale) of each served type
-        for i, (mass, S_i, post_i) in enumerate(zip(s.prior.weights, S, zip(*posts))):
+        terms = []  # each served type's K terms
+        for i, (mass, S_i) in enumerate(zip(s.prior.weights, S)):
             if mass <= 0.0:
                 continue
-            log_i = logs[start + i : end : K]  # type i's posterior logs, one per segment
-            row = [lp - S_i[p] / kk if x > 0.0 else -math.inf for x, lp, p in zip(post_i, log_i, price_idx)]
-            finite = [x for x in row if math.isfinite(x)]
-            if not finite:
+            held = [(math.log(w[i]), p) for w, p in zip(posts, price_idx) if w[i] > 0.0]
+            if not held:
                 failures.append(f"type_{i}_unserved")
                 continue
-            lmax = max(finite)
-            lmin = min(finite)
-            ilr = max(ilr, -math.expm1(lmin - lmax))
-            base_log.append((i, lmax))
-            for j, x in enumerate(row):
+            # j* by differences: a segment beats the peak so far when its log
+            # posterior exceeds what the peak's invariant implies at its price
+            top, top_pay = held[0][0], S_i[held[0][1]]
+            for lp, p in held:
+                if lp > top + (S_i[p] - top_pay) / kk:
+                    top, top_pay = lp, S_i[p]
+            term = [top + (pay - top_pay) / kk for pay in S_i]
+            ilr = max(ilr, -math.expm1(min(lp - term[p] for lp, p in held)))
+            for j, (w, p) in enumerate(zip(posts, price_idx)):
                 # a zero entry is fine only if the invariant would put its mass
                 # below what doubles can represent next to the other entries
-                if not math.isfinite(x) and lmax + S_i[price_idx[j]] / kk >= _LOG_ZERO_MASS_TOL:
+                if w[i] == 0.0 and term[p] >= _LOG_ZERO_MASS_TOL:
                     failures.append(f"zero_mass_type_{i}_segment_{j}")
+            terms.append(term)
         if ilr > tol:
             failures.append("likelihood_ratio_invariance")
-        if base_log:
-            tables.extend([b + S[i][t] / kk for i, b in base_log] for t in range(K))
-        rows.append((ilr, bayes, failures, None if base_log else (-1.0,) * K))
-
-    slack_logs = iter(_logsumexp_rows(tables) if tables else ())
-    reports = []
-    for ilr, bayes, failures, price_slacks in rows:
-        if price_slacks is None:
-            price_slacks = tuple([math.expm1(min(next(slack_logs), EXP_OVERFLOW)) for _ in range(K)])
-        slack_excess = max(price_slacks, default=0.0)
-        if price_slacks and slack_excess > tol:
+        if terms:
+            price_slacks = tuple([math.expm1(min(_log_sum_exp(col), EXP_OVERFLOW)) for col in zip(*terms)])
+        else:
+            price_slacks = (-1.0,) * K
+        slack_excess = max(price_slacks)
+        if slack_excess > tol:
             failures.append("price_slack")
         reports.append(OptimalityReport(ilr, slack_excess, bayes, not failures, tuple(failures), price_slacks))
     return reports[0] if one else reports

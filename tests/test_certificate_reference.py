@@ -1,16 +1,25 @@
-"""The certificate, the welfare accounts and sweeps against the all-numpy code they replaced.
+"""The certificate against a high-precision reference; welfare and sweeps against the all-numpy code they replaced.
 
-``verify_optimality`` and ``welfare`` compute on Python floats and call numpy
-only for log, exp and log1p. The ``_reference_*`` functions below are the
-earlier all-numpy versions, kept with the helpers they used. On thousands of
-seeded segmentations, passing and failing, the reports and the exceptions
-must match byte for byte. Both sides run in this process, so the comparison
-holds whatever SIMD code this CPU's numpy picks for log and exp; frozen
-hashes would not.
+``verify_optimality`` forms its terms as payoff differences on Python floats.
+``_reference_verify_optimality`` computes the same certificate with the
+standard library's decimal module at 40 significant digits. On thousands of
+seeded segmentations, passing and failing, the verdicts, the failure lists
+and the Bayes residuals must be equal, and the likelihood-ratio residual and
+each price slack must agree within ``CERT_ULPS`` times the error scale the
+difference form claims (see ``_assert_matches_reference``).
+
+``welfare`` computes on Python floats and calls numpy only for log. The
+``_reference_*`` welfare functions below are the earlier all-numpy versions,
+kept with the helpers they used, and their reports and exceptions must match
+byte for byte. Both sides run in this process, so the comparison holds
+whatever SIMD code this CPU's numpy picks for log; frozen hashes would not.
 """
 
+import functools
 import math
 import re
+from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -42,11 +51,11 @@ from segmentix import (
     verify_optimality,
     welfare,
 )
-from segmentix.market import BAYES_TOL, PRICE_OPT_TOL
+from segmentix.market import BAYES_TOL, EXP_OVERFLOW, PRICE_OPT_TOL
 from segmentix.solver import _LOG_ZERO_MASS_TOL, VERIFY_TOL
 from segmentix.sweeps import SWEEP_PRICE_TOL
 
-# -------------------- the replaced all-numpy code --------------------
+# -------------------- the references --------------------
 
 
 def _reference_bayes_residual(seg):
@@ -56,15 +65,33 @@ def _reference_bayes_residual(seg):
     return float(np.max(np.abs(mixed - seg.prior.as_array())))
 
 
-def _reference_logsumexp(a):
-    a_max = a.max()
-    top = a == a_max
-    m = top.sum(dtype=a.dtype)
-    rest = np.exp(np.where(top, -np.inf, a) - a_max).sum() / m
-    return float(np.log1p(rest) + np.log(m) + a_max)
+# The float certificate's error in ilr_residual and in each price slack, in
+# ulps of max(1, |value|), is at most this many times the field's error scale
+# 1 + M + |L|: M is the largest |log posterior| of a served type and L the
+# slack's log-sum-exp (0 for ilr_residual). The seeded cases below reach 1.71;
+# the absolute-form certificate, whose error grows with v/k, reached 6,017.
+CERT_ULPS = 4.0
+
+# exp(-100) is below 1e-43: nothing at 40 digits next to a term of size 1
+_NEGLIGIBLE = Decimal(-100)
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _ln(x):
+    """ln(x) of a positive float at 40 digits; the seeded variants share most posteriors."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return Decimal(x).ln()
 
 
 def _reference_verify_optimality(seg, vals, k, tol=VERIFY_TOL):
+    """The certificate at 40 significant digits, and the error scale of each residual.
+
+    Returns the report, each float rounded from its 40-digit value, and the
+    scales of ``ilr_residual`` and of each price slack (empty at k = 0).
+    Terms are payoff differences from each served type's peak segment, as
+    in ``verify_optimality``, here without rounding error to speak of.
+    """
     if k < 0.0:
         raise ValidationError("cost_scale", f"k must be >= 0, got {k}")
     failures = []
@@ -77,66 +104,84 @@ def _reference_verify_optimality(seg, vals, k, tol=VERIFY_TOL):
             w = s.market.weights
             if max(w) < 1.0 - 1e-12 or w[s.price_index] < 1.0 - 1e-12:
                 failures.append(f"discrimination_limit_segment_{j}")
-        return OptimalityReport(
+        report = OptimalityReport(
             ilr_residual=0.0,
             slack_excess=0.0,
             bayes_residual=bayes,
             passed=not failures,
             failures=tuple(failures),
         )
+        return report, ()
 
     K = len(vals)
-    mu = seg.prior.as_array()
-    price_idx = list(seg.price_indices())
-    P = np.stack([s.market.as_array() for s in seg.segments], axis=1)
-    v = vals.as_array()
-    S = np.where(v[:, None] >= v[None, :], v[None, :], 0.0)
-    Ssel = S[:, price_idx]
-
-    with np.errstate(divide="ignore"):
-        L = np.where(P > 0.0, np.log(np.where(P > 0.0, P, 1.0)) - Ssel / k, -np.inf)
-
-    ilr = 0.0
-    base_log = np.full(K, -np.inf)
-    for i in range(K):
-        if mu[i] <= 0.0:
-            continue
-        row = L[i]
-        finite = np.isfinite(row)
-        if not finite.any():
-            failures.append(f"type_{i}_unserved")
-            continue
-        lmax = float(row[finite].max())
-        lmin = float(row[finite].min())
-        ilr = max(ilr, -math.expm1(lmin - lmax))
-        base_log[i] = lmax
-        for j in np.nonzero(~finite)[0]:
-            implied = lmax + Ssel[i, j] / k
-            if implied >= _LOG_ZERO_MASS_TOL:
-                failures.append(f"zero_mass_type_{i}_segment_{j}")
-    if ilr > tol:
-        failures.append("likelihood_ratio_invariance")
-
-    active = base_log > -np.inf
-    price_slacks = []
-    for t in range(K):
-        if active.any():
-            slack_log = _reference_logsumexp(base_log[active] + S[active, t] / k)
-            price_slacks.append(math.expm1(min(slack_log, 700.0)))
-        else:
-            price_slacks.append(-1.0)
+    price_idx = seg.price_indices()
+    posts = [s.market.weights for s in seg.segments]
+    with localcontext() as ctx:
+        ctx.prec = 40
+        kd = Decimal(k)
+        S = [[Decimal(p) if v >= p else Decimal(0) for p in vals.values] for v in vals.values]
+        ilr = Decimal(0)
+        terms = []
+        M = 0.0
+        for i, (mass, S_i) in enumerate(zip(seg.prior.weights, S, strict=True)):
+            if mass <= 0.0:
+                continue
+            held = [(_ln(w[i]), p) for w, p in zip(posts, price_idx) if w[i] > 0.0]
+            if not held:
+                failures.append(f"type_{i}_unserved")
+                continue
+            M = max(M, *(abs(float(lp)) for lp, _ in held))
+            top, p_star = max(held, key=lambda h: h[0] - S_i[h[1]] / kd)
+            term = [top + (pay - S_i[p_star]) / kd for pay in S_i]
+            spread = min(lp - term[p] for lp, p in held)
+            if spread < 0:
+                ilr = max(ilr, 1 - spread.exp() if spread > _NEGLIGIBLE else Decimal(1))
+            for j, (w, p) in enumerate(zip(posts, price_idx)):
+                if w[i] == 0.0 and term[p] >= Decimal(_LOG_ZERO_MASS_TOL):
+                    failures.append(f"zero_mass_type_{i}_segment_{j}")
+            terms.append(term)
+        if ilr > tol:
+            failures.append("likelihood_ratio_invariance")
+        price_slacks = [-1.0] * K
+        scales = [1.0 + M]
+        for t, col in enumerate(zip(*terms)):
+            top = max(col)
+            total = sum(((x - top).exp() for x in col if _NEGLIGIBLE < x - top < 0), Decimal(col.count(top)))
+            lse = min(float(top) + math.log(float(total)), EXP_OVERFLOW)  # a scale needs no more digits
+            price_slacks[t] = math.expm1(lse) if lse == EXP_OVERFLOW else float(top.exp() * total - 1)
+            scales.append(1.0 + M + abs(lse))
+        if not terms:
+            scales.extend([1.0] * K)
     slack_excess = max(price_slacks)
     if slack_excess > tol:
         failures.append("price_slack")
 
-    return OptimalityReport(
-        ilr_residual=ilr,
+    report = OptimalityReport(
+        ilr_residual=float(ilr),
         slack_excess=slack_excess,
         bayes_residual=bayes,
         passed=not failures,
         failures=tuple(failures),
         price_slacks=tuple(price_slacks),
     )
+    return report, tuple(scales)
+
+
+def _assert_matches_reference(got, seg, vals, k):
+    """``got`` is the float certificate of ``seg``; check it against the 40-digit one."""
+    want, scales = _reference_verify_optimality(seg, vals, k)
+    # repr tells every float apart, -0.0 from 0.0 included
+    assert repr((got.passed, got.failures, got.bayes_residual)) == repr(
+        (want.passed, want.failures, want.bayes_residual)
+    ), (seg, vals, k)
+    if not scales:
+        assert repr(got) == repr(want), (seg, vals, k)
+        return
+    assert got.slack_excess == max(got.price_slacks)
+    assert len(got.price_slacks) == len(want.price_slacks)
+    fields = [(got.ilr_residual, want.ilr_residual), *zip(got.price_slacks, want.price_slacks)]
+    for (g, w), scale in zip(fields, scales):
+        assert abs(g - w) <= CERT_ULPS * scale * math.ulp(max(1.0, abs(w))), (g, w, scale, seg, vals, k)
 
 
 def _reference_all_revenues(m, vals):
@@ -313,9 +358,7 @@ def test_certificate_and_welfare_match_reference_on_seeded_segmentations():
             assert repr(all_revenues(m, vals).tolist()) == repr(_reference_all_revenues(m, vals).tolist())
             assert repr(entropy(m)) == repr(_reference_entropy(m))
         got = verify_optimality(seg, vals, k)
-        want = _reference_verify_optimality(seg, vals, k)
-        # repr tells every float apart, -0.0 from 0.0 included
-        assert repr(got) == repr(want), (seg, vals, k)
+        _assert_matches_reference(got, seg, vals, k)
         kinds.update(_failure_kind(f) for f in got.failures)
         for tol in (PRICE_OPT_TOL, SWEEP_PRICE_TOL):
             w_got = _outcome(welfare, seg, vals, k, price_tol=tol)
@@ -340,7 +383,7 @@ def test_certificate_matches_reference_on_subnormal_flushed_posteriors():
                 flushed += any(x == 0.0 for s in seg.segments for x in s.market.weights)
                 got = verify_optimality(seg, vals, float(k))
                 assert got.passed, got.failures
-                assert repr(got) == repr(_reference_verify_optimality(seg, vals, float(k)))
+                _assert_matches_reference(got, seg, vals, float(k))
                 assert _outcome(welfare, seg, vals, float(k)) == _outcome(_reference_welfare, seg, vals, float(k))
     assert flushed > 0
 
@@ -359,7 +402,7 @@ def test_certificate_matches_reference_on_wide_supports():
         seg = _segmentation(prior, joint, [int(p) for p in rng.integers(K, size=n_seg)])
         wide += all(x > 0.0 for s in seg.segments for x in s.market.weights)
         for k in (1e-4, 0.03, 1.0, 100.0):
-            assert repr(verify_optimality(seg, vals, k)) == repr(_reference_verify_optimality(seg, vals, k))
+            _assert_matches_reference(verify_optimality(seg, vals, k), seg, vals, k)
             assert _outcome(welfare, seg, vals, k, price_tol=10.0) == _outcome(
                 _reference_welfare, seg, vals, k, price_tol=10.0
             )
@@ -383,18 +426,24 @@ def _seeded_markets(K, n, seed):
 
 
 def _reference_sweep_rows(vals, prior, grid, options=None):
-    """The rows of a sweep, each from ``solve`` on the prior and the all-numpy kernels."""
-    rows = []
+    """The rows of a sweep, each from ``solve`` on the prior and the all-numpy welfare, and their segmentations.
+
+    Rows carry no certificate (``verify=None``); each solved row's
+    segmentation is returned beside it for the 40-digit reference.
+    """
+    rows, segs = [], []
     for k in grid.as_array().tolist():
         try:
             seg = solve(MarketInstance(vals, prior, k), options)
         except SolverError as e:
             rows.append(SweepRow(k=k, report=None, n_segments=0, prices=(), verify=None, error=str(e)))
+            segs.append(None)
             continue
         rep = _reference_welfare(seg, vals, k, price_tol=SWEEP_PRICE_TOL)
         prices = tuple(vals[i] for i in seg.price_indices())
-        rows.append(SweepRow(k, rep, len(seg.segments), prices, _reference_verify_optimality(seg, vals, k)))
-    return SweepTable(rows=tuple(rows))
+        rows.append(SweepRow(k, rep, len(seg.segments), prices, None))
+        segs.append(seg)
+    return SweepTable(rows=tuple(rows)), segs
 
 
 @pytest.mark.parametrize(
@@ -405,9 +454,13 @@ def test_sweep_bytes_match_reference_kernels(K, n_points, options):
     for vals, prior in _seeded_markets(K, 4, seed=40 + K):
         grid = KGridSpec(1e-3 * vals[0], 1e2 * vals[-1], n_points)
         got = sweep_k(vals, prior, grid, options)
-        want = _reference_sweep_rows(vals, prior, grid, options)
-        assert _sweep_bytes(vals, prior, grid, options) == (to_csv(want), [repr(r.verify) for r in want.rows])
-        assert [repr(r) for r in got.rows] == [repr(r) for r in want.rows]
+        want, segs = _reference_sweep_rows(vals, prior, grid, options)
+        assert to_csv(got) == to_csv(want)
+        # every field byte for byte but the certificate, which is checked against the 40-digit one
+        assert [repr(replace(r, verify=None)) for r in got.rows] == [repr(r) for r in want.rows]
+        for row, seg in zip(got.rows, segs, strict=True):
+            if seg is not None:
+                _assert_matches_reference(row.verify, seg, vals, row.k)
 
 
 def test_pooled_sweep_matches_serial():
@@ -517,7 +570,8 @@ def test_batch_row_that_serves_no_type():
     fine = no_segmentation(Market((0.2, 0.3, 0.5)), vals)
     rows = [(fine, 0.5), (nobody, 0.5), (fine, 2.0), (nobody, 0.0), (fine, 0.0)]
     got = verify_optimality([s for s, _ in rows], vals, [k for _, k in rows])
-    assert [repr(r) for r in got] == [repr(_reference_verify_optimality(s, vals, k)) for s, k in rows]
+    for report, (s, k) in zip(got, rows, strict=True):
+        _assert_matches_reference(report, s, vals, k)
 
 
 def test_sweep_raises_the_first_failing_row_in_grid_order(monkeypatch):

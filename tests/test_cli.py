@@ -193,6 +193,25 @@ def test_verify_round_trip_passes(tmp_path):
     assert abs(report["ilr_residual"]) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "instance",
+    [
+        {"valuations": [4.413445638302532e-05, 787429.3722137071], "mu": [0.9104628401207199, 0.08953715987928008],
+         "k": 0.00015404285238829974},
+        {"valuations": [0.0009495858196874592, 0.2893408819795903, 1658541.1634981295],
+         "mu": [0.5488995310487239, 0.22743785531034033, 0.2236626136409358], "k": 0.0006312048587303156},
+    ],
+    ids=["K2", "K3"],
+)
+def test_verify_passes_extreme_scale_solves(tmp_path, capsys, instance):
+    # v/k about 5e9 and 2.6e9: the solve is exact, and verify must certify it
+    inp = write(tmp_path, "inst.json", instance)
+    seg_path = str(tmp_path / "seg.json")
+    assert cli.main(["solve", "--input", inp, "--output", seg_path]) == 0
+    assert cli.main(["verify", "--input", seg_path, "--instance", inp]) == 0, capsys.readouterr().err
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
 def test_verify_structural_only_without_instance(tmp_path, capsys):
     inp = write(tmp_path, "inst.json", WORKED)
     seg_path = str(tmp_path / "seg.json")

@@ -43,10 +43,28 @@ def test_script_runs(argv, key_line, tmp_path):
         assert len(targets) == 5 and all(line.endswith("  ok") for line in targets)
 
 
-def test_welfare_curves_rejects_a_malformed_k_grid(tmp_path):
-    out = _run_script(["welfare_curves.py", "--k-grid", "1:2"], tmp_path)
-    assert (out.returncode, out.stdout) == (2, "")
-    assert out.stderr == "error [k_grid]: --k-grid wants MIN:MAX:N, got '1:2'\n"
+@pytest.mark.parametrize(
+    "argv,stdout,stderr",
+    [
+        (["welfare_curves.py", "--k-grid", "1:2"], "", "error [k_grid]: --k-grid wants MIN:MAX:N, got '1:2'"),
+        (["welfare_curves.py", "--mu", "0.4", "0.7"], "",
+         "error [market_weight_sum]: weights sum to 1.1, expected 1 within 1e-12"),
+        (["welfare_curves.py", "--valuations", "2", "1"], "",
+         "error [valuations_increasing]: valuations must be strictly increasing, got (2.0, 1.0)"),
+        (["worked_example.py", "--k", "-1"], "", "error [cost_scale]: k must be finite and >= 0, got -1.0"),
+        (["surplus_locus.py", "--mu-high", "1.5"], "",
+         "error [market_nonnegative]: weights must be >= 0, got (-0.5, 1.5)"),
+        # the triangle is printed before the sweep reads its grid
+        (["surplus_locus.py", "--points", "1"], "triangle: uniform profit 1, full surplus 1.4, max CS 0.4\n",
+         "error [k_grid]: need at least 2 points, got 1"),
+    ],
+    ids=["welfare_curves-k_grid", "welfare_curves-mu", "welfare_curves-valuations", "worked_example-k",
+         "surplus_locus-mu_high", "surplus_locus-points"],
+)
+def test_scripts_reject_bad_input(argv, stdout, stderr, tmp_path):
+    # a bad argument ends like a bad CLI input: one error line and exit 2, no traceback
+    out = _run_script(argv, tmp_path)
+    assert (out.returncode, out.stdout, out.stderr) == (2, stdout, stderr + "\n")
 
 
 def test_oracle_fingerprint_prints_one_digest_per_input(tmp_path):

@@ -17,6 +17,7 @@ from segmentix import (
     net_objective,
     no_segmentation,
     payoff_matrix,
+    perfect_discrimination,
     segmentation_threshold,
     solve,
     solve_binary,
@@ -24,7 +25,7 @@ from segmentix import (
     verify_optimality,
     welfare,
 )
-from segmentix.solver import VERIFY_TOL, _logsumexp_rows
+from segmentix.solver import VERIFY_TOL
 
 V12 = Valuations((1.0, 2.0))
 V123 = Valuations((1.0, 2.0, 3.0))
@@ -253,26 +254,52 @@ def test_certificate_flags_duplicate_price_split():
     assert "likelihood_ratio_invariance" in report.failures
 
 
-def test_logsumexp_matches_scipy_bit_for_bit():
-    # the certificate's price slacks must keep the bytes scipy gave them
-    from scipy.special import logsumexp
+@pytest.mark.parametrize("implied,flagged", [(1.5e-12, True), (1e-12 / 1.5, False)])
+def test_certificate_zero_mass_threshold(implied, flagged):
+    # type 0 holds half of the price-1 segment and none of the price-2 one; the
+    # invariant implies it mass 0.5 exp(-1/k) there, flagged from 1e-12 on
+    k = 1.0 / math.log(0.5 / implied)
+    seg = Segmentation(Market((0.25, 0.75)), [Segment(Market((0.0, 1.0)), 0.5, 1), Segment(Market((0.5, 0.5)), 0.5, 0)])
+    failures = verify_optimality(seg, V12, k).failures
+    assert ("zero_mass_type_0_segment_0" in failures) == flagged, failures
 
-    rng = np.random.default_rng(20240611)
-    ragged = []
-    for n in range(1, 41):
-        for scale in (1e-3, 0.1, 1.0, 30.0, 300.0):
-            rows = []
-            for _ in range(6):
-                a = rng.normal(size=n) * scale
-                if n > 1 and rng.random() < 0.4:
-                    # tied maxima, the case scipy counts separately
-                    a[rng.choice(n, size=rng.integers(2, n + 1), replace=False)] = a.max()
-                rows.append(a)
-            # a table of rows, as the certificate passes them, and each row alone
-            got = _logsumexp_rows([a.tolist() for a in rows])
-            for a, g in zip(rows, got):
-                assert g == float(logsumexp(a)), a
-                assert _logsumexp_rows([a.tolist()]) == [g], a
-            ragged.append(rows[n % len(rows)])
-    # rows of every length in one table, as a sweep's batch passes them
-    assert _logsumexp_rows([a.tolist() for a in ragged]) == [float(logsumexp(a)) for a in ragged]
+
+def test_certificate_at_a_subnormal_cost_scale():
+    # payoff gaps over k = 1e-310 overflow to -inf: every served type's term at
+    # price 2 is -inf, which is a slack of -1, and type 0 and 2 are served
+    vals, prior = V123, Market((0.5, 0.0, 0.5))
+    report = verify_optimality(perfect_discrimination(prior, vals), vals, 1e-310)
+    assert report.passed, report.failures
+    assert report.price_slacks == (0.0, -1.0, 0.0)
+
+
+def _extreme_scale_draw(rng, K):
+    # each type's valuation at its own scale, so v_K / v_1 reaches 1e13
+    vals = Valuations(np.sort(rng.uniform(0.1, 10.0, K) * 10.0 ** rng.uniform(-6.0, 6.0, K)))
+    return vals, Market(rng.dirichlet(np.ones(K)))
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_extreme_scale_solves_pass_their_certificate(K):
+    # v/k up to 1e10: the certificate's terms are payoff differences, so an
+    # exact optimum passes however large v/k is
+    for s in (1, 2, 3):
+        rng = np.random.default_rng([s, K])
+        for _ in range(200):
+            vals, prior = _extreme_scale_draw(rng, K)
+            k = vals[-1] * 10.0 ** rng.uniform(-10.0, 0.0)
+            report = verify_optimality(solve(MarketInstance(vals, prior, k)), vals, k)
+            assert report.passed, (vals, prior, k, report)
+
+
+def test_no_segmentation_passes_just_above_threshold():
+    # k-bar is read off the no-segmentation certificate's payoff differences;
+    # the certificate must agree with it at every scale
+    for K in (2, 3, 4):
+        for s in (1, 2, 3):
+            rng = np.random.default_rng([s, K, 5])
+            for _ in range(300):
+                vals, prior = _extreme_scale_draw(rng, K)
+                k = 1.001 * segmentation_threshold(vals, prior)
+                report = verify_optimality(no_segmentation(prior, vals), vals, k)
+                assert report.passed, (vals, prior, k, report)
