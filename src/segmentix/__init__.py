@@ -4,6 +4,11 @@ The names below are loaded from their submodules on first access (PEP 562),
 so importing one submodule loads only what it imports: ``segmentix.files``
 loads ``segmentix.market`` alone. ``segmentix.cli`` loads the rest per
 subcommand, when the subcommand runs.
+
+``market``, ``files``, ``binary`` and ``solver`` import numpy only inside
+the functions that compute on arrays, so a ``solve`` or ``verify`` that
+needs none of them never loads it; ``sweeps``, ``oracle`` and
+``rationalize`` import it when they load.
 """
 
 import importlib

@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .market import (
     Market,
@@ -26,13 +25,16 @@ from .market import (
     Segmentation,
     ValidationError,
     Valuations,
-    all_revenues,
+    _tail_revenues,
     net_objective,
     no_segmentation,
     optimal_price,
     perfect_discrimination,
     seller_payoff,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Grid points where the curve touches its envelope give a gap of exactly
 # zero (the hull keeps them as vertices), so this only needs to clear the
@@ -127,7 +129,7 @@ def segmentation_threshold(vals: Valuations, mu_star: Market) -> float:
     (degenerate priors).
     """
     p = optimal_price(mu_star, vals)
-    rev = all_revenues(mu_star, vals)
+    rev = _tail_revenues(mu_star.weights, vals.values)
     served = [(math.log(m), v) for m, v in zip(mu_star.weights, vals.values) if m > 0.0]
     s_min = math.inf
     for t in range(len(vals)):
@@ -195,6 +197,8 @@ def upper_concave_hull(x: np.ndarray, y: np.ndarray) -> tuple[list[float], list[
 
 def net_value_curve(vals: Valuations, k: float, grid: np.ndarray) -> np.ndarray:
     """Pointwise best revenue plus entropy credit along high-type shares."""
+    import numpy as np
+
     w1, w2 = _require_two_types(vals)
     x = np.asarray(grid, dtype=float)
     ent = np.zeros_like(x)
@@ -216,6 +220,8 @@ def concave_envelope(
     its high-type share (``None`` if that prior sits where curve and envelope
     agree, i.e. no segmentation helps it); otherwise the longest gap run.
     """
+    import numpy as np
+
     _require_two_types(vals)
     if grid_n < 2:
         raise ValidationError("grid_size", f"grid_n must be >= 2, got {grid_n}")

@@ -19,6 +19,12 @@ and ``rationalize``, ``oracle`` only ``oracle``; a structural ``verify``
 (no ``--instance``) loads nothing beyond ``files`` and ``market``. The
 library names the handlers call stay attributes of this module, loaded
 on first access (PEP 562) as the package's are.
+
+numpy loads only in code that computes on arrays. ``solve`` and
+``verify`` do not load it, except for a ``solve`` with three or more
+types whose certificate rejects both the unsegmented prior and full
+discrimination: that one runs the iteration, which imports numpy.
+``sweep``, ``rationalize`` and ``oracle`` load it.
 """
 
 from __future__ import annotations

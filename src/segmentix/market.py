@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Tolerances used by the constructors. These are part of the contract:
 # inputs inside the tolerance are normalized, inputs outside are rejected.
@@ -76,6 +77,8 @@ class Valuations:
         return self.values[i]
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self.values, dtype=float)
 
 
@@ -120,6 +123,8 @@ class Market:
         return self.weights[i]
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self.weights, dtype=float)
 
 
@@ -257,6 +262,8 @@ def _tail_revenues(weights: Sequence[float], values: Sequence[float]) -> list[fl
 
 def all_revenues(market: Market, vals: Valuations) -> np.ndarray:
     """Revenue at every candidate price (running tail sums)."""
+    import numpy as np
+
     return np.array(_tail_revenues(market.weights, vals.values))
 
 
@@ -268,9 +275,9 @@ def optimal_price(market: Market, vals: Valuations) -> int:
 
 def price_region(market: Market, vals: Valuations) -> tuple[int, ...]:
     """All price indices whose revenue is within ``PRICE_OPT_TOL`` of the maximum."""
-    rev = all_revenues(market, vals)
-    best = float(np.max(rev))
-    return tuple(int(i) for i in np.nonzero(rev >= best - PRICE_OPT_TOL)[0])
+    rev = _tail_revenues(market.weights, vals.values)
+    best = max(rev)
+    return tuple(i for i, r in enumerate(rev) if r >= best - PRICE_OPT_TOL)
 
 
 def check_segment_prices(seg: Segmentation, vals: Valuations, tol: float = PRICE_OPT_TOL) -> None:
@@ -288,6 +295,8 @@ def check_segment_prices(seg: Segmentation, vals: Valuations, tol: float = PRICE
 def _numpy_order_sum(terms: list[float]) -> float:
     """The bytes np.sum gives: it adds left to right below 8 terms, in pairwise blocks from 8 on."""
     if len(terms) >= 8:
+        import numpy as np
+
         return float(np.sum(terms))
     total = 0.0
     for t in terms:
@@ -301,6 +310,8 @@ def _entropies(rows: Sequence[Sequence[float]]) -> list[float]:
     A row's entropy has the bytes of ``-np.sum(pos * np.log(pos))`` over
     its positive weights.
     """
+    import numpy as np
+
     pos = [[x for x in row if x > 0.0] for row in rows]
     logs = iter(np.log([x for p in pos for x in p]).tolist())
     return [-_numpy_order_sum([x * next(logs) for x in p]) for p in pos]
@@ -315,6 +326,8 @@ def binary_entropy(x: float) -> float:
 
 def entropy(market: Market | Sequence[float] | np.ndarray) -> float:
     """Shannon entropy of a weight vector in nats, with 0*log(0) = 0."""
+    import numpy as np
+
     w = market.weights if isinstance(market, Market) else np.asarray(market, dtype=float).ravel().tolist()
     return _entropies([w])[0]
 
@@ -326,8 +339,7 @@ def net_segment_value(market: Market, vals: Valuations, k: float) -> float:
     Bayes-plausible splits; the entropy credit is what makes information
     about nearly-degenerate segments expensive to produce.
     """
-    rev = all_revenues(market, vals)
-    return float(np.max(rev)) + k * entropy(market)
+    return max(_tail_revenues(market.weights, vals.values)) + k * entropy(market)
 
 
 def net_objective(seg: Segmentation, vals: Valuations, k: float) -> float:
@@ -392,7 +404,7 @@ class SurplusTriangle:
 
 def surplus_triangle(mu_star: Market, vals: Valuations) -> SurplusTriangle:
     """Bounds on (CS, gross PS) under any segmentation of the prior."""
-    uniform = float(np.max(all_revenues(mu_star, vals)))
+    uniform = max(_tail_revenues(mu_star.weights, vals.values))
     full = math.fsum(w * v for w, v in zip(mu_star.weights, vals.values))
     return SurplusTriangle(uniform_profit=uniform, full_surplus=full, max_cs=full - uniform)
 

@@ -12,10 +12,9 @@ type's valuation is strictly revenue-dominated by the next supported one above.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .binary import solve_binary
 from .market import (
@@ -34,6 +33,9 @@ from .market import (
     seller_payoff,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 VERIFY_TOL = 1e-8
 
 # A posterior entry stored as exact zero is accepted when the mass the
@@ -42,7 +44,7 @@ VERIFY_TOL = 1e-8
 # not genuine misallocations. Genuine violations imply order-one masses.
 ZERO_MASS_TOL = 1e-12
 _LOG_ZERO_MASS_TOL = math.log(ZERO_MASS_TOL)
-_TINY = np.finfo(float).tiny
+_TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,8 @@ def _payoffs(vals: Valuations) -> list[list[float]]:
 
 def payoff_matrix(vals: Valuations) -> np.ndarray:
     """S[i, t] = revenue extracted from a type-i buyer at price vals[t]."""
+    import numpy as np
+
     return np.array(_payoffs(vals))
 
 
@@ -210,6 +214,8 @@ def solve_ri(inst: MarketInstance, options: SolveOptions | None = None) -> Segme
     for cand in (no_segmentation(inst.mu_star, inst.vals), perfect_discrimination(inst.mu_star, inst.vals)):
         if verify_optimality(cand, inst.vals, inst.k).passed:
             return cand
+
+    import numpy as np  # only the iteration computes on arrays
 
     mu_full = inst.mu_star.as_array()
     support = np.nonzero(mu_full > 0.0)[0]

@@ -110,19 +110,20 @@ def sweep_k(
     over the whole batch, so each numpy call those two make is made once
     per sweep, not once per row; a row has the bytes of its one-row calls.
     A row whose accounts fail raises its ``ValidationError``, the first
-    such row in grid order. ``max_workers`` is accepted and ignored.
+    such row in grid order. An explicit grid is checked before any row is
+    solved: it must be non-empty, finite, positive and strictly increasing.
+    ``max_workers`` is accepted and ignored.
     """
     if k_grid is None:
-        ks = default_k_grid(vals).as_array()
-    elif isinstance(k_grid, KGridSpec):
-        ks = k_grid.as_array()
+        k_grid = default_k_grid(vals)
+    if isinstance(k_grid, KGridSpec):
+        ks = k_grid.as_array().tolist()
     else:
-        ks = np.asarray(list(k_grid), dtype=float)
-        if len(ks) == 0:
+        ks = [float(k) for k in k_grid]
+        if not ks:
             raise ValidationError("k_grid", "grid must be non-empty")
-        if np.any(ks <= 0.0) or np.any(np.diff(ks) <= 0.0):
-            raise ValidationError("k_grid", "grid must be positive and strictly increasing")
-    ks = ks.tolist()
+        if not all(0.0 < k < math.inf for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
+            raise ValidationError("k_grid", "grid must be finite, positive and strictly increasing")
     segs: list[Segmentation | str] = []  # per k: the solution, or why the solver failed
     for k in ks:
         try:

@@ -1,7 +1,8 @@
-"""Package exports: loaded lazily from their submodules, the same names as before."""
+"""Package exports: loaded lazily from their submodules, the same names as before; numpy loaded only where used."""
 
 import ast
 import graphlib
+import json
 import os
 import subprocess
 import sys
@@ -28,10 +29,11 @@ EXPORTED = {
 }  # fmt: skip
 
 
-def _fresh_modules(statement: str) -> set[str]:
+def _fresh_modules(statement: str, prefix: str = "segmentix") -> set[str]:
+    """The modules named ``prefix`` or under it that a fresh interpreter holds after running ``statement``."""
     src = str(Path(segmentix.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = f"import sys; {statement}; print(' '.join(m for m in sys.modules if m.startswith('segmentix')))"
+    code = f"import sys; {statement}; print(' '.join(m for m in sys.modules if m.split('.')[0] == {prefix!r}))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     return set(out.stdout.split())
 
@@ -89,3 +91,50 @@ def test_module_level_imports_form_a_thin_dag():
     assert graph["files"] == {"market"}
     assert graph["oracle"] == {"market"}  # the oracles share nothing with the solvers
     tuple(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
+
+
+@pytest.mark.parametrize("module", ["files", "market", "binary", "solver"])
+def test_import_loads_no_numpy(module):
+    assert _fresh_modules(f"import segmentix.{module}", prefix="numpy") == set()
+
+
+def _cli_numpy_modules(*argv: str) -> set[str]:
+    """The numpy modules a fresh process holds after ``segmentix.cli.main(argv)`` returns 0."""
+    return _fresh_modules(f"import segmentix.cli as cli; assert cli.main({list(argv)!r}) == 0", prefix="numpy")
+
+
+def _write_instance(path: Path, vals: tuple, mu: tuple, k: float) -> str:
+    path.write_text(json.dumps({"valuations": list(vals), "mu": list(mu), "k": k}))
+    return str(path)
+
+
+V123, MU334 = (1.0, 2.0, 3.0), (0.3, 0.3, 0.4)
+
+
+def test_cli_solve_and_verify_load_no_numpy(tmp_path):
+    from segmentix import Market, Valuations, segmentation_threshold
+
+    k3 = 50.0
+    assert k3 > segmentation_threshold(Valuations(V123), Market(MU334))  # the certificate accepts the prior
+    for name, vals, mu, k in (("k2", (1.0, 2.0), (0.4, 0.6), 0.5), ("k3", V123, MU334, k3)):
+        inst = _write_instance(tmp_path / f"{name}.json", vals, mu, k)
+        seg = str(tmp_path / f"{name}.seg.json")
+        assert _cli_numpy_modules("solve", "--input", inst, "--output", seg) == set(), name
+        out = str(tmp_path / f"{name}.verify.json")
+        assert _cli_numpy_modules("verify", "--input", seg, "--instance", inst, "--output", out) == set(), name
+        assert json.loads(Path(out).read_text())["passed"]
+        assert _cli_numpy_modules("verify", "--input", seg, "--output", out) == set(), name
+
+
+def test_cli_solve_below_threshold_loads_numpy_for_the_iteration(tmp_path):
+    from segmentix import Market, MarketInstance, Valuations, segmentation_threshold, solve
+    from segmentix.files import dump_json, segmentation_to_dict
+
+    vals, mu, k = Valuations(V123), Market(MU334), 0.3
+    assert k < segmentation_threshold(vals, mu)
+    inst = _write_instance(tmp_path / "k3.json", V123, MU334, k)
+    seg = tmp_path / "k3.seg.json"
+    assert "numpy" in _cli_numpy_modules("solve", "--input", inst, "--output", str(seg))
+    expected = solve(MarketInstance(vals, mu, k))
+    assert len(expected.segments) > 1
+    assert seg.read_text() == dump_json(segmentation_to_dict(expected, vals))

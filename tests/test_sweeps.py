@@ -93,6 +93,24 @@ def test_sweep_parallel_matches_serial():
     assert to_csv(serial) == to_csv(parallel)
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [[], [2.0, math.nan, 1.0], [0.5, math.nan], [1.0, math.inf], [-math.inf, 1.0], [0.0, 1.0], [1.0, 0.5],
+     [0.5, 0.5]],
+    ids=["empty", "nan-decreasing", "nan", "inf", "minus-inf", "zero", "decreasing", "repeated"],
+)
+def test_sweep_rejects_bad_explicit_grid_before_any_solve(grid, monkeypatch):
+    import segmentix.sweeps as sweeps
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran on a grid that should have been rejected")
+
+    monkeypatch.setattr(sweeps, "solve", no_solve)
+    with pytest.raises(ValidationError) as exc:
+        sweep_k(V12, MU46, grid)
+    assert exc.value.invariant == "k_grid"
+
+
 def test_sweep_series_extraction():
     table = sweep_k(V12, MU46, KGridSpec(lo=0.1, hi=1.0, n=5))
     cs = table.series("cs")
