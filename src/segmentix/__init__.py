@@ -5,10 +5,10 @@ so importing one submodule loads only what it imports: ``segmentix.files``
 loads ``segmentix.market`` alone. ``segmentix.cli`` loads the rest per
 subcommand, when the subcommand runs.
 
-``market``, ``files``, ``binary`` and ``solver`` import numpy only inside
-the functions that compute on arrays, so a ``solve`` or ``verify`` that
-needs none of them never loads it; ``sweeps``, ``oracle`` and
-``rationalize`` import it when they load.
+``market``, ``files``, ``binary``, ``solver`` and ``sweeps`` import numpy
+only inside the functions that compute on arrays, so a ``solve``,
+``verify`` or ``sweep`` that needs none of them never loads it; ``oracle``
+and ``rationalize`` import it when they load.
 """
 
 import importlib

@@ -20,11 +20,12 @@ and ``rationalize``, ``oracle`` only ``oracle``; a structural ``verify``
 library names the handlers call stay attributes of this module, loaded
 on first access (PEP 562) as the package's are.
 
-numpy loads only in code that computes on arrays. ``solve`` and
-``verify`` do not load it, except for a ``solve`` with three or more
-types whose certificate rejects both the unsegmented prior and full
-discrimination: that one runs the iteration, which imports numpy.
-``sweep``, ``rationalize`` and ``oracle`` load it.
+numpy loads only in code that computes on arrays. ``solve``, ``verify``
+and ``sweep`` do not load it, except where a market with three or more
+types meets a k at which the certificate rejects both the unsegmented
+prior and full discrimination: that ``solve``, or that ``sweep`` row,
+runs the iteration, which imports numpy. ``rationalize`` and ``oracle``
+load it.
 """
 
 from __future__ import annotations

@@ -292,31 +292,6 @@ def check_segment_prices(seg: Segmentation, vals: Valuations, tol: float = PRICE
             )
 
 
-def _numpy_order_sum(terms: list[float]) -> float:
-    """The bytes np.sum gives: it adds left to right below 8 terms, in pairwise blocks from 8 on."""
-    if len(terms) >= 8:
-        import numpy as np
-
-        return float(np.sum(terms))
-    total = 0.0
-    for t in terms:
-        total += t
-    return total
-
-
-def _entropies(rows: Sequence[Sequence[float]]) -> list[float]:
-    """Shannon entropies of weight rows in nats, from one np.log call over every positive weight.
-
-    A row's entropy has the bytes of ``-np.sum(pos * np.log(pos))`` over
-    its positive weights.
-    """
-    import numpy as np
-
-    pos = [[x for x in row if x > 0.0] for row in rows]
-    logs = iter(np.log([x for p in pos for x in p]).tolist())
-    return [-_numpy_order_sum([x * next(logs) for x in p]) for p in pos]
-
-
 def binary_entropy(x: float) -> float:
     """Entropy in nats of a two-type market whose second share is ``x``; 0 at and beyond the ends."""
     if x <= 0.0 or x >= 1.0:
@@ -324,12 +299,10 @@ def binary_entropy(x: float) -> float:
     return -(x * math.log(x) + (1.0 - x) * math.log1p(-x))
 
 
-def entropy(market: Market | Sequence[float] | np.ndarray) -> float:
-    """Shannon entropy of a weight vector in nats, with 0*log(0) = 0."""
-    import numpy as np
-
-    w = market.weights if isinstance(market, Market) else np.asarray(market, dtype=float).ravel().tolist()
-    return _entropies([w])[0]
+def entropy(market: Market | Sequence[float]) -> float:
+    """Shannon entropy of a weight vector in nats: ``-fsum(x * log(x))`` over its positive weights."""
+    w = market.weights if isinstance(market, Market) else market
+    return -math.fsum(x * math.log(x) for x in w if x > 0.0)
 
 
 def net_segment_value(market: Market, vals: Valuations, k: float) -> float:
@@ -444,9 +417,8 @@ def welfare(
     Given a sequence of segmentations and one cost scale for each, returns
     their reports in a list: the batch a sweep accounts. Every row is
     checked, in order, before any is accounted, so the first row that fails
-    raises. One np.log call then takes the entropies of every prior and
-    segment in the batch; the rest runs on Python floats, row by row, and a
-    batch row has the bytes of its one-row call.
+    raises. The rows are then accounted one by one, so a batch row has the
+    bytes of its one-row call.
     """
     one, segs, ks = _batch_rows(seg, k)
     for s, kk in zip(segs, ks):
@@ -455,23 +427,17 @@ def welfare(
         if s.bayes_residual > BAYES_TOL:
             raise ValidationError("bayes_plausibility", f"residual {s.bayes_residual:.3e} exceeds {BAYES_TOL}")
         check_segment_prices(s, vals, price_tol)
-    markets = []  # each row's prior, then its segments
-    for s in segs:
-        markets.append(s.prior.weights)
-        markets.extend([c.market.weights for c in s.segments])
-    ents = iter(_entropies(markets))
     reports = []
     for s, kk in zip(segs, ks):
-        h_prior = next(ents)
         cs = 0.0
         ps_gross = 0.0
         avg_entropy = 0.0
-        for c, h in zip(s.segments, ents):  # segments first: zip stops before drawing the next row's prior
+        for c in s.segments:
             p = vals[c.price_index]
             cs += c.weight * math.fsum(w * buyer_payoff(p, v) for w, v in zip(c.market.weights, vals.values))
             ps_gross += c.weight * revenue(c.market, vals, c.price_index)
-            avg_entropy += c.weight * h
-        info_cost = kk * (h_prior - avg_entropy)
+            avg_entropy += c.weight * entropy(c.market)
+        info_cost = kk * (entropy(s.prior) - avg_entropy)
         ps_net = ps_gross - info_cost
         reports.append(
             WelfareReport(

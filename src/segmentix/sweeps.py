@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .binary import tangency_posteriors
 from .market import (
     Market,
@@ -22,7 +20,7 @@ from .market import (
     ValidationError,
     Valuations,
     WelfareReport,
-    all_revenues,
+    _tail_revenues,
     binary_entropy,
     welfare,
 )
@@ -37,7 +35,11 @@ SWEEP_PRICE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class KGridSpec:
-    """Cost-scale ladder: ``n`` log-spaced points from ``lo`` to ``hi``."""
+    """Cost-scale ladder: ``n`` log-spaced points from ``lo`` to ``hi``.
+
+    A spec whose points are not strictly increasing in double precision
+    (``hi / lo`` too close to 1 for ``n``) is rejected, as an explicit grid is.
+    """
 
     lo: float
     hi: float
@@ -48,9 +50,21 @@ class KGridSpec:
             raise ValidationError("k_grid", f"need 0 < lo < hi finite, got [{self.lo}, {self.hi}]")
         if self.n < 2:
             raise ValidationError("k_grid", f"need at least 2 points, got {self.n}")
+        _check_k_grid(self.points())
 
-    def as_array(self) -> np.ndarray:
-        return np.geomspace(self.lo, self.hi, self.n)
+    def points(self) -> tuple[float, ...]:
+        """The grid, in ``np.geomspace``'s steps: ``10 ** (i * step + log10(lo))``, ends exactly ``lo`` and ``hi``."""
+        a = math.log10(self.lo)
+        step = (math.log10(self.hi) - a) / (self.n - 1)
+        return (float(self.lo), *(10.0 ** (i * step + a) for i in range(1, self.n - 1)), float(self.hi))
+
+
+def _check_k_grid(ks: Sequence[float]) -> None:
+    """Reject, as ``k_grid``, a grid that is empty or not finite, positive and strictly increasing."""
+    if not ks:
+        raise ValidationError("k_grid", "grid must be non-empty")
+    if not all(0.0 < k < math.inf for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ValidationError("k_grid", "grid must be finite, positive and strictly increasing")
 
 
 def default_k_grid(vals: Valuations) -> KGridSpec:
@@ -107,23 +121,19 @@ def sweep_k(
     the row's k. Rows that fail to converge are recorded with their error
     and the sweep continues. The solved rows are then accounted by one
     ``welfare`` call and certified by one ``verify_optimality`` call, each
-    over the whole batch, so each numpy call those two make is made once
-    per sweep, not once per row; a row has the bytes of its one-row calls.
-    A row whose accounts fail raises its ``ValidationError``, the first
-    such row in grid order. An explicit grid is checked before any row is
-    solved: it must be non-empty, finite, positive and strictly increasing.
-    ``max_workers`` is accepted and ignored.
+    over the whole batch; a row has the bytes of its one-row calls. A row
+    whose accounts fail raises its ``ValidationError``, the first such row
+    in grid order. The grid is checked before any row is solved: it must be
+    non-empty, finite, positive and strictly increasing. ``max_workers`` is
+    accepted and ignored.
     """
     if k_grid is None:
         k_grid = default_k_grid(vals)
     if isinstance(k_grid, KGridSpec):
-        ks = k_grid.as_array().tolist()
+        ks = k_grid.points()  # checked when the spec was made
     else:
         ks = [float(k) for k in k_grid]
-        if not ks:
-            raise ValidationError("k_grid", "grid must be non-empty")
-        if not all(0.0 < k < math.inf for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
-            raise ValidationError("k_grid", "grid must be finite, positive and strictly increasing")
+        _check_k_grid(ks)
     segs: list[Segmentation | str] = []  # per k: the solution, or why the solver failed
     for k in ks:
         try:
@@ -192,7 +202,7 @@ def boundary_always_segments(vals: Valuations, k_grid: Sequence[float]) -> Bound
     w1, w2 = vals[0], vals[1]
     r = w1 / w2
     prior = Market([1.0 - r, r])
-    rev_prior = float(np.max(all_revenues(prior, vals)))
+    rev_prior = max(_tail_revenues(prior.weights, vals.values))
     h_prior = binary_entropy(r)
     always = True
     min_slack = math.inf

@@ -147,6 +147,13 @@ def test_sweep_empty_k_grid_means_default(tmp_path):
     assert Path(default).read_bytes() == Path(empty).read_bytes()
 
 
+def test_collapsed_k_grid_fails_before_the_input_is_read(tmp_path, capsys):
+    # 3000 log-spaced points between 1 and 1 + 1e-13 repeat in double precision
+    missing = str(tmp_path / "missing.json")
+    assert cli.main(["sweep", "--input", missing, "--k-grid", "1:1.0000000000001:3000"]) == 2
+    assert capsys.readouterr().err.startswith("error [k_grid]: ")
+
+
 # each list holds one failure per argument check, in the order they are
 # reported; a case keeps the failures from its index on
 _SWEEP_FAILURES = [

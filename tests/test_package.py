@@ -93,7 +93,7 @@ def test_module_level_imports_form_a_thin_dag():
     tuple(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
 
 
-@pytest.mark.parametrize("module", ["files", "market", "binary", "solver"])
+@pytest.mark.parametrize("module", ["files", "market", "binary", "solver", "sweeps"])
 def test_import_loads_no_numpy(module):
     assert _fresh_modules(f"import segmentix.{module}", prefix="numpy") == set()
 
@@ -138,3 +138,32 @@ def test_cli_solve_below_threshold_loads_numpy_for_the_iteration(tmp_path):
     expected = solve(MarketInstance(vals, mu, k))
     assert len(expected.segments) > 1
     assert seg.read_text() == dump_json(segmentation_to_dict(expected, vals))
+
+
+def test_cli_sweeps_load_no_numpy(tmp_path):
+    from segmentix import Market, Valuations, segmentation_threshold
+
+    k3 = segmentation_threshold(Valuations(V123), Market(MU334))
+    inp2 = _write_instance(tmp_path / "k2.json", (1.0, 2.0), (0.4, 0.6), 0.5)
+    inp3 = _write_instance(tmp_path / "k3.json", V123, MU334, 1.0)
+    out = str(tmp_path / "out")
+    for fmt in ("csv", "svg"):
+        assert _cli_numpy_modules("sweep", "--input", inp2, "--output", out, "--format", fmt) == set(), fmt
+    # every row lies above k-bar, where the certificate accepts the unsegmented prior
+    grid = f"{1.01 * k3!r}:{100.0 * k3!r}:20"
+    assert _cli_numpy_modules("sweep", "--input", inp3, "--output", out, "--k-grid", grid) == set()
+
+
+def test_cli_sweep_with_a_row_below_threshold_loads_numpy_for_the_iteration(tmp_path):
+    from segmentix import Market, Valuations, segmentation_threshold, sweep_k, to_csv
+
+    vals, mu = Valuations(V123), Market(MU334)
+    k3 = segmentation_threshold(vals, mu)
+    assert 0.3 < k3
+    inp = _write_instance(tmp_path / "k3.json", V123, MU334, 1.0)
+    out = tmp_path / "k3.csv"
+    grid = f"0.3:{100.0 * k3!r}:6"
+    assert "numpy" in _cli_numpy_modules("sweep", "--input", inp, "--output", str(out), "--k-grid", grid)
+    table = sweep_k(vals, mu, [0.3])
+    assert table.rows[0].n_segments > 1
+    assert out.read_text().splitlines()[1] == to_csv(table).splitlines()[1]

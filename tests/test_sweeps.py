@@ -1,6 +1,7 @@
 """Cost-scale sweeps, monotonicity classification, surplus geometry."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -29,21 +30,29 @@ MU46 = Market((0.4, 0.6))
 # -------------------- grid spec --------------------
 
 def test_grid_spec_validates():
-    with pytest.raises(ValidationError):
-        KGridSpec(lo=0.0, hi=1.0, n=10)
-    with pytest.raises(ValidationError):
-        KGridSpec(lo=1.0, hi=0.5, n=10)
-    with pytest.raises(ValidationError):
-        KGridSpec(lo=0.1, hi=1.0, n=1)
+    # the last spec's points repeat in double precision: it fails as an explicit grid would
+    for lo, hi, n in ((0.0, 1.0, 10), (1.0, 0.5, 10), (0.1, 1.0, 1), (1.0, 1.0000000000001, 3000)):
+        with pytest.raises(ValidationError) as exc:
+            KGridSpec(lo=lo, hi=hi, n=n)
+        assert exc.value.invariant == "k_grid"
 
 
 def test_grid_spec_log_spacing():
-    ks = KGridSpec(lo=0.01, hi=10.0, n=200).as_array()
-    assert len(ks) == 200
-    assert ks[0] == pytest.approx(0.01)
-    assert ks[-1] == pytest.approx(10.0)
-    ratios = ks[1:] / ks[:-1]
-    assert np.allclose(ratios, ratios[0])
+    for lo, hi, n in ((0.01, 10.0, 200), (1e-3, 1e3, 600), (2e-6, 3e4, 500), (0.5, 2.0, 9)):
+        ks = KGridSpec(lo=lo, hi=hi, n=n).points()
+        assert type(ks) is tuple and len(ks) == n
+        assert all(type(k) is float for k in ks)
+        assert ks[0] == lo and ks[-1] == hi
+        assert all(b > a for a, b in zip(ks, ks[1:]))
+        # the exponent i*step + log10(lo) is off by about ulp(|log10 lo| + |log10 hi|),
+        # which 10 ** scales by ln 10; one more ulp for the power's own rounding
+        ulps = 1.0 + 2.0 * math.log(10.0) * (abs(math.log10(lo)) + abs(math.log10(hi)))
+        with localcontext() as ctx:
+            ctx.prec = 40
+            ratio = Decimal(hi) / Decimal(lo)
+            for i, k in enumerate(ks):
+                want = Decimal(lo) * ratio ** (Decimal(i) / (n - 1))
+                assert abs(Decimal(k) - want) <= Decimal(ulps * math.ulp(k)), (lo, hi, n, i, k)
 
 
 def test_default_grid_scales_with_low_valuation():
