@@ -382,72 +382,40 @@ def surplus_triangle(mu_star: Market, vals: Valuations) -> SurplusTriangle:
     return SurplusTriangle(uniform_profit=uniform, full_surplus=full, max_cs=full - uniform)
 
 
-def _batch_rows(seg: Segmentation | Sequence[Segmentation], k: float | Sequence[float]):
-    """(one, segmentations, cost scales) of a call that takes one segmentation or a batch of them.
-
-    ``one`` is whether ``seg`` is a single segmentation, paired with the
-    single cost scale ``k``; otherwise ``seg`` and ``k`` are sequences of
-    equal length, paired in order.
-    """
-    if isinstance(seg, Segmentation):
-        return True, (seg,), (k,)
-    segs, ks = tuple(seg), tuple(k)
-    if len(segs) != len(ks):
-        raise ValidationError("batch_shape", f"{len(segs)} segmentations against {len(ks)} cost scales")
-    return False, segs, ks
-
-
-def welfare(
-    seg: Segmentation | Sequence[Segmentation],
-    vals: Valuations,
-    k: float | Sequence[float],
-    price_tol: float = PRICE_OPT_TOL,
-) -> WelfareReport | list[WelfareReport]:
+def welfare(seg: Segmentation, vals: Valuations, k: float, price_tol: float = PRICE_OPT_TOL) -> WelfareReport:
     """Split total surplus of a priced segmentation into its welfare accounts.
 
     Consumer surplus and gross seller revenue are expectations over segments
     at each segment's own price. The information cost is ``k`` times the
     expected entropy reduction relative to the prior; it is subtracted from
-    gross revenue to obtain the seller's net payoff.
+    gross revenue to obtain the seller's net payoff. ``k`` must be finite
+    and >= 0.
 
     ``price_tol`` bounds how far each segment's assigned price may fall short
     of revenue-maximal; iterative solver output needs a looser bound than
     exact closed forms.
-
-    Given a sequence of segmentations and one cost scale for each, returns
-    their reports in a list: the batch a sweep accounts. Every row is
-    checked, in order, before any is accounted, so the first row that fails
-    raises. The rows are then accounted one by one, so a batch row has the
-    bytes of its one-row call.
     """
-    one, segs, ks = _batch_rows(seg, k)
-    for s, kk in zip(segs, ks):
-        if kk < 0.0:
-            raise ValidationError("cost_scale", f"k must be >= 0, got {kk}")
-        if s.bayes_residual > BAYES_TOL:
-            raise ValidationError("bayes_plausibility", f"residual {s.bayes_residual:.3e} exceeds {BAYES_TOL}")
-        check_segment_prices(s, vals, price_tol)
-    reports = []
-    for s, kk in zip(segs, ks):
-        cs = 0.0
-        ps_gross = 0.0
-        avg_entropy = 0.0
-        for c in s.segments:
-            p = vals[c.price_index]
-            cs += c.weight * math.fsum(w * buyer_payoff(p, v) for w, v in zip(c.market.weights, vals.values))
-            ps_gross += c.weight * revenue(c.market, vals, c.price_index)
-            avg_entropy += c.weight * entropy(c.market)
-        info_cost = kk * (entropy(s.prior) - avg_entropy)
-        ps_net = ps_gross - info_cost
-        reports.append(
-            WelfareReport(
-                cs=cs,
-                ps_gross=ps_gross,
-                info_cost=info_cost,
-                ps_net=ps_net,
-                ts_gross=cs + ps_gross,
-                ts_net=cs + ps_net,
-                segmented=len(s.segments) > 1,
-            )
-        )
-    return reports[0] if one else reports
+    if not (math.isfinite(k) and k >= 0.0):
+        raise ValidationError("cost_scale", f"k must be finite and >= 0, got {k}")
+    if seg.bayes_residual > BAYES_TOL:
+        raise ValidationError("bayes_plausibility", f"residual {seg.bayes_residual:.3e} exceeds {BAYES_TOL}")
+    check_segment_prices(seg, vals, price_tol)
+    cs = 0.0
+    ps_gross = 0.0
+    avg_entropy = 0.0
+    for c in seg.segments:
+        p = vals[c.price_index]
+        cs += c.weight * math.fsum(w * buyer_payoff(p, v) for w, v in zip(c.market.weights, vals.values))
+        ps_gross += c.weight * revenue(c.market, vals, c.price_index)
+        avg_entropy += c.weight * entropy(c.market)
+    info_cost = k * (entropy(seg.prior) - avg_entropy)
+    ps_net = ps_gross - info_cost
+    return WelfareReport(
+        cs=cs,
+        ps_gross=ps_gross,
+        info_cost=info_cost,
+        ps_net=ps_net,
+        ts_gross=cs + ps_gross,
+        ts_net=cs + ps_net,
+        segmented=len(seg.segments) > 1,
+    )

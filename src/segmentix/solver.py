@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from .binary import solve_binary
 from .market import (
@@ -27,7 +27,6 @@ from .market import (
     SolverError,
     ValidationError,
     Valuations,
-    _batch_rows,
     no_segmentation,
     perfect_discrimination,
     seller_payoff,
@@ -100,12 +99,7 @@ def _log_sum_exp(x: list[float]) -> float:
     return top + math.log(math.fsum([math.exp(v - top) for v in x]))
 
 
-def verify_optimality(
-    seg: Segmentation | Sequence[Segmentation],
-    vals: Valuations,
-    k: float | Sequence[float],
-    tol: float = VERIFY_TOL,
-) -> OptimalityReport | list[OptimalityReport]:
+def verify_optimality(seg: Segmentation, vals: Valuations, k: float, tol: float = VERIFY_TOL) -> OptimalityReport:
     """Check a segmentation against the first-order optimality certificate.
 
     For k > 0 the certificate is: (a) within each type, posterior mass
@@ -119,10 +113,8 @@ def verify_optimality(
     For k = 0 the optimum is full discrimination, so every segment must be
     a point mass charged exactly its own valuation.
 
-    Given a sequence of segmentations and one cost scale for each, returns
-    their reports in a list: the batch a sweep certifies. Every row's input
-    is checked, in order, before any is certified, so the first row that
-    fails raises. The payoff table is built once per batch.
+    ``k`` must be finite and >= 0, and the segmentation must have one type
+    per valuation; either failure raises its ``ValidationError``.
 
     Arithmetic: every term is a payoff difference. For a served type i, j*
     is the segment where its invariant ``log post[i][j] - S[i][p_j]/k``
@@ -138,63 +130,56 @@ def verify_optimality(
     below it adds nothing, so the error scales with |log post| and not with
     v/k. All of it runs on Python floats with the math module.
     """
-    one, segs, ks = _batch_rows(seg, k)
+    if not (math.isfinite(k) and k >= 0.0):
+        raise ValidationError("cost_scale", f"k must be finite and >= 0, got {k}")
     K = len(vals)
-    for s, kk in zip(segs, ks):
-        if kk < 0.0:
-            raise ValidationError("cost_scale", f"k must be >= 0, got {kk}")
-        if kk > 0.0 and len(s.prior) != K:
-            raise ValidationError("instance_shape", f"{len(s.prior)} types in the segmentation against {K} valuations")
-    S = _payoffs(vals)
-    reports = []
-    for s, kk in zip(segs, ks):
-        failures: list[str] = []
-        bayes = s.bayes_residual
-        if bayes > BAYES_TOL:
-            failures.append("bayes_plausibility")
-        if kk == 0.0:
-            for j, c in enumerate(s.segments):
-                w = c.market.weights
-                if max(w) < 1.0 - 1e-12 or w[c.price_index] < 1.0 - 1e-12:
-                    failures.append(f"discrimination_limit_segment_{j}")
-            reports.append(OptimalityReport(0.0, 0.0, bayes, not failures, tuple(failures)))
+    if len(seg.prior) != K:
+        raise ValidationError("instance_shape", f"{len(seg.prior)} types in the segmentation against {K} valuations")
+    failures: list[str] = []
+    bayes = seg.bayes_residual
+    if bayes > BAYES_TOL:
+        failures.append("bayes_plausibility")
+    if k == 0.0:
+        for j, c in enumerate(seg.segments):
+            w = c.market.weights
+            if max(w) < 1.0 - 1e-12 or w[c.price_index] < 1.0 - 1e-12:
+                failures.append(f"discrimination_limit_segment_{j}")
+        return OptimalityReport(0.0, 0.0, bayes, not failures, tuple(failures))
+    posts = [c.market.weights for c in seg.segments]
+    price_idx = seg.price_indices()
+    ilr = 0.0
+    terms = []  # each served type's K terms
+    for i, (mass, S_i) in enumerate(zip(seg.prior.weights, _payoffs(vals))):
+        if mass <= 0.0:
             continue
-        posts = [c.market.weights for c in s.segments]
-        price_idx = s.price_indices()
-        ilr = 0.0
-        terms = []  # each served type's K terms
-        for i, (mass, S_i) in enumerate(zip(s.prior.weights, S)):
-            if mass <= 0.0:
-                continue
-            held = [(math.log(w[i]), p) for w, p in zip(posts, price_idx) if w[i] > 0.0]
-            if not held:
-                failures.append(f"type_{i}_unserved")
-                continue
-            # j* by differences: a segment beats the peak so far when its log
-            # posterior exceeds what the peak's invariant implies at its price
-            top, top_pay = held[0][0], S_i[held[0][1]]
-            for lp, p in held:
-                if lp > top + (S_i[p] - top_pay) / kk:
-                    top, top_pay = lp, S_i[p]
-            term = [top + (pay - top_pay) / kk for pay in S_i]
-            ilr = max(ilr, -math.expm1(min(lp - term[p] for lp, p in held)))
-            for j, (w, p) in enumerate(zip(posts, price_idx)):
-                # a zero entry is fine only if the invariant would put its mass
-                # below what doubles can represent next to the other entries
-                if w[i] == 0.0 and term[p] >= _LOG_ZERO_MASS_TOL:
-                    failures.append(f"zero_mass_type_{i}_segment_{j}")
-            terms.append(term)
-        if ilr > tol:
-            failures.append("likelihood_ratio_invariance")
-        if terms:
-            price_slacks = tuple([math.expm1(min(_log_sum_exp(col), EXP_OVERFLOW)) for col in zip(*terms)])
-        else:
-            price_slacks = (-1.0,) * K
-        slack_excess = max(price_slacks)
-        if slack_excess > tol:
-            failures.append("price_slack")
-        reports.append(OptimalityReport(ilr, slack_excess, bayes, not failures, tuple(failures), price_slacks))
-    return reports[0] if one else reports
+        held = [(math.log(w[i]), p) for w, p in zip(posts, price_idx) if w[i] > 0.0]
+        if not held:
+            failures.append(f"type_{i}_unserved")
+            continue
+        # j* by differences: a segment beats the peak so far when its log
+        # posterior exceeds what the peak's invariant implies at its price
+        top, top_pay = held[0][0], S_i[held[0][1]]
+        for lp, p in held:
+            if lp > top + (S_i[p] - top_pay) / k:
+                top, top_pay = lp, S_i[p]
+        term = [top + (pay - top_pay) / k for pay in S_i]
+        ilr = max(ilr, -math.expm1(min(lp - term[p] for lp, p in held)))
+        for j, (w, p) in enumerate(zip(posts, price_idx)):
+            # a zero entry is fine only if the invariant would put its mass
+            # below what doubles can represent next to the other entries
+            if w[i] == 0.0 and term[p] >= _LOG_ZERO_MASS_TOL:
+                failures.append(f"zero_mass_type_{i}_segment_{j}")
+        terms.append(term)
+    if ilr > tol:
+        failures.append("likelihood_ratio_invariance")
+    if terms:
+        price_slacks = tuple([math.expm1(min(_log_sum_exp(col), EXP_OVERFLOW)) for col in zip(*terms)])
+    else:
+        price_slacks = (-1.0,) * K
+    slack_excess = max(price_slacks)
+    if slack_excess > tol:
+        failures.append("price_slack")
+    return OptimalityReport(ilr, slack_excess, bayes, not failures, tuple(failures), price_slacks)
 
 
 def solve_ri(inst: MarketInstance, options: SolveOptions | None = None) -> Segmentation:

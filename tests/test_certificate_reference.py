@@ -93,8 +93,8 @@ def _reference_verify_optimality(seg, vals, k, tol=VERIFY_TOL):
     Terms are payoff differences from each served type's peak segment, as
     in ``verify_optimality``, here without rounding error to speak of.
     """
-    if k < 0.0:
-        raise ValidationError("cost_scale", f"k must be >= 0, got {k}")
+    if not (math.isfinite(k) and k >= 0.0):
+        raise ValidationError("cost_scale", f"k must be finite and >= 0, got {k}")
     failures = []
     bayes = _reference_bayes_residual(seg)
     if bayes > BAYES_TOL:
@@ -197,8 +197,8 @@ def _reference_entropy(m):
 
 
 def _reference_welfare(seg, vals, k, price_tol=PRICE_OPT_TOL):
-    if k < 0.0:
-        raise ValidationError("cost_scale", f"k must be >= 0, got {k}")
+    if not (math.isfinite(k) and k >= 0.0):
+        raise ValidationError("cost_scale", f"k must be finite and >= 0, got {k}")
     bayes = _reference_bayes_residual(seg)
     if bayes > BAYES_TOL:
         raise ValidationError("bayes_plausibility", f"residual {bayes:.3e} exceeds {BAYES_TOL}")
@@ -364,7 +364,7 @@ def test_certificate_and_welfare_match_reference_on_seeded_segmentations():
             assert w_got == _outcome(_reference_welfare, seg, vals, k, price_tol=tol), (seg, vals, k)
             if isinstance(w_got, tuple):
                 welfare_errors.add(w_got[1])
-    assert set(FAILURE_NAMES) <= kinds
+    assert set(FAILURE_NAMES) | {"discrimination_limit_segment_j"} <= kinds
     assert {"bayes_plausibility", "segment_price_optimality"} <= welfare_errors
     assert any(k == 0.0 for _, _, k in cases)
     assert {len(vals) for _, vals, _ in cases} == set(range(2, 11))
@@ -517,9 +517,10 @@ def test_length_mismatch_is_rejected():
     for fn in (_reference_verify_optimality, _reference_welfare):
         with pytest.raises(ValueError):
             fn(seg, short, 0.5)
-    for fn in (verify_optimality, welfare):
-        with pytest.raises(ValidationError, match="instance_shape"):
-            fn(seg, short, 0.5)
+    for k in (0.5, 0.0):  # the certificate once skipped the shape check at k = 0
+        for fn in (verify_optimality, welfare):
+            with pytest.raises(ValidationError, match="instance_shape"):
+                fn(seg, short, k)
     with pytest.raises(ValidationError, match="instance_shape"):
         all_revenues(seg.prior, short)
 
@@ -538,7 +539,31 @@ def test_sweep_rows_solve_the_prior_passed():
         assert repr(row) == repr(want)
 
 
-# -------------------- batches --------------------
+def test_cost_scale_must_be_finite_and_nonnegative():
+    # a NaN k once passed the certificate with slack_excess nan, and welfare
+    # reported a nan or inf info_cost; both reject it as MarketInstance does
+    vals, prior = Valuations((1.0, 2.0, 3.0)), Market((0.3, 0.4, 0.3))
+    seg = perfect_discrimination(prior, vals)
+    for k in (math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(ValidationError) as want:
+            MarketInstance(vals, prior, k)
+        assert want.value.invariant == "cost_scale"
+        for fn in (verify_optimality, welfare, _reference_verify_optimality, _reference_welfare):
+            assert _outcome(fn, seg, vals, k) == ("ValidationError", "cost_scale", str(want.value)), fn
+
+
+def test_row_that_serves_no_type():
+    # every type the prior holds is missing from every segment: no type is
+    # served, so every slack is -1; the reference agrees on it and on a
+    # segmentation that serves every type
+    vals = Valuations((1.0, 2.0, 3.0))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(market, "BAYES_TOL", 1.0)
+        nobody = Segmentation(Market((0.5, 0.5, 0.0)), [Segment(Market((0.0, 0.0, 1.0)), 1.0, 2)])
+    assert verify_optimality(nobody, vals, 0.5).price_slacks == (-1.0, -1.0, -1.0)
+    fine = no_segmentation(Market((0.2, 0.3, 0.5)), vals)
+    for s, k in [(fine, 0.5), (nobody, 0.5), (fine, 2.0), (nobody, 0.0), (fine, 0.0)]:
+        _assert_matches_reference(verify_optimality(s, vals, k), s, vals, k)
 
 
 @pytest.mark.parametrize(
@@ -546,8 +571,9 @@ def test_sweep_rows_solve_the_prior_passed():
     [(2, 200, None), *((K, 30, SolveOptions(max_iters=5000)) for K in (3, 4, 5))],
 )
 def test_sweep_rows_equal_their_one_row_calls(K, n_points, options):
-    # a sweep accounts and certifies its rows in one batch; each row must have
-    # the bytes of welfare and verify_optimality called on it alone
+    # a sweep accounts and certifies its solved rows in passes after the
+    # solves; each row must have the bytes of welfare and
+    # verify_optimality called on its solve at its k
     solved = 0
     for vals, prior in _seeded_markets(K, 3, seed=160 + K):
         grid = KGridSpec(1e-3 * vals[0], 1e2 * vals[-1], n_points)
@@ -559,58 +585,6 @@ def test_sweep_rows_equal_their_one_row_calls(K, n_points, options):
             assert repr(row.report) == repr(welfare(seg, vals, row.k, price_tol=SWEEP_PRICE_TOL))
             assert repr(row.verify) == repr(verify_optimality(seg, vals, row.k))
     assert solved >= 2 * n_points
-
-
-def test_mixed_batches_equal_their_rows_one_by_one():
-    rng = np.random.default_rng(16)
-    by_vals = {}
-    for seg, vals, k in _seeded_cases(450, seed=20261019):
-        # each variant at its own k, at 30 k and in the discrimination limit
-        by_vals.setdefault(vals, []).extend((seg, x) for x in (k, 30.0 * k, 0.0))
-    kinds, first_errors = set(), set()
-    for vals, rows in by_vals.items():
-        rows = [rows[i] for i in rng.permutation(len(rows))]
-        segs, ks = [s for s, _ in rows], [k for _, k in rows]
-        got = verify_optimality(segs, vals, ks)
-        assert [repr(r) for r in got] == [repr(verify_optimality(s, vals, k)) for s, k in rows], vals
-        kinds.update(_failure_kind(f) for r in got for f in r.failures)
-        for tol in (PRICE_OPT_TOL, SWEEP_PRICE_TOL):
-            alone = [_outcome(welfare, s, vals, k, price_tol=tol) for s, k in rows]
-            ok = [row for row, out in zip(rows, alone) if not isinstance(out, tuple)]
-            batch = welfare([s for s, _ in ok], vals, [k for _, k in ok], price_tol=tol)
-            assert [repr(r) for r in batch] == [out for out in alone if not isinstance(out, tuple)], vals
-            # with failing rows in it, the batch raises what its first failing row raises alone
-            first = next((out for out in alone if isinstance(out, tuple)), None)
-            if first is not None:
-                assert _outcome(welfare, segs, vals, ks, price_tol=tol) == first, vals
-                first_errors.add(first[1])
-    assert set(FAILURE_NAMES) | {"discrimination_limit_segment_j"} <= kinds
-    assert {"bayes_plausibility", "segment_price_optimality"} <= first_errors
-
-
-def test_batch_shapes():
-    seg = no_segmentation(Market((0.2, 0.8)), Valuations((1.0, 2.0)))
-    for fn in (verify_optimality, welfare):
-        assert fn([], Valuations((1.0, 2.0)), []) == []
-        with pytest.raises(ValidationError, match="batch_shape"):
-            fn([seg, seg], Valuations((1.0, 2.0)), [0.5])
-        with pytest.raises(ValidationError, match="cost_scale: k must be >= 0, got -1.0"):
-            fn([seg, seg, seg], Valuations((1.0, 2.0)), [0.5, -1.0, -2.0])
-
-
-def test_batch_row_that_serves_no_type():
-    # every type the prior holds is missing from every segment: that row has
-    # no slack rows, and the rows around it keep theirs
-    vals = Valuations((1.0, 2.0, 3.0))
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(market, "BAYES_TOL", 1.0)
-        nobody = Segmentation(Market((0.5, 0.5, 0.0)), [Segment(Market((0.0, 0.0, 1.0)), 1.0, 2)])
-    assert verify_optimality(nobody, vals, 0.5).price_slacks == (-1.0, -1.0, -1.0)
-    fine = no_segmentation(Market((0.2, 0.3, 0.5)), vals)
-    rows = [(fine, 0.5), (nobody, 0.5), (fine, 2.0), (nobody, 0.0), (fine, 0.0)]
-    got = verify_optimality([s for s, _ in rows], vals, [k for _, k in rows])
-    for report, (s, k) in zip(got, rows, strict=True):
-        _assert_matches_reference(report, s, vals, k)
 
 
 def test_sweep_raises_the_first_failing_row_in_grid_order(monkeypatch):
