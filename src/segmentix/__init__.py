@@ -5,10 +5,10 @@ so importing one submodule loads only what it imports: ``segmentix.files``
 loads ``segmentix.market`` alone. ``segmentix.cli`` loads the rest per
 subcommand, when the subcommand runs.
 
-``market``, ``files``, ``binary``, ``solver`` and ``sweeps`` import numpy
-only inside the functions that compute on arrays, so a ``solve``,
-``verify`` or ``sweep`` that needs none of them never loads it; ``oracle``
-and ``rationalize`` import it when they load.
+``files``, ``solver`` and ``sweeps`` never import numpy, and ``market``
+and ``binary`` import it only inside the functions that compute on
+arrays, which neither solver calls, so ``solve``, ``verify`` and ``sweep``
+never load it; ``oracle`` and ``rationalize`` import it when they load.
 """
 
 import importlib
@@ -32,7 +32,7 @@ _SUBMODULE_EXPORTS = {
         "foc_residuals", "induced_segments", "realized_welfare", "verify_rationalization",
     ),
     "solver": (
-        "OptimalityReport", "SolveOptions", "payoff_matrix", "solve", "solve_ri", "verify_optimality",
+        "OptimalityReport", "solve", "solve_ri", "verify_optimality",
     ),
     "sweeps": (
         "BoundaryReport", "KGridSpec", "SweepRow", "SweepTable", "boundary_always_segments",

@@ -225,8 +225,8 @@ def concave_envelope(
     _require_two_types(vals)
     if grid_n < 2:
         raise ValidationError("grid_size", f"grid_n must be >= 2, got {grid_n}")
-    if k < 0.0:
-        raise ValidationError("cost_scale", f"k must be >= 0, got {k}")
+    if not (math.isfinite(k) and k >= 0.0):
+        raise ValidationError("cost_scale", f"k must be finite and >= 0, got {k}")
     x = np.linspace(0.0, 1.0, grid_n + 1)
     y = net_value_curve(vals, k, x)
     env = np.interp(x, *upper_concave_hull(x, y))

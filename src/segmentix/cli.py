@@ -2,13 +2,13 @@
 segmentations, rationalize welfare targets, and run grid oracles.
 
 Exit codes: 0 success, 2 validation failure (the violated invariant is
-named on stderr), 3 solver non-convergence. Outputs are deterministic:
-identical inputs produce byte-identical artifacts.
+named on stderr), 3 a ``SolverError``, which no solver raises. Outputs
+are deterministic: identical inputs produce byte-identical artifacts.
 
 argparse checks flag names, types and choices. Every other argument check
 lives in ``_check_args``, which runs before any file is read and reports
 the first failure in this order: ``--k-grid``, the format each command
-allows, distinct paths, then the ranges of ``--tol``, ``--max-iters`` and
+allows, distinct paths, then the ranges of ``verify``'s ``--tol`` and of
 ``--grid-n`` (from 2000 for ``rationalize``, which verifies on that grid).
 The handlers read the checked namespace.
 
@@ -21,11 +21,8 @@ library names the handlers call stay attributes of this module, loaded
 on first access (PEP 562) as the package's are.
 
 numpy loads only in code that computes on arrays. ``solve``, ``verify``
-and ``sweep`` do not load it, except where a market with three or more
-types meets a k at which the certificate rejects both the unsegmented
-prior and full discrimination: that ``solve``, or that ``sweep`` row,
-runs the iteration, which imports numpy. ``rationalize`` and ``oracle``
-load it.
+and ``sweep`` never load it, at any number of types: both solvers are
+closed forms on Python floats. ``rationalize`` and ``oracle`` load it.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ from . import files
 from .market import Segment, Segmentation, SolverError, ValidationError
 
 if TYPE_CHECKING:
-    from .solver import SolveOptions
     from .sweeps import KGridSpec
 
 # library name -> the submodule that defines it, for ``__getattr__``
@@ -75,20 +71,11 @@ def _check_args(ns: argparse.Namespace) -> None:
         raise ValidationError("distinct_paths", f"input/instance/output paths must differ, got {paths}")
     if ns.tol is not None and not ns.tol > 0.0:
         raise ValidationError("tolerance", f"--tol must be > 0, got {ns.tol}")
-    if ns.max_iters is not None and ns.max_iters < 1:
-        raise ValidationError("max_iters", f"--max-iters must be >= 1, got {ns.max_iters}")
     grid_min = 4
     if ns.command == "rationalize":
         from .rationalize import MIN_VERIFY_GRID_N as grid_min
     if ns.grid_n is not None and ns.grid_n < grid_min:
         raise ValidationError("grid_size", f"--grid-n must be >= {grid_min}, got {ns.grid_n}")
-
-
-def _solve_options(ns: argparse.Namespace) -> SolveOptions:
-    from .solver import SolveOptions
-
-    overrides = {"max_iters": ns.max_iters, "convergence_tol": ns.tol}
-    return SolveOptions(**{name: v for name, v in overrides.items() if v is not None})
 
 
 def _emit(ns: argparse.Namespace, text: str) -> None:
@@ -103,7 +90,7 @@ def _run_solve(ns: argparse.Namespace) -> None:
     from .solver import solve
 
     inst = files.load_market_instance(ns.input)
-    seg = solve(inst, _solve_options(ns))
+    seg = solve(inst)
     _emit(ns, files.dump_json(files.segmentation_to_dict(seg, inst.vals)))
 
 
@@ -112,7 +99,7 @@ def _run_sweep(ns: argparse.Namespace) -> None:
 
     vals, mu = files.load_sweep_instance(ns.input)
     grid = ns.k_grid if ns.k_grid is not None else default_k_grid(vals)
-    table = sweep_k(vals, mu, grid, _solve_options(ns))
+    table = sweep_k(vals, mu, grid)
     _emit(ns, to_csv(table) if ns.format == "csv" else to_svg(table))
 
 
@@ -196,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="segmentix",
         description="Optimal market segmentation under entropy information costs.",
     )
-    parser.set_defaults(instance=None, tol=None, max_iters=None, k_grid=None, grid_n=None)
+    parser.set_defaults(instance=None, tol=None, k_grid=None, grid_n=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, help_text: str, handler: Callable[[argparse.Namespace], None],
@@ -208,14 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", default=None, choices=("json", "csv", "svg"))
         return p
 
-    p = add("solve", "solve one instance; writes the optimal segmentation", _run_solve)
-    p.add_argument("--tol", type=float, default=None, help="solver stationarity tolerance")
-    p.add_argument("--max-iters", type=int, default=None)
+    add("solve", "solve one instance; writes the optimal segmentation", _run_solve)
 
     p = add("sweep", "solve across a grid of cost scales; writes CSV or SVG curves", _run_sweep, ("csv", "svg"))
     p.add_argument("--k-grid", default=None, metavar="MIN:MAX:N", help="log-spaced cost grid")
-    p.add_argument("--tol", type=float, default=None, help="solver stationarity tolerance")
-    p.add_argument("--max-iters", type=int, default=None)
 
     p = add("verify", "check a segmentation file against the optimality certificate", _run_verify)
     p.add_argument("--instance", default=None, help="market instance the segmentation solves")

@@ -41,7 +41,7 @@ class ValidationError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """Raised when the fixed-point iteration fails to converge.
+    """A solver's failure. No solver raises it (both are closed forms); the CLI maps it to exit code 3.
 
     It lives here, not in ``solver``, so a caller can catch it without
     loading the solver; ``segmentix.solver`` re-exports it.
@@ -392,8 +392,7 @@ def welfare(seg: Segmentation, vals: Valuations, k: float, price_tol: float = PR
     and >= 0.
 
     ``price_tol`` bounds how far each segment's assigned price may fall short
-    of revenue-maximal; iterative solver output needs a looser bound than
-    exact closed forms.
+    of revenue-maximal.
     """
     if not (math.isfinite(k) and k >= 0.0):
         raise ValidationError("cost_scale", f"k must be finite and >= 0, got {k}")

@@ -1,12 +1,13 @@
-"""Iterative solver for markets with any number of buyer types.
+"""Closed-form solver for markets with any number of buyer types, and its optimality certificate.
 
-With ``Z = exp((S - v) / k)`` (rows are buyer types, columns prices) and price
-masses ``q >= 0``, the seller's net value is affine in the concave ``gain(q) =
-sum_i mu_i log (Z q)_i - sum(q)``, whose maximizer sums to one: the log-optimal
-portfolio problem, with the optimality conditions of Caplin, Dean & Leahy
-(2022). Posteriors derived from any ``q`` are Bayes-plausible by construction.
-Candidate prices are the valuations of types the prior contains: a zero-mass
-type's valuation is strictly revenue-dominated by the next supported one above.
+With ``zt[i, t] = exp((S[i, t] - v_i) / k)``, where ``S[i, t]`` is the
+revenue from type i at price t, and price masses ``q >= 0``, the seller's
+net value is affine in the concave ``gain(q) = sum_i mu_i log (zt q)_i -
+sum(q)``, whose maximizer sums to one: the log-optimal portfolio problem,
+with the optimality conditions of Caplin, Dean & Leahy (2022). Posteriors
+derived from any ``q`` are Bayes-plausible by construction. Candidate
+prices are the valuations of types the prior contains: a zero-mass type's
+valuation is strictly revenue-dominated by the next supported one above.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .binary import solve_binary
 from .market import (
@@ -24,16 +24,12 @@ from .market import (
     MarketInstance,
     Segment,
     Segmentation,
-    SolverError,
+    SolverError,  # re-exported: callers catch it as ``segmentix.solver.SolverError``
     ValidationError,
     Valuations,
     no_segmentation,
     perfect_discrimination,
-    seller_payoff,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 VERIFY_TOL = 1e-8
 
@@ -44,19 +40,7 @@ VERIFY_TOL = 1e-8
 ZERO_MASS_TOL = 1e-12
 _LOG_ZERO_MASS_TOL = math.log(ZERO_MASS_TOL)
 _TINY = sys.float_info.min
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    """Knobs for the iterative solver.
-
-    ``max_iters`` caps the passes of ``solve_ri``'s loop. ``convergence_tol``
-    bounds the stationarity residual: |r - 1| at prices with mass and r - 1
-    at the others, where r - 1 is the gradient of the concave gain.
-    """
-
-    max_iters: int = 200_000
-    convergence_tol: float = 1e-12
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -77,18 +61,6 @@ class OptimalityReport:
     passed: bool
     failures: tuple[str, ...]
     price_slacks: tuple[float, ...] = ()
-
-
-def _payoffs(vals: Valuations) -> list[list[float]]:
-    """S[i][t] = revenue extracted from a type-i buyer at price vals[t]."""
-    return [[seller_payoff(p, v) for p in vals.values] for v in vals.values]
-
-
-def payoff_matrix(vals: Valuations) -> np.ndarray:
-    """S[i, t] = revenue extracted from a type-i buyer at price vals[t]."""
-    import numpy as np
-
-    return np.array(_payoffs(vals))
 
 
 def _log_sum_exp(x: list[float]) -> float:
@@ -149,9 +121,10 @@ def verify_optimality(seg: Segmentation, vals: Valuations, k: float, tol: float 
     price_idx = seg.price_indices()
     ilr = 0.0
     terms = []  # each served type's K terms
-    for i, (mass, S_i) in enumerate(zip(seg.prior.weights, _payoffs(vals))):
+    for i, mass in enumerate(seg.prior.weights):
         if mass <= 0.0:
             continue
+        S_i = [*vals.values[: i + 1], *[0.0] * (K - i - 1)]  # revenue from type i at each price
         held = [(math.log(w[i]), p) for w, p in zip(posts, price_idx) if w[i] > 0.0]
         if not held:
             failures.append(f"type_{i}_unserved")
@@ -182,103 +155,109 @@ def verify_optimality(seg: Segmentation, vals: Valuations, k: float, tol: float 
     return OptimalityReport(ilr, slack_excess, bayes, not failures, tuple(failures), price_slacks)
 
 
-def solve_ri(inst: MarketInstance, options: SolveOptions | None = None) -> Segmentation:
-    """Solve the segmentation problem by ascent on the price masses.
+def _log1mexp(x: float) -> float:
+    """log(1 - exp(-x)) for x >= 0, and -inf at 0, switching forms at ln 2 as Mächler (2012) advises."""
+    if x > _LN2:
+        return math.log1p(-math.exp(-x))
+    return math.log(-math.expm1(-x)) if x > 0.0 else -math.inf
 
-    No segmentation, then perfect discrimination, is accepted outright when
-    it passes the optimality certificate (sufficient by concavity): above
-    the segmentation threshold, at k = 0 and where ``Z`` is the identity to
-    double precision. Otherwise each pass takes a multiplicative step and a
-    Newton step on the prices with mass, where a price the Newton step
-    exhausts leaves; or, when the largest violation of stationarity is a
-    price without mass (as once the rest are stationary), that price enters.
-    Raises :class:`SolverError`, naming the last residual and the prices
-    with mass, when the iteration budget runs out.
+
+def solve_ri(inst: MarketInstance) -> Segmentation:
+    """The optimal segmentation in closed form: the priced types are the vertices of an upper concave hull.
+
+    Take the types the prior holds in ascending order, with masses μ_i and
+    x_i = v_i/k, as points (τ_i, G_i): τ_i = 1/(e^{x_i} - 1), and G_i =
+    Σ_{j≥i} μ_j buys at price v_i. a₁ maximizes G_i (1 - e^{-x_i}): the
+    tangent from (-1, 0) touches the points there. The priced set A = {a₁ <
+    … < a_m} is the vertices, other than O = (0, 0), of the upper concave
+    hull of O and the points i ≥ a₁ (collinear points dropped, ties to the
+    larger index); m = 1 keeps the prior whole. Band b is the types in
+    [a_b, a_{b+1}), of mass M_b, and band 0 those below a₁. With
+    τ_{a_{m+1}} = 0, C = G_{a₁}(1 - e^{-x_{a₁}}), D₀ = 1 and D_b = M_b /
+    (C (τ_{a_b} - τ_{a_{b+1}})), segment j charges v_{a_j}, has mass q_j =
+    (D_j - D_{j-1}) τ_{a_j}, and a posterior proportional to μ_i
+    e^{x_{a_j}} / D_b for types i ≥ a_j and to μ_i / D_b below, b being
+    i's band.
+
+    Why it holds: on A, type i's row of ``zt`` is its band's row times
+    e^{-x_i}, so stationarity (r_t = Σ_i μ_i zt[i, t] / (zt q)_i is 1 where
+    q_t > 0) reduces to m scalar equations, which these formulas solve. q ≥
+    0 because the hull is concave. No price outside A has r_t > 1, because
+    every point (τ_t, G_t) lies on or under the hull or, for t < a₁, under
+    the tangent.
+
+    Arithmetic: Python floats, in logs. Hull tests compare log slopes
+    through payoff differences (v_j - v_i)/k and log(1 - e^{-x}) (Mächler
+    2012), never e^{x}, so any v/k that doubles hold is solved; a₁ is the
+    lowest vertex whose edge above is steeper than the tangent, in the same
+    arithmetic. An edge's mass is a sum of masses, never a difference of
+    tails. Weights are q_j s_j over their ``fsum``, s_j being column j's
+    sum. A type whose v/k underflows to 0 is never priced. Nothing raises
+    :class:`SolverError`.
     """
-    opts = options or SolveOptions()
-    for cand in (no_segmentation(inst.mu_star, inst.vals), perfect_discrimination(inst.mu_star, inst.vals)):
-        if verify_optimality(cand, inst.vals, inst.k).passed:
-            return cand
+    if inst.k == 0.0:
+        return perfect_discrimination(inst.mu_star, inst.vals)
+    k = inst.k
+    support = [i for i, m in enumerate(inst.mu_star.weights) if m > 0.0]
+    mu = [inst.mu_star[i] for i in support]
+    n = len(support)
+    v = [*(inst.vals[i] for i in support), math.inf]  # O is type n, valued above all
+    x = [vi / k for vi in v]
+    lx = [_log1mexp(xi) for xi in x]
 
-    import numpy as np  # only the iteration computes on arrays
+    def log_g(i: int) -> float:
+        # log G_i from the smaller side, so that neither G_i nor 1 - G_i loses digits
+        below = math.fsum(mu[:i])
+        return math.log1p(-below) if below <= 0.5 else math.log(math.fsum(mu[i:]))
 
-    mu_full = inst.mu_star.as_array()
-    support = np.nonzero(mu_full > 0.0)[0]
-    mu = mu_full[support]
-    S = payoff_matrix(inst.vals)[np.ix_(support, support)]
-    zt = np.exp((S - inst.vals.as_array()[support, None]) / inst.k)  # rows scaled so diagonals are 1
+    def edge(w: int, u: int, mass: float) -> float:
+        # h: the log slope of the edge from vertex w down to u, less x_u + log(1 - e^{-x_u})
+        return math.log(mass) - _log1mexp((v[w] - v[u]) / k) + lx[w]
 
-    def gain(q: np.ndarray) -> float:
-        Z = zt @ q
-        return float(mu @ np.log(Z) - q.sum()) if Z.min() >= _TINY else -math.inf
+    def rise(h_above: float, w: int, h_below: float, u: int) -> float:
+        # log(slope of the edge above vertex w / slope of the edge from w down to u)
+        return (h_above + lx[w] + (v[w] - v[u]) / k) - (h_below + lx[u])
 
-    def newton(q: np.ndarray) -> np.ndarray:
-        # Newton step on the prices with mass, cut where it exhausts one of
-        # them and halved until gain falls by no more than rounding
-        act = np.flatnonzero(q)
-        Z, za, qa = zt @ q, zt[:, act], q[act]
-        root = za * (np.sqrt(mu) / Z)[:, None]  # minus the Hessian is root.T @ root
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                R = np.linalg.qr(root, mode="r")
-                d = np.linalg.solve(R, np.linalg.solve(R.T, za.T @ (mu / Z) - 1.0))
-        except np.linalg.LinAlgError:
-            return q
-        if not np.isfinite(d).all():
-            return q
-        floor = gain(q) - 4.0 * np.spacing(mu @ np.abs(np.log(Z)) + q.sum())
-        ratios = np.divide(qa, -d, out=np.ones_like(qa), where=qa + d < 0.0)
-        j = int(np.argmin(ratios))
-        t = float(ratios[j])
-        for _ in range(60):
-            trial = q.copy()
-            trial[act] = np.maximum(qa + t * d, 0.0)
-            if t == ratios[j] < 1.0:
-                trial[act[j]] = 0.0  # the step exhausts this price: it leaves if gain stays finite
-            if gain(trial) >= floor:
-                return trial
-            t *= 0.5
-        return q
-
-    q = np.full(len(support), 1.0 / len(support))
-    for iters in range(opts.max_iters + 1):
-        Z = zt @ q
-        r = zt.T @ (mu / Z)  # r - 1 is the gradient of gain
-        stationary = float(np.max(np.abs(r[q > 0.0] - 1.0)))
-        resid = max(stationary, float(np.max(r)) - 1.0)
-        if resid <= opts.convergence_tol:
-            break
-        if iters == opts.max_iters:
-            prices = [inst.vals[i] for i in support[q > 0.0]]
-            raise SolverError(f"no convergence after {iters} iterations (residual {resid:.3e}, active prices {prices})")
-        if resid > stationary:
-            # a price without mass enters by a 1-D Newton step, which cannot overshoot
-            # on this ray, where the gradient is convex; w / top keeps w**2 finite
-            a = int(np.argmax(r))
-            w = zt[:, a] / Z
-            top = w.max()
-            q[a] = (r[a] - 1.0) / top / (mu @ (w / top) ** 2) / top
-        else:
-            q = newton(q * r if gain(q * r) > -math.inf else q)  # the multiplicative step, unless Z underflows
-
-    keep = q > 0.0
-    actions, zt, q = support[keep], zt[:, keep], q[keep]
-    if len(actions) == 1:
+    hull = [(n, 0.0, 0.0)]  # from O down: each vertex, with the mass and h of the edge above it
+    for u in range(n - 1, -1, -1):
+        if x[u] == 0.0:
+            break  # v/k underflows from here down
+        mass = mu[u]
+        h = edge(hull[-1][0], u, mass)
+        while len(hull) > 1 and not rise(hull[-1][2], hull[-1][0], h, u) > 0.0:
+            mass += hull.pop()[1]
+            h = edge(hull[-1][0], u, mass)
+        hull.append((u, mass, h))
+    while len(hull) > 2 and not hull[-1][2] + x[hull[-1][0]] - log_g(hull[-1][0]) > 0.0:
+        hull.pop()  # D₁ <= 1: the tangent from (-1, 0) touches the hull above the lowest vertex
+    if len(hull) <= 2:
         return no_segmentation(inst.mu_star, inst.vals)
-    # assemble: posteriors renormalized per recommendation, weights carry the
-    # residual column mass so Bayes plausibility holds to float accuracy
-    cols = zt * (mu / (zt @ q))[:, None]  # mu / Z first: mu * zt can underflow
-    sums = cols.sum(axis=0)
-    weights = q * sums / math.fsum(q * sums)
-    posts = np.zeros((len(mu_full), len(actions)))
-    posts[support] = cols / sums
-    posts[posts < _TINY] = 0.0  # subnormals are too coarse for the likelihood-ratio check
-    segments = [Segment(Market(p), float(w), int(a)) for p, w, a in zip(posts.T, weights, actions)]
+
+    priced = hull[:0:-1]  # (a_j, M_j, h_j) for j = 1..m
+    a1 = priced[0][0]
+    log_c = log_g(a1) + lx[a1]
+    log_rise = [priced[0][2] + x[a1] - log_g(a1)]  # log(D_j / D_{j-1})
+    log_rise += [rise(h, a, h_prev, a_prev) for (a_prev, _, h_prev), (a, _, h) in zip(priced, priced[1:])]
+    q = [math.exp(h - log_c + _log1mexp(r)) for (_, _, h), r in zip(priced, log_rise)]
+    cols = [[mu[i]] * len(priced) for i in range(a1)]  # band 0: D₀ = 1
+    for b, (a, _, h) in enumerate(priced):
+        for i in range(a, priced[b + 1][0] if b + 1 < len(priced) else n):
+            base = math.log(mu[i]) - (h + lx[a]) + log_c  # log(μ_i e^{x_a} / D_b)
+            cols.append([math.exp(base - ((v[a] - v[aj]) / k if j <= b else x[a]))
+                         for j, (aj, _, _) in enumerate(priced)])
+    sums = [math.fsum(col) for col in zip(*cols)]
+    weights = [qj * sj for qj, sj in zip(q, sums)]
+    total = math.fsum(weights)
+    posts = [[0.0] * len(inst.mu_star) for _ in priced]
+    for i, row in zip(support, cols):
+        for post, c, s in zip(posts, row, sums):
+            post[i] = c / s if c / s >= _TINY else 0.0  # subnormals are too coarse for the likelihood-ratio check
+    segments = [Segment(Market(p), w / total, support[a]) for p, w, (a, _, _) in zip(posts, weights, priced)]
     return Segmentation(inst.mu_star, segments)
 
 
-def solve(inst: MarketInstance, options: SolveOptions | None = None) -> Segmentation:
-    """Best segmentation of an instance: closed form for two types, iteration otherwise."""
+def solve(inst: MarketInstance) -> Segmentation:
+    """Best segmentation of an instance: ``solve_binary`` for two types, ``solve_ri`` otherwise."""
     if len(inst.vals) == 2:
         return solve_binary(inst)
-    return solve_ri(inst, options)
+    return solve_ri(inst)

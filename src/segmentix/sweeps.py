@@ -24,12 +24,12 @@ from .market import (
     binary_entropy,
     welfare,
 )
-from .solver import OptimalityReport, SolveOptions, SolverError, solve, verify_optimality
+from .solver import OptimalityReport, SolverError, solve, verify_optimality
 
 CSV_HEADER = "k,cs,ps_gross,info_cost,ps_net,ts_gross,ts_net,n_segments,prices"
 
-# assigned prices from the iterative path can be off revenue-maximal by the
-# solver's stationarity residual; welfare rows allow that much slack
+# welfare's price_tol for sweep rows: how far an assigned price may fall
+# short of revenue-maximal before the row is rejected
 SWEEP_PRICE_TOL = 1e-8
 
 
@@ -76,8 +76,8 @@ def default_k_grid(vals: Valuations) -> KGridSpec:
 class SweepRow:
     """One sweep entry: the cost scale, welfare accounts, and solution shape.
 
-    ``error`` is the stringified solver failure when the row could not be
-    solved; numeric fields are then absent.
+    ``error`` is the stringified ``SolverError`` (which no solver raises) when
+    the row could not be solved; numeric fields are then absent.
     """
 
     k: float
@@ -112,14 +112,13 @@ def sweep_k(
     vals: Valuations,
     mu_star: Market,
     k_grid: KGridSpec | Sequence[float] | None = None,
-    options: SolveOptions | None = None,
     max_workers: int = 1,
 ) -> SweepTable:
     """Solve one market at every cost scale on the grid, in grid order, in this process.
 
     Each row solves ``mu_star`` as given, so it is ``solve`` on that prior at
-    the row's k. Rows that fail to converge are recorded with their error
-    and the sweep continues. Once every row is solved, each solved row is
+    the row's k. A row whose solve raises ``SolverError`` is recorded with
+    its error and the sweep continues (no solver raises it). Once every row is solved, each solved row is
     accounted by ``welfare``, then each is certified by ``verify_optimality``,
     in grid order. A row whose accounts fail raises its ``ValidationError``,
     the first such row in grid order. The grid is checked before any row is
@@ -136,7 +135,7 @@ def sweep_k(
     segs: list[Segmentation | str] = []  # per k: the solution, or why the solver failed
     for k in ks:
         try:
-            segs.append(solve(MarketInstance(vals, mu_star, k), options))
+            segs.append(solve(MarketInstance(vals, mu_star, k)))
         except SolverError as e:
             segs.append(str(e))
     solved = [(seg, k) for seg, k in zip(segs, ks) if not isinstance(seg, str)]

@@ -280,6 +280,15 @@ def test_envelope_zero_cost_spans_everything():
     assert res.interval[1] == pytest.approx(1.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, -1.0])
+def test_envelope_rejects_a_cost_scale_that_is_not_finite_and_nonnegative(k):
+    # a NaN k once gave all-NaN curves and interval None, read as "no segmentation helps"
+    with pytest.raises(ValidationError) as err:
+        concave_envelope(V12, k, grid_n=50, mu_star=MU46)
+    assert err.value.invariant == "cost_scale"
+    assert err.value.message == f"k must be finite and >= 0, got {k}"
+
+
 def test_envelope_values_dominate_curve():
     res = concave_envelope(V12, 0.8, grid_n=5_000)
     assert np.all(res.envelope >= res.values - 1e-12)

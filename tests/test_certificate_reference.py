@@ -33,7 +33,6 @@ from segmentix import (
     OptimalityReport,
     Segment,
     Segmentation,
-    SolveOptions,
     SolverError,
     SweepRow,
     SweepTable,
@@ -321,10 +320,7 @@ def _seeded_cases(n_instances, seed):
             mu = mu / math.fsum(mu)
         prior = Market(mu)
         k = 0.0 if c % 40 == 39 else float(10.0 ** rng.uniform(-4.0, 2.0))
-        try:
-            seg = solve(MarketInstance(vals, prior, k), SolveOptions(max_iters=3000))
-        except SolverError:
-            seg = no_segmentation(prior, vals)
+        seg = solve(MarketInstance(vals, prior, k))
         variants = _variants(seg, rng)
         if k > 0.0:
             variants.append(no_segmentation(prior, vals))
@@ -451,8 +447,8 @@ def test_entropy_matches_40_digit_reference():
 # -------------------- sweeps --------------------
 
 
-def _sweep_bytes(vals, prior, grid, options=None, max_workers=1):
-    table = sweep_k(vals, prior, grid, options, max_workers=max_workers)
+def _sweep_bytes(vals, prior, grid, max_workers=1):
+    table = sweep_k(vals, prior, grid, max_workers=max_workers)
     return to_csv(table), [repr(r.verify) for r in table.rows]
 
 
@@ -464,7 +460,7 @@ def _seeded_markets(K, n, seed):
     ]
 
 
-def _reference_sweep_rows(vals, prior, grid, options=None):
+def _reference_sweep_rows(vals, prior, grid):
     """The rows of a sweep, each from ``solve`` on the prior and the all-numpy welfare, and their segmentations.
 
     Rows carry no certificate (``verify=None``); each solved row's
@@ -473,7 +469,7 @@ def _reference_sweep_rows(vals, prior, grid, options=None):
     rows, segs = [], []
     for k in grid.points():
         try:
-            seg = solve(MarketInstance(vals, prior, k), options)
+            seg = solve(MarketInstance(vals, prior, k))
         except SolverError as e:
             rows.append(SweepRow(k=k, report=None, n_segments=0, prices=(), verify=None, error=str(e)))
             segs.append(None)
@@ -485,15 +481,13 @@ def _reference_sweep_rows(vals, prior, grid, options=None):
     return SweepTable(rows=tuple(rows)), segs
 
 
-@pytest.mark.parametrize(
-    "K,n_points,options",
-    [(2, 200, None), (3, 30, SolveOptions(max_iters=5000))],
-)
-def test_sweep_bytes_match_reference_kernels(K, n_points, options):
+# the ids are the ones these cases had when they also carried solver options
+@pytest.mark.parametrize("K,n_points", [(2, 200), (3, 30)], ids=["2-200-None", "3-30-options1"])
+def test_sweep_bytes_match_reference_kernels(K, n_points):
     for vals, prior in _seeded_markets(K, 4, seed=40 + K):
         grid = KGridSpec(1e-3 * vals[0], 1e2 * vals[-1], n_points)
-        got = sweep_k(vals, prior, grid, options)
-        want, segs = _reference_sweep_rows(vals, prior, grid, options)
+        got = sweep_k(vals, prior, grid)
+        want, segs = _reference_sweep_rows(vals, prior, grid)
         assert to_csv(got) == to_csv(want)
         # every field byte for byte but the certificate, which is checked against the 40-digit one
         assert [repr(replace(r, verify=None)) for r in got.rows] == [repr(r) for r in want.rows]
@@ -506,8 +500,7 @@ def test_pooled_sweep_matches_serial():
     # max_workers is accepted and ignored: the bytes are those of the serial sweep
     for vals, prior in _seeded_markets(2, 2, seed=7) + _seeded_markets(3, 1, seed=8):
         grid = KGridSpec(1e-2 * vals[0], 10.0 * vals[-1], 24)
-        options = SolveOptions(max_iters=5000)
-        assert _sweep_bytes(vals, prior, grid, options, max_workers=2) == _sweep_bytes(vals, prior, grid, options)
+        assert _sweep_bytes(vals, prior, grid, max_workers=2) == _sweep_bytes(vals, prior, grid)
 
 
 def test_length_mismatch_is_rejected():
@@ -567,21 +560,22 @@ def test_row_that_serves_no_type():
 
 
 @pytest.mark.parametrize(
-    "K,n_points,options",
-    [(2, 200, None), *((K, 30, SolveOptions(max_iters=5000)) for K in (3, 4, 5))],
+    "K,n_points",
+    [(2, 200), *((K, 30) for K in (3, 4, 5))],
+    ids=["2-200-None", "3-30-options1", "4-30-options2", "5-30-options3"],  # as for the test above
 )
-def test_sweep_rows_equal_their_one_row_calls(K, n_points, options):
+def test_sweep_rows_equal_their_one_row_calls(K, n_points):
     # a sweep accounts and certifies its solved rows in passes after the
     # solves; each row must have the bytes of welfare and
     # verify_optimality called on its solve at its k
     solved = 0
     for vals, prior in _seeded_markets(K, 3, seed=160 + K):
         grid = KGridSpec(1e-3 * vals[0], 1e2 * vals[-1], n_points)
-        for row in sweep_k(vals, prior, grid, options).rows:
+        for row in sweep_k(vals, prior, grid).rows:
             if row.error is not None:
                 continue
             solved += 1
-            seg = solve(MarketInstance(vals, prior, row.k), options)
+            seg = solve(MarketInstance(vals, prior, row.k))
             assert repr(row.report) == repr(welfare(seg, vals, row.k, price_tol=SWEEP_PRICE_TOL))
             assert repr(row.verify) == repr(verify_optimality(seg, vals, row.k))
     assert solved >= 2 * n_points
@@ -591,14 +585,14 @@ def test_sweep_raises_the_first_failing_row_in_grid_order(monkeypatch):
     vals, prior = Valuations((1.0, 2.0)), Market((0.4, 0.6))
     grid = [0.1, 0.2, 0.3, 0.4, 0.5]
 
-    def mispriced(inst, options=None):
+    def mispriced(inst):
         if inst.k == 0.1:
             raise SolverError("no convergence")
         if inst.k == 0.3:  # price 1 where price 2 earns 0.2 more
             return Segmentation(inst.mu_star, [Segment(inst.mu_star, 1.0, 0)])
         if inst.k == 0.5:  # the second segment is the mispriced one
             return Segmentation(inst.mu_star, [Segment(inst.mu_star, 0.5, 1), Segment(inst.mu_star, 0.5, 0)])
-        return solve(inst, options)
+        return solve(inst)
 
     monkeypatch.setattr(sweeps, "solve", mispriced)
     want = _outcome(welfare, mispriced(MarketInstance(vals, prior, 0.3)), vals, 0.3, price_tol=SWEEP_PRICE_TOL)

@@ -22,8 +22,7 @@ EXPORTED = {
     "OracleResult", "brute_force", "brute_force_binary", "brute_force_small",
     "ConvexCostSpec", "InducedSegments", "RationalizationReport", "RationalizationTarget",
     "construct_cost", "foc_residuals", "induced_segments", "realized_welfare", "verify_rationalization",
-    "OptimalityReport", "SolveOptions", "SolverError", "payoff_matrix", "solve", "solve_ri",
-    "verify_optimality",
+    "OptimalityReport", "SolverError", "solve", "solve_ri", "verify_optimality",
     "BoundaryReport", "KGridSpec", "SweepRow", "SweepTable", "boundary_always_segments",
     "classify_monotonicity", "default_k_grid", "sweep_k", "to_csv", "to_svg",
 }  # fmt: skip
@@ -112,21 +111,26 @@ V123, MU334 = (1.0, 2.0, 3.0), (0.3, 0.3, 0.4)
 
 
 def test_cli_solve_and_verify_load_no_numpy(tmp_path):
-    from segmentix import Market, Valuations, segmentation_threshold
+    from segmentix import Market, MarketInstance, Valuations, segmentation_threshold, solve
+    from segmentix.files import dump_json, segmentation_to_dict
 
     k3 = 50.0
-    assert k3 > segmentation_threshold(Valuations(V123), Market(MU334))  # the certificate accepts the prior
+    assert k3 > segmentation_threshold(Valuations(V123), Market(MU334))  # the prior stays whole
     for name, vals, mu, k in (("k2", (1.0, 2.0), (0.4, 0.6), 0.5), ("k3", V123, MU334, k3)):
         inst = _write_instance(tmp_path / f"{name}.json", vals, mu, k)
-        seg = str(tmp_path / f"{name}.seg.json")
-        assert _cli_numpy_modules("solve", "--input", inst, "--output", seg) == set(), name
+        seg = tmp_path / f"{name}.seg.json"
+        assert _cli_numpy_modules("solve", "--input", inst, "--output", str(seg)) == set(), name
+        expected = solve(MarketInstance(Valuations(vals), Market(mu), k))
+        assert seg.read_text() == dump_json(segmentation_to_dict(expected, Valuations(vals))), name
         out = str(tmp_path / f"{name}.verify.json")
-        assert _cli_numpy_modules("verify", "--input", seg, "--instance", inst, "--output", out) == set(), name
+        assert _cli_numpy_modules("verify", "--input", str(seg), "--instance", inst, "--output", out) == set(), name
         assert json.loads(Path(out).read_text())["passed"]
-        assert _cli_numpy_modules("verify", "--input", seg, "--output", out) == set(), name
+        assert _cli_numpy_modules("verify", "--input", str(seg), "--output", out) == set(), name
 
 
 def test_cli_solve_below_threshold_loads_numpy_for_the_iteration(tmp_path):
+    # the name dates from the iterative solver; below k-bar the closed form
+    # loads no numpy either, and the CLI still writes the library's bytes
     from segmentix import Market, MarketInstance, Valuations, segmentation_threshold, solve
     from segmentix.files import dump_json, segmentation_to_dict
 
@@ -134,10 +138,13 @@ def test_cli_solve_below_threshold_loads_numpy_for_the_iteration(tmp_path):
     assert k < segmentation_threshold(vals, mu)
     inst = _write_instance(tmp_path / "k3.json", V123, MU334, k)
     seg = tmp_path / "k3.seg.json"
-    assert "numpy" in _cli_numpy_modules("solve", "--input", inst, "--output", str(seg))
+    assert _cli_numpy_modules("solve", "--input", inst, "--output", str(seg)) == set()
     expected = solve(MarketInstance(vals, mu, k))
     assert len(expected.segments) > 1
     assert seg.read_text() == dump_json(segmentation_to_dict(expected, vals))
+    out = str(tmp_path / "k3.verify.json")
+    assert _cli_numpy_modules("verify", "--input", str(seg), "--instance", inst, "--output", out) == set()
+    assert json.loads(Path(out).read_text())["passed"]
 
 
 def test_cli_sweeps_load_no_numpy(tmp_path):
@@ -149,13 +156,16 @@ def test_cli_sweeps_load_no_numpy(tmp_path):
     out = str(tmp_path / "out")
     for fmt in ("csv", "svg"):
         assert _cli_numpy_modules("sweep", "--input", inp2, "--output", out, "--format", fmt) == set(), fmt
-    # every row lies above k-bar, where the certificate accepts the unsegmented prior
+    # every row lies above k-bar, where the prior stays whole
     grid = f"{1.01 * k3!r}:{100.0 * k3!r}:20"
     assert _cli_numpy_modules("sweep", "--input", inp3, "--output", out, "--k-grid", grid) == set()
 
 
 def test_cli_sweep_with_a_row_below_threshold_loads_numpy_for_the_iteration(tmp_path):
+    # the name dates from the iterative solver; rows below k-bar now load no
+    # numpy either, and the CLI still writes the library's bytes
     from segmentix import Market, Valuations, segmentation_threshold, sweep_k, to_csv
+    from segmentix.cli import parse_k_grid
 
     vals, mu = Valuations(V123), Market(MU334)
     k3 = segmentation_threshold(vals, mu)
@@ -163,7 +173,7 @@ def test_cli_sweep_with_a_row_below_threshold_loads_numpy_for_the_iteration(tmp_
     inp = _write_instance(tmp_path / "k3.json", V123, MU334, 1.0)
     out = tmp_path / "k3.csv"
     grid = f"0.3:{100.0 * k3!r}:6"
-    assert "numpy" in _cli_numpy_modules("sweep", "--input", inp, "--output", str(out), "--k-grid", grid)
-    table = sweep_k(vals, mu, [0.3])
+    assert _cli_numpy_modules("sweep", "--input", inp, "--output", str(out), "--k-grid", grid) == set()
+    table = sweep_k(vals, mu, parse_k_grid(grid))
     assert table.rows[0].n_segments > 1
-    assert out.read_text().splitlines()[1] == to_csv(table).splitlines()[1]
+    assert out.read_text() == to_csv(table)

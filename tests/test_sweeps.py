@@ -102,6 +102,28 @@ def test_sweep_parallel_matches_serial():
     assert to_csv(serial) == to_csv(parallel)
 
 
+@pytest.mark.parametrize("K", [2, 3, 5, 12, 30, 100])
+def test_every_row_is_optimal_against_every_other_rows_k(K):
+    # V(k) is a maximum over segmentations of ps_gross - k I, each affine in k,
+    # so row i's segmentation, priced at row j's k, cannot beat row j's ps_net
+    # (the envelope theorem; Milgrom & Segal 2002). The check reads only the
+    # rows, and shares nothing with the solver or the certificate.
+    rng = np.random.default_rng([K, 2002])
+    for _ in range(2):
+        vals = Valuations(tuple(np.cumsum(rng.uniform(0.2, 2.0, K))))
+        prior = Market(tuple(rng.dirichlet(np.ones(K))))
+        kbar = segmentation_threshold(vals, prior)
+        table = sweep_k(vals, prior, KGridSpec(1e-3 * kbar, 2.0 * kbar, 80))
+        rows = [r.report for r in table.rows]
+        ks = np.array([r.k for r in table.rows])
+        gross = np.array([r.ps_gross for r in rows])
+        info = np.array([r.info_cost for r in rows]) / ks
+        net = np.array([r.ps_net for r in rows])
+        excess = gross[:, None] - ks[None, :] * info[:, None] - net[None, :]
+        assert np.all(excess <= 1e-9 * np.maximum(1.0, np.abs(net))[None, :]), excess.max()
+        assert sum(r.segmented for r in rows) > 10  # the grid reaches below k-bar
+
+
 @pytest.mark.parametrize(
     "grid",
     [[], [2.0, math.nan, 1.0], [0.5, math.nan], [1.0, math.inf], [-math.inf, 1.0], [0.0, 1.0], [1.0, 0.5],
