@@ -5,10 +5,12 @@ so importing one submodule loads only what it imports: ``segmentix.files``
 loads ``segmentix.market`` alone. ``segmentix.cli`` loads the rest per
 subcommand, when the subcommand runs.
 
-``files``, ``solver`` and ``sweeps`` never import numpy, and ``market``
-and ``binary`` import it only inside the functions that compute on
-arrays, which neither solver calls, so ``solve``, ``verify`` and ``sweep``
-never load it; ``oracle`` and ``rationalize`` import it when they load.
+Only ``oracle`` and ``rationalize`` import numpy when they load; ``market``
+and ``binary`` import it inside the functions that compute on arrays,
+which neither solver calls, so ``solve``, ``verify`` and ``sweep`` load
+neither numpy nor the ``inspect`` it pulls in. No module loads the
+standard data-class module: result records are ``NamedTuple``s, which unpack
+and equal tuples of their values; validated values are ``__slots__`` classes.
 """
 
 import importlib

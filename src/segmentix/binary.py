@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .market import (
     Market,
@@ -156,8 +155,7 @@ def segmentation_threshold(vals: Valuations, mu_star: Market) -> float:
     return 1.0 / s_min
 
 
-@dataclass(frozen=True)
-class EnvelopeResult:
+class EnvelopeResult(NamedTuple):
     """Sampled net-value curve, its upper concave envelope, and the gap interval.
 
     ``interval`` is the maximal grid interval on which the envelope exceeds

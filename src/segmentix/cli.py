@@ -21,8 +21,9 @@ library names the handlers call stay attributes of this module, loaded
 on first access (PEP 562) as the package's are.
 
 numpy loads only in code that computes on arrays. ``solve``, ``verify``
-and ``sweep`` never load it, at any number of types: both solvers are
-closed forms on Python floats. ``rationalize`` and ``oracle`` load it.
+and ``sweep`` load neither it nor ``inspect``, at any number of types:
+both solvers are closed forms on Python floats. ``rationalize`` and
+``oracle`` load both. No subcommand loads the standard data-class module.
 """
 
 from __future__ import annotations

@@ -56,6 +56,8 @@ def read_json(path: str) -> Any:
         raise _fail(path, str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise _fail(path, f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # not UTF-8, or an integer past Python's digit limit
+        raise _fail(path, str(exc)) from exc
 
 
 def dump_json(obj: Any) -> str:
@@ -75,25 +77,28 @@ def _require_object(data: Any, where: str, fields: tuple[str, ...], optional: tu
     return data
 
 
-def _number(data: dict, field: str, where: str) -> float:
-    v = data[field]
+def _float(v: Any, field: str, where: str) -> float:
+    """``v`` as a float; a bool, a non-number or an integer too large for a float fails naming ``field``."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise _fail(where, f"field '{field}' must be a number, got {type(v).__name__}")
-    if not math.isfinite(float(v)):
+    try:
+        return float(v)
+    except OverflowError:
+        raise _fail(where, f"field '{field}' is an integer too large for a float") from None
+
+
+def _number(data: dict, field: str, where: str) -> float:
+    v = _float(data[field], field, where)
+    if not math.isfinite(v):
         raise _fail(where, f"field '{field}' must be finite, got {v}")
-    return float(v)
+    return v
 
 
 def _number_list(data: dict, field: str, where: str) -> list[float]:
     v = data[field]
     if not isinstance(v, list) or not v:
         raise _fail(where, f"field '{field}' must be a non-empty array")
-    out = []
-    for i, item in enumerate(v):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise _fail(where, f"field '{field}[{i}]' must be a number, got {type(item).__name__}")
-        out.append(float(item))
-    return out
+    return [_float(item, f"{field}[{i}]", where) for i, item in enumerate(v)]
 
 
 @contextlib.contextmanager
@@ -239,12 +244,7 @@ def parse_cost_spec(data: Any, where: str) -> ConvexCostSpec:
     for i, q in enumerate(raw_quads):
         if not isinstance(q, list) or len(q) != 3:
             raise _fail(where, f"field 'quadratics[{i}]' must be a 3-element array [a, b, c]")
-        row = []
-        for j, item in enumerate(q):
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise _fail(where, f"field 'quadratics[{i}][{j}]' must be a number")
-            row.append(float(item))
-        quads.append(tuple(row))
+        quads.append(tuple([_float(item, f"quadratics[{i}][{j}]", where) for j, item in enumerate(q)]))
     with _located(where):
         return ConvexCostSpec(knots=tuple(knots), quadratics=tuple(quads))
 

@@ -9,8 +9,7 @@ rationalization) is built on the primitives defined here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -52,11 +51,40 @@ def _as_float_tuple(values: Sequence[float]) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
-@dataclass(frozen=True)
-class Valuations:
-    """Strictly increasing positive valuation ladder, one entry per buyer type."""
+class _Frozen:
+    """Read-only ``_fields``, set once in ``__init__``; ``==`` (within a class), ``hash``, ``repr`` and pickling read them."""
 
-    values: tuple[float, ...]
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join([f'{n}={getattr(self, n)!r}' for n in self._fields])})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Valuations(_Frozen):
+    """Strictly increasing positive valuation ladder ``values``: a tuple of floats, one per buyer type."""
+
+    __slots__ = _fields = ("values",)
 
     def __init__(self, values: Sequence[float]):
         vals = _as_float_tuple(values)
@@ -82,8 +110,7 @@ class Valuations:
         return np.asarray(self.values, dtype=float)
 
 
-@dataclass(frozen=True)
-class Market:
+class Market(_Frozen):
     """Probability vector over buyer types, in a normal form: its weights ``fsum`` to exactly 1.
 
     Weights must be nonnegative and sum to one within ``WEIGHT_SUM_TOL``;
@@ -94,7 +121,7 @@ class Market:
     ``Market(m.weights) == m`` for every market ``m``.
     """
 
-    weights: tuple[float, ...]
+    __slots__ = _fields = ("weights",)
 
     def __init__(self, weights: Sequence[float]):
         w = _as_float_tuple(weights)
@@ -128,8 +155,7 @@ class Market:
         return np.asarray(self.weights, dtype=float)
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(_Frozen):
     """One cell of a segmentation: a market, its mass, and the price charged.
 
     ``price_index`` indexes into the valuation ladder. Whether that price is
@@ -137,19 +163,19 @@ class Segment:
     ladder; see :func:`check_segment_prices`.
     """
 
-    market: Market
-    weight: float
-    price_index: int
+    __slots__ = _fields = ("market", "weight", "price_index")
 
-    def __post_init__(self):
+    def __init__(self, market: Market, weight: float, price_index: int):
+        object.__setattr__(self, "market", market)  # not by the base's loop, which costs twice as much
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "price_index", price_index)
         if not (self.weight > 0.0 and self.weight <= 1.0 + SEGMENT_WEIGHT_SUM_TOL):
             raise ValidationError("segment_weight", f"segment weight must lie in (0, 1], got {self.weight}")
         if self.price_index < 0 or self.price_index >= len(self.market):
             raise ValidationError("segment_price_index", f"price index {self.price_index} out of range")
 
 
-@dataclass(frozen=True)
-class Segmentation:
+class Segmentation(_Frozen):
     """Bayes-plausible split of a prior market into priced segments.
 
     Invariants enforced at construction: segment weights sum to one within
@@ -157,12 +183,11 @@ class Segmentation:
     the prior within ``BAYES_TOL`` per coordinate, and there are at most as
     many segments as buyer types. ``bayes_residual``, the largest coordinate
     gap between the weighted segments and the prior, is computed once, at
-    construction, and stored.
+    construction, and stored, outside ``==``, ``hash`` and ``repr``.
     """
 
-    prior: Market
-    segments: tuple[Segment, ...]
-    bayes_residual: float = field(init=False, repr=False, compare=False)
+    _fields = ("prior", "segments")
+    __slots__ = (*_fields, "bayes_residual")
 
     def __init__(self, prior: Market, segments: Sequence[Segment]):
         segs = tuple(segments)
@@ -183,16 +208,14 @@ class Segmentation:
         resid = max(abs(m - x) for m, x in zip(mixed, prior.weights))
         if resid > BAYES_TOL:
             raise ValidationError("bayes_plausibility", f"weighted segments miss the prior by {resid:.3e}")
-        object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "segments", segs)
+        super().__init__(prior, segs)
         object.__setattr__(self, "bayes_residual", resid)
 
     def price_indices(self) -> tuple[int, ...]:
         return tuple(s.price_index for s in self.segments)
 
 
-@dataclass(frozen=True)
-class WelfareReport:
+class WelfareReport(NamedTuple):
     """Surplus split of a priced segmentation.
 
     ``ps_gross`` is seller revenue before information costs, ``ps_net``
@@ -208,15 +231,13 @@ class WelfareReport:
     segmented: bool
 
 
-@dataclass(frozen=True)
-class MarketInstance:
+class MarketInstance(_Frozen):
     """A prior market, its valuation ladder, and the information cost scale."""
 
-    vals: Valuations
-    mu_star: Market
-    k: float
+    __slots__ = _fields = ("vals", "mu_star", "k")
 
-    def __post_init__(self):
+    def __init__(self, vals: Valuations, mu_star: Market, k: float):
+        super().__init__(vals, mu_star, k)
         if len(self.vals) != len(self.mu_star):
             raise ValidationError("instance_shape", "valuations and weights must have equal length")
         if not (math.isfinite(self.k) and self.k >= 0.0):
@@ -354,8 +375,7 @@ def uniform_report(mu_star: Market, vals: Valuations) -> WelfareReport:
     return welfare(no_segmentation(mu_star, vals), vals, 0.0)
 
 
-@dataclass(frozen=True)
-class SurplusTriangle:
+class SurplusTriangle(NamedTuple):
     """Feasible (CS, PS) region: CS ≥ 0, PS ≥ uniform profit, CS + PS ≤ full surplus."""
 
     uniform_profit: float

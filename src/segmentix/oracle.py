@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,8 +130,7 @@ def _grid_lp(P: np.ndarray, g: np.ndarray, mu: np.ndarray, start: list[int]) -> 
     raise ValidationError("oracle_lp", f"grid LP not optimal after {_LP_MAX_PIVOTS} pivots")
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """Best value found by grid search plus column generation, and a bound on it.
 
     ``value``, ``upper`` and ``grid_value`` are net objectives (revenue

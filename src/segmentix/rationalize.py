@@ -18,7 +18,6 @@ cells, and returns what scoring every pair returns, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,6 +29,7 @@ from .market import (
     SurplusTriangle,
     ValidationError,
     Valuations,
+    _Frozen,
     surplus_triangle,
     welfare,
 )
@@ -40,8 +40,7 @@ MIN_VERIFY_GRID_N = 2000  # coarser grids cannot place the argmax within two ste
 CS_PS_TOL = 1e-3  # how far the re-optimized (CS, PS) may land from the target
 
 
-@dataclass(frozen=True)
-class RationalizationTarget:
+class RationalizationTarget(_Frozen):
     """A (CS, gross PS) point to be made optimal, with its market.
 
     Valid targets are strictly interior to the surplus triangle, and the
@@ -49,12 +48,10 @@ class RationalizationTarget:
     the mirror case and are rejected rather than silently transformed.
     """
 
-    cs: float
-    ps: float
-    vals: Valuations
-    mu_star: Market
+    __slots__ = _fields = ("cs", "ps", "vals", "mu_star")
 
-    def __post_init__(self):
+    def __init__(self, cs: float, ps: float, vals: Valuations, mu_star: Market):
+        super().__init__(cs, ps, vals, mu_star)
         if len(self.vals) != 2 or len(self.mu_star) != 2:
             raise ValidationError("binary_only", "rationalization covers two-type markets")
         w1, w2 = self.vals[0], self.vals[1]
@@ -126,8 +123,7 @@ def realized_welfare(seg: InducedSegments, vals: Valuations) -> tuple[float, flo
     return cs, ps
 
 
-@dataclass(frozen=True)
-class ConvexCostSpec:
+class ConvexCostSpec(_Frozen):
     """Piecewise-quadratic convex function on [0, 1].
 
     ``quadratics[i]`` holds (a, b, c) with value a*x^2 + b*x + c on the
@@ -136,10 +132,10 @@ class ConvexCostSpec:
     continuity at the interior knots.
     """
 
-    knots: tuple[float, ...]
-    quadratics: tuple[tuple[float, float, float], ...]
+    __slots__ = _fields = ("knots", "quadratics")
 
-    def __post_init__(self):
+    def __init__(self, knots: tuple[float, ...], quadratics: tuple[tuple[float, float, float], ...]):
+        super().__init__(knots, quadratics)
         ks = self.knots
         if len(ks) < 2 or len(self.quadratics) != len(ks) - 1:
             raise ValidationError("cost_shape", "need one quadratic per knot interval")
@@ -262,8 +258,7 @@ def foc_residuals(spec: ConvexCostSpec, seg: InducedSegments, vals: Valuations) 
     return (w1 - w2 * seg.mu2) - d1 * (seg.mu2 - seg.mu1), (d2 - d1) - w2
 
 
-@dataclass(frozen=True)
-class RationalizationReport:
+class RationalizationReport(NamedTuple):
     """Outcome of grid re-optimization under a constructed cost."""
 
     passed: bool

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .binary import solve_binary
 from .market import (
@@ -43,8 +43,7 @@ _TINY = sys.float_info.min
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class OptimalityReport:
+class OptimalityReport(NamedTuple):
     """Outcome of checking a segmentation against the optimality certificate.
 
     ``ilr_residual`` is the worst relative spread of the likelihood-ratio

@@ -9,8 +9,7 @@ self-contained SVG chart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .binary import tangency_posteriors
 from .market import (
@@ -20,6 +19,7 @@ from .market import (
     ValidationError,
     Valuations,
     WelfareReport,
+    _Frozen,
     _tail_revenues,
     binary_entropy,
     welfare,
@@ -33,19 +33,17 @@ CSV_HEADER = "k,cs,ps_gross,info_cost,ps_net,ts_gross,ts_net,n_segments,prices"
 SWEEP_PRICE_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class KGridSpec:
+class KGridSpec(_Frozen):
     """Cost-scale ladder: ``n`` log-spaced points from ``lo`` to ``hi``.
 
     A spec whose points are not strictly increasing in double precision
     (``hi / lo`` too close to 1 for ``n``) is rejected, as an explicit grid is.
     """
 
-    lo: float
-    hi: float
-    n: int
+    __slots__ = _fields = ("lo", "hi", "n")
 
-    def __post_init__(self):
+    def __init__(self, lo: float, hi: float, n: int):
+        super().__init__(lo, hi, n)
         if not (0.0 < self.lo < self.hi) or not math.isfinite(self.hi):
             raise ValidationError("k_grid", f"need 0 < lo < hi finite, got [{self.lo}, {self.hi}]")
         if self.n < 2:
@@ -72,8 +70,7 @@ def default_k_grid(vals: Valuations) -> KGridSpec:
     return KGridSpec(1e-3 * vals[0], 1e2 * vals[0], 200)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One sweep entry: the cost scale, welfare accounts, and solution shape.
 
     ``error`` is the stringified ``SolverError`` (which no solver raises) when
@@ -88,13 +85,13 @@ class SweepRow:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class SweepTable:
+class SweepTable(_Frozen):
     """Sweep rows in strictly increasing k order."""
 
-    rows: tuple[SweepRow, ...]
+    __slots__ = _fields = ("rows",)
 
-    def __post_init__(self):
+    def __init__(self, rows: tuple[SweepRow, ...]):
+        super().__init__(rows)
         ks = [r.k for r in self.rows]
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValidationError("sweep_order", "rows must be strictly increasing in k")
@@ -171,8 +168,7 @@ def classify_monotonicity(values: Iterable[float]) -> str:
     return "nonmonotone"
 
 
-@dataclass(frozen=True)
-class BoundaryReport:
+class BoundaryReport(NamedTuple):
     """Witness that the boundary prior segments at every tested cost scale.
 
     ``min_straddle_slack`` is the smallest distance from the boundary share

@@ -8,7 +8,6 @@ reaches leaves its p50 without a measurement, which stops the run too. The
 ``oracle`` subcommand's JSON.
 """
 
-import dataclasses
 import importlib
 import json
 import math
@@ -46,7 +45,7 @@ def test_a_traced_sweep_reaches_every_layer_it_reports():
 
 def test_oracle_results_carry_the_fields_the_sandwich_checks_read(tmp_path):
     read = {"value", "grid_value", "resolution_bound"}
-    assert read <= {f.name for f in dataclasses.fields(OracleResult)}
+    assert read <= set(OracleResult._fields)
     for mu, k in (((0.4, 0.6), 0.8), ((0.3, 0.4, 0.3), 0.5)):
         vals = (1.0, 2.0, 3.0)[: len(mu)]
         res = brute_force(MarketInstance(Valuations(vals), Market(mu), k))

@@ -19,7 +19,6 @@ math-module sum, and their reports and exceptions must match byte for byte.
 import functools
 import math
 import re
-from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -490,7 +489,7 @@ def test_sweep_bytes_match_reference_kernels(K, n_points):
         want, segs = _reference_sweep_rows(vals, prior, grid)
         assert to_csv(got) == to_csv(want)
         # every field byte for byte but the certificate, which is checked against the 40-digit one
-        assert [repr(replace(r, verify=None)) for r in got.rows] == [repr(r) for r in want.rows]
+        assert [repr(r._replace(verify=None)) for r in got.rows] == [repr(r) for r in want.rows]
         for row, seg in zip(got.rows, segs, strict=True):
             if seg is not None:
                 _assert_matches_reference(row.verify, seg, vals, row.k)

@@ -71,6 +71,12 @@ def test_solve_invalid_instance_exit_2(tmp_path, capsys):
     assert "cost_scale" in capsys.readouterr().err
 
 
+def test_solve_integer_too_large_for_a_float_exit_2(tmp_path, capsys):
+    inp = write(tmp_path, "inst.json", '{"valuations": [1.0, 2.0], "mu": [0.4, 0.6], "k": 1%s}' % ("0" * 400))
+    assert cli.main(["solve", "--input", inp]) == 2
+    assert capsys.readouterr().err == f"error [file_format]: {inp}: field 'k' is an integer too large for a float\n"
+
+
 def test_solve_is_deterministic(tmp_path):
     inp = write(tmp_path, "inst.json", WORKED)
     out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")

@@ -70,6 +70,48 @@ def test_instance_bool_is_not_a_number(tmp_path):
     assert "'k'" in str(err.value)
 
 
+BIG = "1" + "0" * 400  # a JSON integer past the largest double
+
+
+@pytest.mark.parametrize(
+    "text,field",
+    [
+        ('{"valuations": [1.0, 2.0], "mu": [0.4, 0.6], "k": %s}' % BIG, "'k'"),
+        ('{"valuations": [1.0, %s], "mu": [0.4, 0.6], "k": 0.8}' % BIG, "'valuations[1]'"),
+        ('{"valuations": [1.0, 2.0], "mu": [%s, 0.6], "k": 0.8}' % BIG, "'mu[0]'"),
+    ],
+    ids=["k", "valuations", "mu"],
+)
+def test_instance_integer_too_large_for_a_float_names_its_field(tmp_path, text, field):
+    path = write(tmp_path, "inst.json", text)
+    with pytest.raises(FileFormatError) as err:
+        files.load_market_instance(path)
+    assert err.value.invariant == "file_format"
+    assert err.value.message == f"{path}: field {field} is an integer too large for a float"
+
+
+def test_segmentation_prior_too_large_for_a_float_names_its_field(tmp_path):
+    path = write(tmp_path, "seg.json", '{"prior": [%s, 0.6], "segments": []}' % BIG)
+    with pytest.raises(FileFormatError) as err:
+        files.load_segmentation(path, V12)
+    assert err.value.message == f"{path}: field 'prior[0]' is an integer too large for a float"
+
+
+def test_integer_past_the_digit_limit_is_a_file_format_error(tmp_path):
+    path = write(tmp_path, "inst.json", '{"valuations": [1.0, 2.0], "mu": [0.4, 0.6], "k": 1%s}' % ("0" * 5000))
+    with pytest.raises(FileFormatError) as err:
+        files.load_market_instance(path)
+    assert err.value.invariant == "file_format" and "digits" in err.value.message
+
+
+def test_file_not_utf8_is_a_file_format_error(tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_bytes(b'{"valuations": [1.0, 2.0], "k": "\xff"}')
+    with pytest.raises(FileFormatError) as err:
+        files.load_market_instance(str(path))
+    assert err.value.invariant == "file_format" and "utf-8" in err.value.message
+
+
 def test_instance_semantic_error_keeps_invariant(tmp_path):
     path = write(tmp_path, "inst.json", {"valuations": [2.0, 1.0], "mu": [0.4, 0.6], "k": 0.8})
     with pytest.raises(FileFormatError) as err:
@@ -226,6 +268,24 @@ def test_cost_spec_shape_diagnostics(tmp_path):
     with pytest.raises(FileFormatError) as err:
         files.load_cost_spec(path)
     assert "quadratics[0]" in str(err.value)
+
+
+@pytest.mark.parametrize("text,field", [
+    ('{"knots": [0.0, %s], "quadratics": [[1.0, 0.0, 0.0]]}' % BIG, "'knots[1]'"),
+    ('{"knots": [0.0, 1.0], "quadratics": [[1.0, %s, 0.0]]}' % BIG, "'quadratics[0][1]'"),
+], ids=["knots", "quadratics"])
+def test_cost_spec_integer_too_large_for_a_float_names_its_field(tmp_path, text, field):
+    path = write(tmp_path, "c.json", text)
+    with pytest.raises(FileFormatError) as err:
+        files.load_cost_spec(path)
+    assert err.value.message == f"{path}: field {field} is an integer too large for a float"
+
+
+def test_cost_spec_type_error_names_entry(tmp_path):
+    path = write(tmp_path, "c.json", {"knots": [0.0, 1.0], "quadratics": [[1.0, "b", 0.0]]})
+    with pytest.raises(FileFormatError) as err:
+        files.load_cost_spec(path)
+    assert err.value.message == f"{path}: field 'quadratics[0][1]' must be a number, got str"
 
 
 def test_cost_spec_convexity_error_keeps_invariant(tmp_path):

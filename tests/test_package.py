@@ -1,4 +1,9 @@
-"""Package exports: loaded lazily from their submodules, the same names as before; numpy loaded only where used."""
+"""Package exports: loaded lazily from their submodules, the same names as before; numpy loaded only where used.
+
+No process loads ``dataclasses``: the records are ``NamedTuple``s and the
+validated values ``__slots__`` classes. ``inspect``, which numpy loads, stays
+out of ``solve``, ``verify`` and ``sweep`` processes.
+"""
 
 import ast
 import graphlib
@@ -28,11 +33,12 @@ EXPORTED = {
 }  # fmt: skip
 
 
-def _fresh_modules(statement: str, prefix: str = "segmentix") -> set[str]:
-    """The modules named ``prefix`` or under it that a fresh interpreter holds after running ``statement``."""
+def _fresh_modules(statement: str, prefix: str | tuple[str, ...] = "segmentix") -> set[str]:
+    """The modules named ``prefix`` (or one of several) or under it that a fresh interpreter holds after ``statement``."""
     src = str(Path(segmentix.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = f"import sys; {statement}; print(' '.join(m for m in sys.modules if m.split('.')[0] == {prefix!r}))"
+    tops = (prefix,) if isinstance(prefix, str) else prefix
+    code = f"import sys; {statement}; print(' '.join(m for m in sys.modules if m.split('.')[0] in {tops!r}))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     return set(out.stdout.split())
 
@@ -97,9 +103,17 @@ def test_import_loads_no_numpy(module):
     assert _fresh_modules(f"import segmentix.{module}", prefix="numpy") == set()
 
 
-def _cli_numpy_modules(*argv: str) -> set[str]:
-    """The numpy modules a fresh process holds after ``segmentix.cli.main(argv)`` returns 0."""
-    return _fresh_modules(f"import segmentix.cli as cli; assert cli.main({list(argv)!r}) == 0", prefix="numpy")
+MODULES = ["cli", "files", "market", "binary", "solver", "sweeps", "oracle", "rationalize"]
+
+
+@pytest.mark.parametrize("module", ["segmentix", *(f"segmentix.{m}" for m in MODULES)])
+def test_import_loads_no_dataclasses(module):
+    assert _fresh_modules(f"import {module}", prefix="dataclasses") == set()
+
+
+def _cli_modules(prefix: str | tuple[str, ...], *argv: str) -> set[str]:
+    """The ``prefix`` modules a fresh process holds after ``segmentix.cli.main(argv)`` returns 0."""
+    return _fresh_modules(f"import segmentix.cli as cli; assert cli.main({list(argv)!r}) == 0", prefix=prefix)
 
 
 def _write_instance(path: Path, vals: tuple, mu: tuple, k: float) -> str:
@@ -119,18 +133,16 @@ def test_cli_solve_and_verify_load_no_numpy(tmp_path):
     for name, vals, mu, k in (("k2", (1.0, 2.0), (0.4, 0.6), 0.5), ("k3", V123, MU334, k3)):
         inst = _write_instance(tmp_path / f"{name}.json", vals, mu, k)
         seg = tmp_path / f"{name}.seg.json"
-        assert _cli_numpy_modules("solve", "--input", inst, "--output", str(seg)) == set(), name
+        assert _cli_modules("numpy", "solve", "--input", inst, "--output", str(seg)) == set(), name
         expected = solve(MarketInstance(Valuations(vals), Market(mu), k))
         assert seg.read_text() == dump_json(segmentation_to_dict(expected, Valuations(vals))), name
         out = str(tmp_path / f"{name}.verify.json")
-        assert _cli_numpy_modules("verify", "--input", str(seg), "--instance", inst, "--output", out) == set(), name
+        assert _cli_modules("numpy", "verify", "--input", str(seg), "--instance", inst, "--output", out) == set(), name
         assert json.loads(Path(out).read_text())["passed"]
-        assert _cli_numpy_modules("verify", "--input", str(seg), "--output", out) == set(), name
+        assert _cli_modules("numpy", "verify", "--input", str(seg), "--output", out) == set(), name
 
 
-def test_cli_solve_below_threshold_loads_numpy_for_the_iteration(tmp_path):
-    # the name dates from the iterative solver; below k-bar the closed form
-    # loads no numpy either, and the CLI still writes the library's bytes
+def test_cli_solve_below_threshold_loads_no_numpy(tmp_path):
     from segmentix import Market, MarketInstance, Valuations, segmentation_threshold, solve
     from segmentix.files import dump_json, segmentation_to_dict
 
@@ -138,12 +150,12 @@ def test_cli_solve_below_threshold_loads_numpy_for_the_iteration(tmp_path):
     assert k < segmentation_threshold(vals, mu)
     inst = _write_instance(tmp_path / "k3.json", V123, MU334, k)
     seg = tmp_path / "k3.seg.json"
-    assert _cli_numpy_modules("solve", "--input", inst, "--output", str(seg)) == set()
+    assert _cli_modules("numpy", "solve", "--input", inst, "--output", str(seg)) == set()
     expected = solve(MarketInstance(vals, mu, k))
     assert len(expected.segments) > 1
     assert seg.read_text() == dump_json(segmentation_to_dict(expected, vals))
     out = str(tmp_path / "k3.verify.json")
-    assert _cli_numpy_modules("verify", "--input", str(seg), "--instance", inst, "--output", out) == set()
+    assert _cli_modules("numpy", "verify", "--input", str(seg), "--instance", inst, "--output", out) == set()
     assert json.loads(Path(out).read_text())["passed"]
 
 
@@ -155,15 +167,13 @@ def test_cli_sweeps_load_no_numpy(tmp_path):
     inp3 = _write_instance(tmp_path / "k3.json", V123, MU334, 1.0)
     out = str(tmp_path / "out")
     for fmt in ("csv", "svg"):
-        assert _cli_numpy_modules("sweep", "--input", inp2, "--output", out, "--format", fmt) == set(), fmt
+        assert _cli_modules("numpy", "sweep", "--input", inp2, "--output", out, "--format", fmt) == set(), fmt
     # every row lies above k-bar, where the prior stays whole
     grid = f"{1.01 * k3!r}:{100.0 * k3!r}:20"
-    assert _cli_numpy_modules("sweep", "--input", inp3, "--output", out, "--k-grid", grid) == set()
+    assert _cli_modules("numpy", "sweep", "--input", inp3, "--output", out, "--k-grid", grid) == set()
 
 
-def test_cli_sweep_with_a_row_below_threshold_loads_numpy_for_the_iteration(tmp_path):
-    # the name dates from the iterative solver; rows below k-bar now load no
-    # numpy either, and the CLI still writes the library's bytes
+def test_cli_sweep_with_a_row_below_threshold_loads_no_numpy(tmp_path):
     from segmentix import Market, Valuations, segmentation_threshold, sweep_k, to_csv
     from segmentix.cli import parse_k_grid
 
@@ -173,7 +183,33 @@ def test_cli_sweep_with_a_row_below_threshold_loads_numpy_for_the_iteration(tmp_
     inp = _write_instance(tmp_path / "k3.json", V123, MU334, 1.0)
     out = tmp_path / "k3.csv"
     grid = f"0.3:{100.0 * k3!r}:6"
-    assert _cli_numpy_modules("sweep", "--input", inp, "--output", str(out), "--k-grid", grid) == set()
+    assert _cli_modules("numpy", "sweep", "--input", inp, "--output", str(out), "--k-grid", grid) == set()
     table = sweep_k(vals, mu, parse_k_grid(grid))
     assert table.rows[0].n_segments > 1
     assert out.read_text() == to_csv(table)
+
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "verify-structural", "sweep", "rationalize", "oracle"])
+def test_cli_loads_no_dataclasses_and_inspect_only_with_numpy(command, tmp_path):
+    # numpy loads inspect, so only the two subcommands that load numpy may hold it
+    from segmentix.cli import main
+
+    inst = _write_instance(tmp_path / "inst.json", (1.0, 2.0), (0.4, 0.6), 0.8)
+    seg = str(tmp_path / "seg.json")
+    assert main(["solve", "--input", inst, "--output", seg]) == 0
+    target, sweep = tmp_path / "target.json", tmp_path / "sweep.json"
+    target.write_text(json.dumps({"cs": 0.2, "ps": 1.1, "valuations": [1, 2], "mu": [0.6, 0.4]}))
+    sweep.write_text(json.dumps({"valuations": [1.0, 2.0], "mu": [0.4, 0.6]}))
+    argv = {
+        "solve": ["solve", "--input", inst],
+        "verify": ["verify", "--input", seg, "--instance", inst],
+        "verify-structural": ["verify", "--input", seg],
+        "sweep": ["sweep", "--input", str(sweep), "--k-grid", "0.1:10:5"],
+        "rationalize": ["rationalize", "--input", str(target)],
+        "oracle": ["oracle", "--input", inst],
+    }[command]
+    loaded = _cli_modules(("dataclasses", "inspect", "numpy"), *argv, "--output", str(tmp_path / "out"))
+    numpy = {m for m in loaded if m.split(".")[0] == "numpy"}
+    assert bool(numpy) == (command in ("rationalize", "oracle"))
+    assert loaded - numpy <= ({"inspect"} if numpy else set())
