@@ -169,7 +169,7 @@ class Segment(_Frozen):
         object.__setattr__(self, "market", market)  # not by the base's loop, which costs twice as much
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "price_index", price_index)
-        if not (self.weight > 0.0 and self.weight <= 1.0 + SEGMENT_WEIGHT_SUM_TOL):
+        if type(weight) is bool or not (weight > 0.0 and weight <= 1.0 + SEGMENT_WEIGHT_SUM_TOL):
             raise ValidationError("segment_weight", f"segment weight must lie in (0, 1], got {self.weight}")
         if self.price_index < 0 or self.price_index >= len(self.market):
             raise ValidationError("segment_price_index", f"price index {self.price_index} out of range")
@@ -240,7 +240,7 @@ class MarketInstance(_Frozen):
         super().__init__(vals, mu_star, k)
         if len(self.vals) != len(self.mu_star):
             raise ValidationError("instance_shape", "valuations and weights must have equal length")
-        if not (math.isfinite(self.k) and self.k >= 0.0):
+        if type(k) is bool or not (math.isfinite(k) and k >= 0.0):
             raise ValidationError("cost_scale", f"k must be finite and >= 0, got {self.k}")
 
 

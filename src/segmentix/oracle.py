@@ -217,12 +217,12 @@ def _block_max(xl: np.ndarray, gl: np.ndarray, xh: np.ndarray, gh: np.ndarray, m
     step = max(1, _PAIR_CELLS // len(xh))
     if step >= len(xl):  # one piece, as on any curve not straight to within rounding
         V = _pair_values(xl, gl, xh, gh, mu)
-        r, c = np.unravel_index(int(np.argmax(V)), V.shape)
+        r, c = divmod(int(V.argmax()), V.shape[1])
         return V[r, c], r, c
     best = []
     for start in range(0, len(xl), step):
         V = _pair_values(xl[start : start + step], gl[start : start + step], xh, gh, mu)
-        r, c = divmod(int(np.argmax(V)), V.shape[1])
+        r, c = divmod(int(V.argmax()), V.shape[1])
         best.append((V[r, c], start + r, c))
     return max(best, key=lambda b: b[0])  # the first of equal maxima
 
@@ -238,12 +238,21 @@ def pair_scan(x: np.ndarray, g: np.ndarray, mu: float) -> tuple[float, tuple[flo
     envelope's edge over mu. That edge is found by alternating tangent
     searches: from a left end i, the right end j is the point of x > mu
     with the greatest slope from i, then i the point of x < mu with the
-    least slope to j, until i repeats (float ties on a flat run can cycle)
-    or 64 rounds pass; b is the slope of ij. Any b is correct, a near one
-    only scores fewer pairs. With d_i = L(x_i) - g_i, a pair's exact value
-    is phi - tau d_i - (1 - tau) d_j, so a pair worth at least V has
+    least slope to j, until an end repeats or 64 rounds pass; b is the
+    slope of ij. A repeated j stops before its search for i, which would
+    return the i it came from; a repeated i stops the ties on a flat run,
+    which can cycle. Any b is correct, a near one only scores fewer pairs.
+    With d_i = L(x_i) - g_i, a pair's exact value is
+    phi - tau d_i - (1 - tau) d_j, so a pair worth at least V has
     min(d_i, d_j) <= phi - V. V is the computed value of the pair of
-    points nearest L, one on each side.
+    points nearest L, one on each side, scored on floats with the same
+    operations as ``_pair_values``.
+
+    Each tangent search is four passes over one side of mu. The a_i are
+    then three passes over the whole grid, sliced on each side of mu, so
+    the points at mu stay out of phi and of the cut; d is one more pass,
+    and the cut two passes a side. The blocks of rows and columns under
+    the cut are scored by ``_block_max``.
 
     The cut on d is phi - V plus a slack of 32 ulp(S), S = max(|g|, |b|,
     |phi|), that covers rounding. With u = 2**-53, u S <= ulp(S) and x, mu
@@ -254,26 +263,35 @@ def pair_scan(x: np.ndarray, g: np.ndarray, mu: float) -> tuple[float, tuple[flo
     each. A pair whose computed value reaches V's thus keeps an end point
     under the cut as long as the slack is at least 21.3 u S.
     """
-    lo, hi = int(np.searchsorted(x, mu, "left")), int(np.searchsorted(x, mu, "right"))
+    lo = int(x.searchsorted(mu))
+    hi = lo + 1 if lo < len(x) and x[lo] == mu else lo  # x is strictly increasing: at most one point is mu
     if lo == 0 or hi == len(x):
         return -math.inf, None
     xl, gl, xh, gh = x[:lo], g[:lo], x[hi:], g[hi:]
-    i, seen = lo - 1, set()
-    for _ in range(64):  # stops at a repeated left end; any b is exact
+    i, j, seen = lo - 1, -1, set()
+    for _ in range(64):  # stops once an end repeats; any b is exact
         seen.add(i)
-        j = int(np.argmax((gh - gl[i]) / (xh - xl[i])))
-        i_next = int(np.argmin((gh[j] - gl) / (xh[j] - xl)))
+        j_next = int(((gh - gl[i]) / (xh - xl[i])).argmax())
+        if j_next == j:  # i was the least slope to this j already
+            break
+        j = j_next
+        i_next = int(((gh[j] - gl) / (xh[j] - xl)).argmin())
         if i_next in seen:
             break
         i = i_next
-    b = float((gh[j] - gl[i]) / (xh[j] - xl[i]))
-    al, ah = gl + b * (mu - xl), gh + b * (mu - xh)
-    phi = max(al.max(), ah.max())
-    dl, dh = phi - al, phi - ah
-    i, j = int(np.argmin(dl)), int(np.argmin(dh))
-    v = _pair_values(xl[i : i + 1], gl[i : i + 1], xh[j : j + 1], gh[j : j + 1], mu)[0, 0]
-    cut = (phi - v) + 32 * math.ulp(max(float(np.abs(g).max()), abs(b), abs(float(phi))))
-    rows, cols = np.flatnonzero(dl <= cut), np.flatnonzero(dh <= cut)
+    xi, gi, xj, gj = float(xl[i]), float(gl[i]), float(xh[j]), float(gh[j])
+    b = (gj - gi) / (xj - xi)
+    a = g + b * (mu - x)
+    al, ah = a[:lo], a[hi:]
+    phi = float(max(al.max(), ah.max()))
+    d = phi - a
+    dl, dh = d[:lo], d[hi:]
+    i, j = int(dl.argmin()), int(dh.argmin())
+    xi, gi, xj, gj = float(xl[i]), float(gl[i]), float(xh[j]), float(gh[j])
+    tau = (xj - mu) / (xj - xi)
+    v = tau * gi + (1.0 - tau) * gj  # the nearest pair, scored as _pair_values scores it
+    cut = (phi - v) + 32 * math.ulp(max(float(g.max()), -float(g.min()), abs(b), abs(phi)))
+    rows, cols = (dl <= cut).nonzero()[0], (dh <= cut).nonzero()[0]
     found = []  # (value, i, j) of each block's first maximum
     if len(rows):
         value, r, c = _block_max(xl[rows], gl[rows], xh, gh, mu)

@@ -17,8 +17,10 @@ cells, and returns what scoring every pair returns, bit for bit.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .market import (
     ValidationError,
     Valuations,
     _Frozen,
+    _as_float_tuple,
     surplus_triangle,
     welfare,
 )
@@ -127,31 +130,40 @@ class ConvexCostSpec(_Frozen):
     """Piecewise-quadratic convex function on [0, 1].
 
     ``quadratics[i]`` holds (a, b, c) with value a*x^2 + b*x + c on the
-    interval [knots[i], knots[i+1]]. Construction validates increasing
+    interval [knots[i], knots[i+1]]. Both fields are normalized to floats,
+    as ``Valuations`` is: ``knots`` a tuple of floats and ``quadratics`` a
+    tuple of float 3-tuples, so a spec built from lists is hashable and
+    cannot change after its checks. Construction validates increasing
     knots, strict convexity of every piece, and value/derivative
-    continuity at the interior knots.
+    continuity at the interior knots. The interior knots and the
+    coefficients, as arrays, are built once here, outside ``==``, ``hash``
+    and ``repr``. x beyond [0, 1] takes the nearest end piece, and NaN the
+    last. ``value`` and ``derivative`` of a float are taken on floats, by
+    the array path's IEEE operations, so they give its bits.
     """
 
-    __slots__ = _fields = ("knots", "quadratics")
+    _fields = ("knots", "quadratics")
+    __slots__ = (*_fields, "_interior", "_coefs")
 
-    def __init__(self, knots: tuple[float, ...], quadratics: tuple[tuple[float, float, float], ...]):
-        super().__init__(knots, quadratics)
-        ks = self.knots
-        if len(ks) < 2 or len(self.quadratics) != len(ks) - 1:
-            raise ValidationError("cost_shape", "need one quadratic per knot interval")
+    def __init__(self, knots: Sequence[float], quadratics: Sequence[Sequence[float]]):
+        ks = _as_float_tuple(knots)
+        quads = tuple(_as_float_tuple(q) for q in quadratics)
+        super().__init__(ks, quads)
+        if len(ks) < 2 or len(quads) != len(ks) - 1 or any(len(q) != 3 for q in quads):
+            raise ValidationError("cost_shape", "need one quadratic (a, b, c) per knot interval")
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValidationError("cost_knots", f"knots must be strictly increasing, got {ks}")
         if ks[0] != 0.0 or ks[-1] != 1.0:
             raise ValidationError("cost_knots", "knots must span [0, 1]")
-        for i, (a, _, _) in enumerate(self.quadratics):
+        for i, (a, _, _) in enumerate(quads):
             if not (a > 0.0 and math.isfinite(a)):
                 raise ValidationError(
                     "cost_convexity", f"piece {i} has curvature {a}; strict convexity needs a > 0"
                 )
         for i in range(1, len(ks) - 1):
             x = ks[i]
-            al, bl, cl = self.quadratics[i - 1]
-            ar, br, cr = self.quadratics[i]
+            al, bl, cl = quads[i - 1]
+            ar, br, cr = quads[i]
             vgap = abs((al * x + bl) * x + cl - ((ar * x + br) * x + cr))
             dgap = abs((2.0 * al * x + bl) - (2.0 * ar * x + br))
             scale = 1.0 + abs(2.0 * ar * x + br)
@@ -159,24 +171,38 @@ class ConvexCostSpec(_Frozen):
                 raise ValidationError(
                     "cost_continuity", f"knot {x}: value gap {vgap:.3e}, derivative gap {dgap:.3e}"
                 )
+        object.__setattr__(self, "_interior", np.array(ks[1:-1]))
+        object.__setattr__(self, "_coefs", tuple(np.array(quads).T.copy()))  # a, b and c by piece
+
+    def _piece(self, x: float) -> tuple[float, float, float]:
+        """(a, b, c) of the piece holding the float x: the interior knots at or below it count."""
+        return self.quadratics[bisect.bisect_right(self.knots, x, 1, len(self.knots) - 1) - 1]
 
     def _coefficients(self, x: np.ndarray) -> list[np.ndarray]:
         """a, b and c of the piece holding each x, each shaped like x.
 
-        One 1-D take per coefficient: indexing the (pieces, 3) array by
-        rows costs about twice as much on a verification grid.
+        One 1-D take per coefficient: indexing a 2-D coefficient array
+        costs about twice as much on a verification grid.
         """
-        idx = np.searchsorted(np.asarray(self.knots), x, side="right") - 1
-        idx = np.clip(idx, 0, len(self.quadratics) - 1)
-        return [coef[idx] for coef in np.asarray(self.quadratics).T]
+        idx = np.searchsorted(self._interior, x, "right")
+        return [coef[idx] for coef in self._coefs]
 
     def value(self, x) -> np.ndarray | float:
+        if isinstance(x, float):  # the same IEEE operations as on an array element
+            a, b, c = self._piece(x)
+            return float((a * x + b) * x + c)
         xs = np.asarray(x, dtype=float)
-        a, b, c = self._coefficients(xs)
-        out = (a * xs + b) * xs + c
+        out, b, c = self._coefficients(xs)  # (a x + b) x + c, in place
+        out *= xs
+        out += b
+        out *= xs
+        out += c
         return float(out) if np.isscalar(x) else out
 
     def derivative(self, x) -> np.ndarray | float:
+        if isinstance(x, float):
+            a, b, _ = self._piece(x)
+            return float(2.0 * a * x + b)
         xs = np.asarray(x, dtype=float)
         a, b, _ = self._coefficients(xs)
         out = 2.0 * a * xs + b
@@ -258,6 +284,14 @@ def foc_residuals(spec: ConvexCostSpec, seg: InducedSegments, vals: Valuations) 
     return (w1 - w2 * seg.mu2) - d1 * (seg.mu2 - seg.mu1), (d2 - d1) - w2
 
 
+@functools.lru_cache(maxsize=2)
+def _verify_grid(grid_n: int) -> np.ndarray:
+    """The posteriors linspace(0, 1, grid_n + 1), read-only and shared; the last two sizes asked for are kept."""
+    x = np.linspace(0.0, 1.0, grid_n + 1)
+    x.flags.writeable = False
+    return x
+
+
 class RationalizationReport(NamedTuple):
     """Outcome of grid re-optimization under a constructed cost."""
 
@@ -300,10 +334,10 @@ def verify_rationalization(
     intended = induced_segments(target)
     h = 1.0 / grid_n
 
-    x = np.linspace(0.0, 1.0, grid_n + 1)
-    revenue_best = np.maximum(w1, w2 * x)
-    phi = revenue_best - spec.value(x)
-    c_prior = float(spec.value(mu))
+    x = _verify_grid(grid_n)
+    phi = np.maximum(w1, w2 * x)  # the best revenue, less the cost below
+    phi -= spec.value(x)
+    c_prior = spec.value(mu)
     no_seg_value = max(w1, w2 * mu)  # phi(mu) + c(mu)
 
     best_v, pair = pair_scan(x, phi, mu)

@@ -9,6 +9,7 @@ self-contained SVG chart.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, NamedTuple, Sequence
 
 from .binary import tangency_posteriors
@@ -43,6 +44,10 @@ class KGridSpec(_Frozen):
     __slots__ = _fields = ("lo", "hi", "n")
 
     def __init__(self, lo: float, hi: float, n: int):
+        try:
+            n = operator.index(n)  # an int or numpy integer; a bool is 0 or 1, too few points
+        except TypeError:
+            raise ValidationError("k_grid", f"the number of points must be an integer, got {n!r}") from None
         super().__init__(lo, hi, n)
         if not (0.0 < self.lo < self.hi) or not math.isfinite(self.hi):
             raise ValidationError("k_grid", f"need 0 < lo < hi finite, got [{self.lo}, {self.hi}]")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from segmentix import (
     Market,
+    MarketInstance,
     Segment,
     Segmentation,
     ValidationError,
@@ -219,6 +220,19 @@ def test_segment_rejects_suboptimal_price_on_check():
     with pytest.raises(ValidationError) as err:
         check_segment_prices(seg, V12)
     assert err.value.invariant == "segment_price_optimality"
+
+
+def test_constructors_reject_a_bool_for_a_number():
+    # as the file loaders do: True is an int, but not a weight or a cost scale
+    m = Market((0.5, 0.5))
+    with pytest.raises(ValidationError) as err:
+        Segment(m, True, 0)
+    assert err.value.invariant == "segment_weight"
+    for k in (True, False):
+        with pytest.raises(ValidationError) as err:
+            MarketInstance(V12, m, k)
+        assert err.value.invariant == "cost_scale"
+    assert Segment(m, 1, 0).weight == 1 and MarketInstance(V12, m, 0).k == 0
 
 
 def test_segmentation_rejects_bad_weight_sum():

@@ -90,6 +90,43 @@ def test_pair_scan_matches_exhaustive_scan(exhaustive_pair_scan):
     assert cases == 60
 
 
+class _CountedArray(np.ndarray):
+    """An array that counts the ``argmax`` and ``argmin`` calls on the 1-D arrays made from it.
+
+    In ``pair_scan`` those are the tangent searches and the two nearest
+    points; the blocks' pair values are 2-D.
+    """
+
+    searches = 0
+
+    def argmax(self, *args, **kwargs):
+        _CountedArray.searches += self.ndim == 1
+        return super().argmax(*args, **kwargs)
+
+    def argmin(self, *args, **kwargs):
+        _CountedArray.searches += self.ndim == 1
+        return super().argmin(*args, **kwargs)
+
+
+def test_pair_scan_stops_on_flat_curves(exhaustive_pair_scan):
+    # float ties everywhere: the oracle's curve at k = 0 with the prior at
+    # the kink (flat at w1 to its left), and a constant curve. The tangent
+    # search stops once an end repeats, far short of its 64 rounds (128
+    # searches): at a repeated j it skips the search for the i it came from,
+    # so three searches at most here, and the two nearest points take two more.
+    for grid_n in (4, 5, 40, 4000):
+        x, tails, H = oracle._pair_grid(grid_n)
+        for w1, w2 in ((1.0, 2.0), (1.0, 3.0), (0.7, 2.9)):
+            kinked = oracle._net_value_points(np.array([w1, w2]), 0.0, tails, H)
+            for g, mu in ((kinked, w1 / w2), (np.full(grid_n + 1, w1), w1 / w2), (np.full(grid_n + 1, -w2), 0.5)):
+                _CountedArray.searches = 0
+                value, pair = oracle.pair_scan(x.view(_CountedArray), np.array(g).view(_CountedArray), mu)
+                assert _CountedArray.searches <= 5, (grid_n, w1, w2, mu)
+                ref_value, ref_pair = exhaustive_pair_scan(x, np.array(g), mu)
+                assert np.float64(value).tobytes() == np.float64(ref_value).tobytes(), (grid_n, w1, w2, mu)
+                assert np.array(pair).tobytes() == np.array(ref_pair).tobytes(), (grid_n, w1, w2, mu)
+
+
 def test_binary_oracle_at_a_degenerate_prior_pools():
     for share in (0.0, 1.0):
         res = brute_force_binary(MarketInstance(V12, Market((1.0 - share, share)), 0.5), grid_n=100)
@@ -160,7 +197,9 @@ def test_refine_improves_on_grid():
 
 
 def test_cached_grid_arrays_are_read_only():
-    for arrays in (oracle._pair_grid(100), oracle._simplex_grid(20)):
+    from segmentix import rationalize
+
+    for arrays in (oracle._pair_grid(100), oracle._simplex_grid(20), (rationalize._verify_grid(2000),)):
         for a in arrays:
             with pytest.raises(ValueError):
                 a[0] = 0.5

@@ -117,9 +117,10 @@ def test_cost_spec_rejects_bad_knots():
 
 
 def test_cost_spec_rejects_shape_mismatch():
-    with pytest.raises(ValidationError) as err:
-        ConvexCostSpec(knots=(0.0, 0.5, 1.0), quadratics=((1.0, 0, 0),))
-    assert err.value.invariant == "cost_shape"
+    for knots, quads in (((0.0, 0.5, 1.0), ((1.0, 0, 0),)), ((0.0, 1.0), ((1.0, 0.0),))):
+        with pytest.raises(ValidationError) as err:
+            ConvexCostSpec(knots=knots, quadratics=quads)
+        assert err.value.invariant == "cost_shape"
 
 
 def test_cost_spec_rejects_discontinuity():
@@ -138,6 +139,40 @@ def test_cost_spec_evaluates_vectorized():
     np.testing.assert_allclose(spec.value(xs), 2 * xs**2 - xs + 0.25)
     np.testing.assert_allclose(spec.derivative(xs), 4 * xs - 1)
     assert spec.value(0.25) == pytest.approx(0.125)
+
+
+def test_cost_spec_fields_are_float_tuples():
+    # built from lists (and an int), a spec keeps neither: it hashes, equals
+    # the tuple-built spec and cannot be changed through its fields
+    knots, quads = [0.0, 0.5, 1.0], [[1.0, 0, 0.0], [1.0, 0.0, 0.0]]
+    spec = ConvexCostSpec(knots=knots, quadratics=quads)
+    twin = ConvexCostSpec(knots=(0.0, 0.5, 1.0), quadratics=((1.0, 0.0, 0.0), (1.0, 0.0, 0.0)))
+    assert spec == twin and hash(spec) == hash(twin) and repr(spec) == repr(twin)
+    assert type(spec.knots) is tuple and all(type(k) is float for k in spec.knots)
+    assert all(type(q) is tuple and all(type(c) is float for c in q) for q in spec.quadratics)
+    knots[1], quads[0][0] = 0.25, 50.0
+    assert spec == twin and spec.value(0.25) == 0.0625
+
+
+def test_cost_spec_on_a_float_matches_the_array_path():
+    # the float path picks its piece by bisection and does the array path's
+    # IEEE operations: the same bits at the knots, at 0 and 1, inside each
+    # piece and outside [0, 1], where the end pieces extend
+    target = RationalizationTarget(cs=0.2, ps=1.1, vals=Valuations((1.0, 2.0)), mu_star=Market((0.6, 0.4)))
+    seg = induced_segments(target)
+    spec = construct_cost(seg.mu1, seg.mu2, seg.tau1, target.vals, target.mu_star)
+    ks = spec.knots
+    inside = [a + f * (b - a) for a, b in zip(ks, ks[1:]) for f in (1e-9, 0.3, 0.5, 0.9)]
+    edges = [float(np.nextafter(k, d)) for k in ks for d in (-np.inf, np.inf)]
+    xs = [*ks, *inside, *edges, -0.5, -1e-300, 1.5, 1e10, -np.inf, np.inf, np.nan]
+    grid = np.array(xs)
+    for method in (spec.value, spec.derivative):
+        on_grid = method(grid)
+        for x, want in zip(xs, on_grid):
+            got = method(x)
+            assert type(got) is float, (method, x)
+            assert np.float64(got).tobytes() == want.tobytes(), (method, x, got, want)
+        assert type(method(np.float64(0.3))) is float
 
 
 # -------------------- construction --------------------

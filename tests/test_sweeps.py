@@ -30,11 +30,14 @@ MU46 = Market((0.4, 0.6))
 # -------------------- grid spec --------------------
 
 def test_grid_spec_validates():
-    # the last spec's points repeat in double precision: it fails as an explicit grid would
-    for lo, hi, n in ((0.0, 1.0, 10), (1.0, 0.5, 10), (0.1, 1.0, 1), (1.0, 1.0000000000001, 3000)):
+    # the fourth spec's points repeat in double precision: it fails as an explicit grid would;
+    # a count that is not an integer (a numpy integer is one) fails by name too
+    for lo, hi, n in ((0.0, 1.0, 10), (1.0, 0.5, 10), (0.1, 1.0, 1), (1.0, 1.0000000000001, 3000),
+                      (0.1, 10.0, 2.5), (0.1, 10.0, 5.0), (0.1, 10.0, "5"), (0.1, 10.0, None), (0.1, 10.0, True)):
         with pytest.raises(ValidationError) as exc:
             KGridSpec(lo=lo, hi=hi, n=n)
         assert exc.value.invariant == "k_grid"
+    assert KGridSpec(0.1, 10.0, np.int64(5)) == KGridSpec(0.1, 10.0, 5)
 
 
 def test_grid_spec_log_spacing():
