@@ -44,9 +44,9 @@ ENVELOPE_GAP_TOL = 1e-12
 
 
 def _require_two_types(vals: Valuations) -> tuple[float, float]:
-    if len(vals) != 2:
-        raise ValidationError("binary_only", f"closed forms need exactly 2 types, got {len(vals)}")
-    return vals[0], vals[1]
+    if len(vals.values) != 2:
+        raise ValidationError("binary_only", f"closed forms need exactly 2 types, got {len(vals.values)}")
+    return vals.values
 
 
 def tangency_posteriors(vals: Valuations, k: float) -> tuple[float, float]:
@@ -57,7 +57,10 @@ def tangency_posteriors(vals: Valuations, k: float) -> tuple[float, float]:
     very small and very large ``k`` (no large positive exponents appear).
     The pair straddles the pricing boundary w1/w2 for every k > 0.
     """
-    w1, w2 = _require_two_types(vals)
+    return _shares(*_require_two_types(vals), k)
+
+
+def _shares(w1: float, w2: float, k: float) -> tuple[float, float]:
     if k <= 0.0:
         raise ValidationError("cost_scale", "tangency posteriors need k > 0; k = 0 is the discrimination limit")
     mu2 = math.expm1(-w1 / k) / math.expm1(-w2 / k)
@@ -74,14 +77,17 @@ def tangency_markets(vals: Valuations, k: float) -> tuple[Market, Market]:
     ``1 - mu2_hi = exp(-w1/k) * expm1(-(w2-w1)/k) / expm1(-w2/k)`` and
     ``1 - mu1_hi = (1 - mu2_hi) - mu2_hi * expm1(-(w2-w1)/k)``.
     """
-    mu1, mu2 = tangency_posteriors(vals, k)
-    w1, w2 = vals[0], vals[1]
+    return _markets(*_require_two_types(vals), k)
+
+
+def _markets(w1: float, w2: float, k: float) -> tuple[Market, Market]:
+    mu1, mu2 = _shares(w1, w2, k)
     em_d = math.expm1(-(w2 - w1) / k)
     c2 = math.exp(-w1 / k) * em_d / math.expm1(-w2 / k)  # 1 - mu2, no cancellation
     c1 = c2 - mu2 * em_d  # 1 - mu1, likewise
     # subnormal entries keep too few digits for the likelihood-ratio check;
     # exact zeros are what the certificate's zero-mass rule accepts
-    c1, mu1, c2, mu2 = (x if x >= sys.float_info.min else 0.0 for x in (c1, mu1, c2, mu2))
+    c1, mu1, c2, mu2 = [x if x >= sys.float_info.min else 0.0 for x in (c1, mu1, c2, mu2)]
     return Market((c1, mu1)), Market((c2, mu2))
 
 
@@ -97,12 +103,13 @@ def solve_binary(inst: MarketInstance) -> Segmentation:
     full-discrimination limit; for tiny positive ``k`` the closed forms
     underflow gracefully to the same answer.
     """
-    _require_two_types(inst.vals)
+    w1, w2 = _require_two_types(inst.vals)
     if inst.k == 0.0:
         return perfect_discrimination(inst.mu_star, inst.vals)
-    m_lo, m_hi = tangency_markets(inst.vals, inst.k)
-    i = 1 if inst.mu_star[1] <= inst.mu_star[0] else 0
-    mu, x_lo, x_hi = inst.mu_star[i], m_lo[i], m_hi[i]
+    m_lo, m_hi = _markets(w1, w2, inst.k)
+    prior = inst.mu_star.weights
+    i = 1 if prior[1] <= prior[0] else 0
+    mu, x_lo, x_hi = prior[i], m_lo.weights[i], m_hi.weights[i]
     if not min(x_lo, x_hi) < mu < max(x_lo, x_hi):
         return no_segmentation(inst.mu_star, inst.vals)
     segments = [

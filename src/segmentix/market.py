@@ -47,8 +47,7 @@ class SolverError(RuntimeError):
     """
 
 
-def _as_float_tuple(values: Sequence[float]) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+_set = object.__setattr__  # how a constructor sets its read-only fields
 
 
 class _Frozen:
@@ -58,7 +57,7 @@ class _Frozen:
 
     def __init__(self, *values):
         for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+            _set(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -87,16 +86,16 @@ class Valuations(_Frozen):
     __slots__ = _fields = ("values",)
 
     def __init__(self, values: Sequence[float]):
-        vals = _as_float_tuple(values)
+        vals = tuple(map(float, values))
         if len(vals) < 2:
             raise ValidationError("valuations_size", "need at least two types")
         if vals[0] <= 0.0:
             raise ValidationError("valuations_positive", f"lowest valuation must be > 0, got {vals[0]}")
-        if any(not math.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise ValidationError("valuations_finite", "valuations must be finite")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValidationError("valuations_increasing", f"valuations must be strictly increasing, got {vals}")
-        object.__setattr__(self, "values", vals)
+        _set(self, "values", vals)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -124,12 +123,12 @@ class Market(_Frozen):
     __slots__ = _fields = ("weights",)
 
     def __init__(self, weights: Sequence[float]):
-        w = _as_float_tuple(weights)
+        w = tuple(map(float, weights))
         if len(w) < 2:
             raise ValidationError("market_size", "need at least two type weights")
-        if any(not math.isfinite(x) for x in w):
+        if not all(map(math.isfinite, w)):
             raise ValidationError("market_finite", "weights must be finite")
-        if any(x < 0.0 for x in w):
+        if min(w) < 0.0:  # with NaN out, the least weight is negative iff any is
             raise ValidationError("market_nonnegative", f"weights must be >= 0, got {w}")
         total = math.fsum(w)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
@@ -141,7 +140,7 @@ class Market(_Frozen):
                 w[top] = 0.0
                 w[top] = math.fsum([1.0, *[-x for x in w]])
             w = tuple(w)
-        object.__setattr__(self, "weights", w)
+        _set(self, "weights", w)
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -166,13 +165,13 @@ class Segment(_Frozen):
     __slots__ = _fields = ("market", "weight", "price_index")
 
     def __init__(self, market: Market, weight: float, price_index: int):
-        object.__setattr__(self, "market", market)  # not by the base's loop, which costs twice as much
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "price_index", price_index)
         if type(weight) is bool or not (weight > 0.0 and weight <= 1.0 + SEGMENT_WEIGHT_SUM_TOL):
-            raise ValidationError("segment_weight", f"segment weight must lie in (0, 1], got {self.weight}")
-        if self.price_index < 0 or self.price_index >= len(self.market):
-            raise ValidationError("segment_price_index", f"price index {self.price_index} out of range")
+            raise ValidationError("segment_weight", f"segment weight must lie in (0, 1], got {weight}")
+        if price_index < 0 or price_index >= len(market.weights):
+            raise ValidationError("segment_price_index", f"price index {price_index} out of range")
+        _set(self, "market", market)
+        _set(self, "weight", weight)
+        _set(self, "price_index", price_index)
 
 
 class Segmentation(_Frozen):
@@ -193,23 +192,25 @@ class Segmentation(_Frozen):
         segs = tuple(segments)
         if not segs:
             raise ValidationError("segmentation_empty", "need at least one segment")
-        k = len(prior)
-        if any(len(s.market) != k for s in segs):
-            raise ValidationError("segmentation_shape", "all segment markets must match the prior's length")
+        k = len(prior.weights)
+        for s in segs:
+            if len(s.market.weights) != k:
+                raise ValidationError("segmentation_shape", "all segment markets must match the prior's length")
         if len(segs) > k:
             raise ValidationError("segmentation_support", f"{len(segs)} segments exceed {k} types")
-        total = math.fsum(s.weight for s in segs)
+        total = math.fsum([s.weight for s in segs])
         if abs(total - 1.0) > SEGMENT_WEIGHT_SUM_TOL:
             raise ValidationError("segmentation_weight_sum", f"segment weights sum to {total!r}")
         mixed = [0.0] * k
         for s in segs:
-            for i, x in enumerate(s.market.weights):
-                mixed[i] += s.weight * x
-        resid = max(abs(m - x) for m, x in zip(mixed, prior.weights))
+            c = s.weight
+            mixed = [m + c * x for m, x in zip(mixed, s.market.weights)]
+        resid = max([abs(m - x) for m, x in zip(mixed, prior.weights)])
         if resid > BAYES_TOL:
             raise ValidationError("bayes_plausibility", f"weighted segments miss the prior by {resid:.3e}")
-        super().__init__(prior, segs)
-        object.__setattr__(self, "bayes_residual", resid)
+        _set(self, "prior", prior)
+        _set(self, "segments", segs)
+        _set(self, "bayes_residual", resid)
 
     def price_indices(self) -> tuple[int, ...]:
         return tuple(s.price_index for s in self.segments)
@@ -237,11 +238,13 @@ class MarketInstance(_Frozen):
     __slots__ = _fields = ("vals", "mu_star", "k")
 
     def __init__(self, vals: Valuations, mu_star: Market, k: float):
-        super().__init__(vals, mu_star, k)
-        if len(self.vals) != len(self.mu_star):
+        if len(vals.values) != len(mu_star.weights):
             raise ValidationError("instance_shape", "valuations and weights must have equal length")
         if type(k) is bool or not (math.isfinite(k) and k >= 0.0):
-            raise ValidationError("cost_scale", f"k must be finite and >= 0, got {self.k}")
+            raise ValidationError("cost_scale", f"k must be finite and >= 0, got {k}")
+        _set(self, "vals", vals)
+        _set(self, "mu_star", mu_star)
+        _set(self, "k", k)
 
 
 def seller_payoff(price: float, valuation: float) -> float:
@@ -264,9 +267,12 @@ def revenue(market: Market, vals: Valuations, price_index: int) -> float:
         raise ValidationError("price_index", f"price index {price_index} out of range")
     if len(market) != len(vals):
         raise ValidationError("instance_shape", f"{len(market)} weights against {len(vals)} valuations")
-    p = vals[price_index]
-    tail = math.fsum(w for w, v in zip(market.weights, vals.values) if v >= p)
-    return p * tail
+    return vals[price_index] * _tail_mass(market.weights, price_index)
+
+
+def _tail_mass(weights: Sequence[float], j: int) -> float:
+    """The mass of the buyers at price index j: the types from j up, as valuations strictly increase."""
+    return math.fsum(weights[j:])
 
 
 def _tail_revenues(weights: Sequence[float], values: Sequence[float]) -> list[float]:
@@ -323,7 +329,7 @@ def binary_entropy(x: float) -> float:
 def entropy(market: Market | Sequence[float]) -> float:
     """Shannon entropy of a weight vector in nats: ``-fsum(x * log(x))`` over its positive weights."""
     w = market.weights if isinstance(market, Market) else market
-    return -math.fsum(x * math.log(x) for x in w if x > 0.0)
+    return -math.fsum([x * math.log(x) for x in w if x > 0.0])
 
 
 def net_segment_value(market: Market, vals: Valuations, k: float) -> float:
@@ -419,15 +425,20 @@ def welfare(seg: Segmentation, vals: Valuations, k: float, price_tol: float = PR
     if seg.bayes_residual > BAYES_TOL:
         raise ValidationError("bayes_plausibility", f"residual {seg.bayes_residual:.3e} exceeds {BAYES_TOL}")
     check_segment_prices(seg, vals, price_tol)
+    values = vals.values
     cs = 0.0
     ps_gross = 0.0
     avg_entropy = 0.0
     for c in seg.segments:
-        p = vals[c.price_index]
-        cs += c.weight * math.fsum(w * buyer_payoff(p, v) for w, v in zip(c.market.weights, vals.values))
-        ps_gross += c.weight * revenue(c.market, vals, c.price_index)
-        avg_entropy += c.weight * entropy(c.market)
-    info_cost = k * (entropy(seg.prior) - avg_entropy)
+        # the buyers are the types from the price index up (see _tail_mass); a
+        # type below it adds a signed zero, which no fsum reads
+        j = c.price_index
+        w = c.market.weights
+        p = values[j]
+        cs += c.weight * math.fsum([x * (v - p) for x, v in zip(w[j:], values[j:])])
+        ps_gross += c.weight * (p * _tail_mass(w, j))
+        avg_entropy += c.weight * entropy(w)
+    info_cost = k * (entropy(seg.prior.weights) - avg_entropy)
     ps_net = ps_gross - info_cost
     return WelfareReport(
         cs=cs,

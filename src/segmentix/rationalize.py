@@ -32,7 +32,6 @@ from .market import (
     ValidationError,
     Valuations,
     _Frozen,
-    _as_float_tuple,
     surplus_triangle,
     welfare,
 )
@@ -133,24 +132,27 @@ class ConvexCostSpec(_Frozen):
     interval [knots[i], knots[i+1]]. Both fields are normalized to floats,
     as ``Valuations`` is: ``knots`` a tuple of floats and ``quadratics`` a
     tuple of float 3-tuples, so a spec built from lists is hashable and
-    cannot change after its checks. Construction validates increasing
-    knots, strict convexity of every piece, and value/derivative
-    continuity at the interior knots. The interior knots and the
-    coefficients, as arrays, are built once here, outside ``==``, ``hash``
-    and ``repr``. x beyond [0, 1] takes the nearest end piece, and NaN the
-    last. ``value`` and ``derivative`` of a float are taken on floats, by
-    the array path's IEEE operations, so they give its bits.
+    cannot change after its checks. Construction validates finite,
+    increasing knots, strict convexity of every piece, finite linear and
+    constant coefficients, and value/derivative continuity at the interior
+    knots. The interior knots and the coefficients, as arrays, are built
+    once here, outside ``==``, ``hash`` and ``repr``. x beyond [0, 1] takes
+    the nearest end piece, and NaN the last. ``value`` and ``derivative``
+    of a float are taken on floats, by the array path's IEEE operations,
+    so they give its bits.
     """
 
     _fields = ("knots", "quadratics")
     __slots__ = (*_fields, "_interior", "_coefs")
 
     def __init__(self, knots: Sequence[float], quadratics: Sequence[Sequence[float]]):
-        ks = _as_float_tuple(knots)
-        quads = tuple(_as_float_tuple(q) for q in quadratics)
+        ks = tuple(map(float, knots))
+        quads = tuple([tuple(map(float, q)) for q in quadratics])
         super().__init__(ks, quads)
         if len(ks) < 2 or len(quads) != len(ks) - 1 or any(len(q) != 3 for q in quads):
             raise ValidationError("cost_shape", "need one quadratic (a, b, c) per knot interval")
+        if not all(map(math.isfinite, ks)):
+            raise ValidationError("cost_knots", f"knots must be finite, got {ks}")
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValidationError("cost_knots", f"knots must be strictly increasing, got {ks}")
         if ks[0] != 0.0 or ks[-1] != 1.0:
@@ -160,6 +162,9 @@ class ConvexCostSpec(_Frozen):
                 raise ValidationError(
                     "cost_convexity", f"piece {i} has curvature {a}; strict convexity needs a > 0"
                 )
+        for i, (_, b, c) in enumerate(quads):
+            if not (math.isfinite(b) and math.isfinite(c)):
+                raise ValidationError("cost_finite", f"piece {i} has coefficients b={b}, c={c}; both must be finite")
         for i in range(1, len(ks) - 1):
             x = ks[i]
             al, bl, cl = quads[i - 1]

@@ -103,9 +103,10 @@ def verify_optimality(seg: Segmentation, vals: Valuations, k: float, tol: float 
     """
     if not (math.isfinite(k) and k >= 0.0):
         raise ValidationError("cost_scale", f"k must be finite and >= 0, got {k}")
-    K = len(vals)
-    if len(seg.prior) != K:
-        raise ValidationError("instance_shape", f"{len(seg.prior)} types in the segmentation against {K} valuations")
+    K = len(vals.values)
+    n = len(seg.prior.weights)
+    if n != K:
+        raise ValidationError("instance_shape", f"{n} types in the segmentation against {K} valuations")
     failures: list[str] = []
     bayes = seg.bayes_residual
     if bayes > BAYES_TOL:
@@ -117,13 +118,15 @@ def verify_optimality(seg: Segmentation, vals: Valuations, k: float, tol: float 
                 failures.append(f"discrimination_limit_segment_{j}")
         return OptimalityReport(0.0, 0.0, bayes, not failures, tuple(failures))
     posts = [c.market.weights for c in seg.segments]
-    price_idx = seg.price_indices()
+    price_idx = [c.price_index for c in seg.segments]
+    values = vals.values
+    zeros = (0.0,) * K
     ilr = 0.0
     terms = []  # each served type's K terms
     for i, mass in enumerate(seg.prior.weights):
         if mass <= 0.0:
             continue
-        S_i = [*vals.values[: i + 1], *[0.0] * (K - i - 1)]  # revenue from type i at each price
+        S_i = values[: i + 1] + zeros[i + 1 :]  # revenue from type i at each price
         held = [(math.log(w[i]), p) for w, p in zip(posts, price_idx) if w[i] > 0.0]
         if not held:
             failures.append(f"type_{i}_unserved")
@@ -135,7 +138,7 @@ def verify_optimality(seg: Segmentation, vals: Valuations, k: float, tol: float 
             if lp > top + (S_i[p] - top_pay) / k:
                 top, top_pay = lp, S_i[p]
         term = [top + (pay - top_pay) / k for pay in S_i]
-        ilr = max(ilr, -math.expm1(min(lp - term[p] for lp, p in held)))
+        ilr = max(ilr, -math.expm1(min([lp - term[p] for lp, p in held])))
         for j, (w, p) in enumerate(zip(posts, price_idx)):
             # a zero entry is fine only if the invariant would put its mass
             # below what doubles can represent next to the other entries
@@ -257,6 +260,6 @@ def solve_ri(inst: MarketInstance) -> Segmentation:
 
 def solve(inst: MarketInstance) -> Segmentation:
     """Best segmentation of an instance: ``solve_binary`` for two types, ``solve_ri`` otherwise."""
-    if len(inst.vals) == 2:
+    if len(inst.vals.values) == 2:
         return solve_binary(inst)
     return solve_ri(inst)

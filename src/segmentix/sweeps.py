@@ -120,10 +120,16 @@ def sweep_k(
 
     Each row solves ``mu_star`` as given, so it is ``solve`` on that prior at
     the row's k. A row whose solve raises ``SolverError`` is recorded with
-    its error and the sweep continues (no solver raises it). Once every row is solved, each solved row is
-    accounted by ``welfare``, then each is certified by ``verify_optimality``,
-    in grid order. A row whose accounts fail raises its ``ValidationError``,
-    the first such row in grid order. The grid is checked before any row is
+    its error and the sweep continues (no solver raises it). Once every row
+    is solved, each solved row is accounted by ``welfare``, then each is
+    certified by ``verify_optimality``, in grid order. The rows that keep
+    the prior whole (one segment, ``mu_star`` itself at weight 1.0) share
+    one report per price: it is the ``welfare`` call of the first such row,
+    and every later one would give the same bits, since the information
+    cost ``k * (H - 1.0 * H)`` is 0.0 at every finite k > 0 and no other
+    account reads k. Every other row has a ``welfare`` call of its own. A
+    row whose accounts fail raises its ``ValidationError``, the first such
+    row in grid order. The grid is checked before any row is
     solved: it must be non-empty, finite, positive and strictly increasing.
     ``max_workers`` is accepted and ignored.
     """
@@ -143,14 +149,25 @@ def sweep_k(
     solved = [(seg, k) for seg, k in zip(segs, ks) if not isinstance(seg, str)]
     # a pass per function, not one loop per row: with the three calls
     # interleaved, each of them measured 23-30 % slower on K=2 sweeps
-    reports = iter([welfare(seg, vals, k, price_tol=SWEEP_PRICE_TOL) for seg, k in solved])
+    whole: dict[int, WelfareReport] = {}  # per price index: the report of the rows that keep the prior whole
+    accounted = []
+    for seg, k in solved:
+        first = seg.segments[0]
+        if len(seg.segments) == 1 and first.market is mu_star and first.weight == 1.0:  # see the docstring
+            if first.price_index not in whole:
+                whole[first.price_index] = welfare(seg, vals, k, price_tol=SWEEP_PRICE_TOL)
+            accounted.append(whole[first.price_index])
+        else:
+            accounted.append(welfare(seg, vals, k, price_tol=SWEEP_PRICE_TOL))
+    reports = iter(accounted)
     verified = iter([verify_optimality(seg, vals, k) for seg, k in solved])
+    values = vals.values
     rows = []
     for k, seg in zip(ks, segs):
         if isinstance(seg, str):
             rows.append(SweepRow(k=k, report=None, n_segments=0, prices=(), verify=None, error=seg))
         else:
-            prices = tuple(vals[i] for i in seg.price_indices())
+            prices = tuple([values[c.price_index] for c in seg.segments])
             rows.append(SweepRow(k, next(reports), len(seg.segments), prices, next(verified)))
     return SweepTable(rows=tuple(rows))
 
@@ -233,25 +250,25 @@ def boundary_always_segments(vals: Valuations, k_grid: Sequence[float]) -> Bound
 
 
 def to_csv(table: SweepTable) -> str:
-    """Render a sweep as CSV text. Failed rows carry nan fields and no prices."""
+    """Render a sweep as CSV text. Failed rows carry nan fields and no prices.
+
+    A report object that several rows hold (as ``sweep_k`` shares one) is
+    formatted once; the key is its identity, as ``==`` does not tell 0.0
+    from -0.0.
+    """
     lines = [CSV_HEADER]
+    accounts: dict[int, str] = {}  # per report object: its six fields
     for row in table.rows:
-        if row.report is None:
-            fields = [repr(row.k)] + ["nan"] * 6 + ["0", ""]
-        else:
-            rep = row.report
-            fields = [
-                repr(row.k),
-                repr(rep.cs),
-                repr(rep.ps_gross),
-                repr(rep.info_cost),
-                repr(rep.ps_net),
-                repr(rep.ts_gross),
-                repr(rep.ts_net),
-                str(row.n_segments),
-                ";".join(repr(p) for p in row.prices),
-            ]
-        lines.append(",".join(fields))
+        rep = row.report
+        if rep is None:
+            lines.append(f"{row.k!r},nan,nan,nan,nan,nan,nan,0,")
+            continue
+        text = accounts.get(id(rep))
+        if text is None:
+            text = accounts[id(rep)] = (
+                f"{rep.cs!r},{rep.ps_gross!r},{rep.info_cost!r},{rep.ps_net!r},{rep.ts_gross!r},{rep.ts_net!r}"
+            )
+        lines.append(f"{row.k!r},{text},{row.n_segments},{';'.join(map(repr, row.prices))}")
     return "\n".join(lines) + "\n"
 
 

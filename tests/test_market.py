@@ -265,6 +265,74 @@ def test_segmentation_shape_mismatch():
     assert err.value.invariant == "segmentation_shape"
 
 
+NAN, INF = math.nan, math.inf
+M55 = Market((0.5, 0.5))
+M91 = Market((0.9, 0.1))
+
+# (constructor call, invariant, message): one row per check, and rows that
+# break two checks at once, whose invariant pins which check runs first
+BAD_CONSTRUCTOR_INPUTS = [
+    (lambda: Valuations((1.0,)), "valuations_size", "need at least two types"),
+    (lambda: Valuations((0.0, 1.0)), "valuations_positive", "lowest valuation must be > 0, got 0.0"),
+    (lambda: Valuations((1.0, NAN)), "valuations_finite", "valuations must be finite"),
+    (lambda: Valuations((2.0, 1.0)), "valuations_increasing",
+     "valuations must be strictly increasing, got (2.0, 1.0)"),
+    (lambda: Valuations((-1.0, NAN)), "valuations_positive", "lowest valuation must be > 0, got -1.0"),
+    (lambda: Valuations((2.0, INF, 1.0)), "valuations_finite", "valuations must be finite"),
+    (lambda: Market((1.0,)), "market_size", "need at least two type weights"),
+    (lambda: Market((NAN,)), "market_size", "need at least two type weights"),
+    (lambda: Market((NAN, 0.5)), "market_finite", "weights must be finite"),
+    (lambda: Market((0.5, INF)), "market_finite", "weights must be finite"),
+    (lambda: Market((NAN, -0.5, 1.5)), "market_finite", "weights must be finite"),
+    (lambda: Market((-0.1, 1.1)), "market_nonnegative", "weights must be >= 0, got (-0.1, 1.1)"),
+    (lambda: Market((-0.5, 0.7)), "market_nonnegative", "weights must be >= 0, got (-0.5, 0.7)"),
+    (lambda: Market((0.4, 0.7)), "market_weight_sum", "weights sum to 1.1, expected 1 within 1e-12"),
+    (lambda: Segment(M55, 0.0, 0), "segment_weight", "segment weight must lie in (0, 1], got 0.0"),
+    (lambda: Segment(M55, -0.0, 0), "segment_weight", "segment weight must lie in (0, 1], got -0.0"),
+    (lambda: Segment(M55, NAN, 0), "segment_weight", "segment weight must lie in (0, 1], got nan"),
+    (lambda: Segment(M55, 1.0 + 2e-10, 0), "segment_weight",
+     "segment weight must lie in (0, 1], got 1.0000000002"),
+    (lambda: Segment(M55, True, 0), "segment_weight", "segment weight must lie in (0, 1], got True"),
+    (lambda: Segment(M55, 0.5, 2), "segment_price_index", "price index 2 out of range"),
+    (lambda: Segment(M55, 0.5, -1), "segment_price_index", "price index -1 out of range"),
+    (lambda: Segment(M55, 2.0, 5), "segment_weight", "segment weight must lie in (0, 1], got 2.0"),
+    (lambda: Segmentation(M55, []), "segmentation_empty", "need at least one segment"),
+    (lambda: Segmentation(M55, [Segment(Market((0.2, 0.3, 0.5)), 1.0, 0)]), "segmentation_shape",
+     "all segment markets must match the prior's length"),
+    (lambda: Segmentation(M55, [Segment(M55, 1 / 3, 0)] * 3), "segmentation_support", "3 segments exceed 2 types"),
+    (lambda: Segmentation(M55, [Segment(M55, 0.7, 0), Segment(M55, 0.7, 0)]), "segmentation_weight_sum",
+     "segment weights sum to 1.4"),
+    (lambda: Segmentation(M55, [Segment(M91, 0.5, 0), Segment(Market((0.3, 0.7)), 0.5, 1)]), "bayes_plausibility",
+     "weighted segments miss the prior by 1.000e-01"),
+    (lambda: Segmentation(M55, [Segment(Market((0.2, 0.3, 0.5)), 0.5, 0)] * 3), "segmentation_shape",
+     "all segment markets must match the prior's length"),
+    (lambda: Segmentation(M55, [Segment(M55, 0.7, 0)] * 3), "segmentation_support", "3 segments exceed 2 types"),
+    (lambda: Segmentation(M55, [Segment(M55, 0.7, 0), Segment(M91, 0.7, 0)]), "segmentation_weight_sum",
+     "segment weights sum to 1.4"),
+    (lambda: MarketInstance(V123, M55, 1.0), "instance_shape", "valuations and weights must have equal length"),
+    (lambda: MarketInstance(V12, M55, -1.0), "cost_scale", "k must be finite and >= 0, got -1.0"),
+    (lambda: MarketInstance(V12, M55, NAN), "cost_scale", "k must be finite and >= 0, got nan"),
+    (lambda: MarketInstance(V12, M55, INF), "cost_scale", "k must be finite and >= 0, got inf"),
+    (lambda: MarketInstance(V12, M55, False), "cost_scale", "k must be finite and >= 0, got False"),
+    (lambda: MarketInstance(V123, M55, NAN), "instance_shape", "valuations and weights must have equal length"),
+]
+
+
+@pytest.mark.parametrize("make,invariant,message", BAD_CONSTRUCTOR_INPUTS)
+def test_constructors_name_the_first_broken_check(make, invariant, message):
+    with pytest.raises(ValidationError) as err:
+        make()
+    assert (err.value.invariant, err.value.message, str(err.value)) == (invariant, message, f"{invariant}: {message}")
+
+
+def test_constructors_keep_a_negative_zero():
+    m = Market((-0.0, 1.0))
+    assert repr(m.weights) == "(-0.0, 1.0)" and Market(m.weights) == m
+    assert repr(MarketInstance(V12, m, -0.0).k) == "-0.0"
+    seg = Segmentation(m, [Segment(m, 1.0, 1)])
+    assert seg.segments[0].market is m and seg.bayes_residual == 0.0
+
+
 # -------------------- welfare accounting --------------------
 
 def test_welfare_degenerate_segmentation():

@@ -116,6 +116,25 @@ def test_cost_spec_rejects_bad_knots():
     assert err.value.invariant == "cost_knots"
 
 
+def test_cost_spec_rejects_a_knot_that_is_not_finite():
+    # NaN compares False with both neighbours, so the increasing test alone lets it through
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError) as err:
+            ConvexCostSpec(knots=(0.0, bad, 1.0), quadratics=((1.0, 0.0, 0.0),) * 2)
+        assert err.value.invariant == "cost_knots"
+        assert err.value.message == f"knots must be finite, got (0.0, {bad}, 1.0)"
+
+
+def test_cost_spec_rejects_a_linear_or_constant_coefficient_that_is_not_finite():
+    # a finite curvature with a NaN b or c would value every x as NaN
+    for bad in (math.nan, math.inf, -math.inf):
+        for quad, shown in (((1.0, bad, 0.0), f"b={bad}, c=0.0"), ((1.0, 0.0, bad), f"b=0.0, c={bad}")):
+            with pytest.raises(ValidationError) as err:
+                ConvexCostSpec(knots=(0.0, 0.5, 1.0), quadratics=((1.0, 0.0, 0.0), quad))
+            assert err.value.invariant == "cost_finite"
+            assert err.value.message == f"piece 1 has coefficients {shown}; both must be finite"
+
+
 def test_cost_spec_rejects_shape_mismatch():
     for knots, quads in (((0.0, 0.5, 1.0), ((1.0, 0, 0),)), ((0.0, 1.0), ((1.0, 0.0),))):
         with pytest.raises(ValidationError) as err:

@@ -88,3 +88,20 @@ def test_oracle_fingerprint_prints_one_digest_per_input(tmp_path):
     K, grid_n, seed, ratio, vals, mu, k = next(script.inputs(1))
     res = segmentix.brute_force(segmentix.MarketInstance(segmentix.Valuations(vals), segmentix.Market(mu), k), grid_n=grid_n)
     assert matches[0].group(3) == hashlib.sha256(repr(res).encode()).hexdigest()
+
+
+def test_row_costs_prints_every_layer_for_every_k(tmp_path):
+    src = str(Path(segmentix.__file__).resolve().parents[1])
+    out = _run_script(["row_costs.py", "--src", src], tmp_path)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert re.fullmatch(r"nproc \d+", lines[0])
+    layers = ("MarketInstance", "solve", "welfare", "verify_optimality", "to_csv", "sweep row")
+    for block, K in zip(range(1, len(lines), 8), (2, 3, 12)):
+        assert lines[block] == f"K={K} markets=10 rows=2000 seed=1"
+        assert lines[block + 1].split() == ["layer", "p50_us", "p99_us", "max_us"]
+        for line, name in zip(lines[block + 2 : block + 8], layers):
+            assert line.startswith(f"  {name} ")
+            p50, p99, top = map(float, line[len(name) + 2 :].split())
+            assert 0.0 < p50 <= p99 <= top
+    assert len(lines) == 1 + 3 * 8

@@ -9,19 +9,23 @@ import pytest
 from segmentix import (
     KGridSpec,
     Market,
+    MarketInstance,
     ValidationError,
     Valuations,
     boundary_always_segments,
     classify_monotonicity,
     default_k_grid,
     segmentation_threshold,
+    solve,
     surplus_triangle,
     sweep_k,
     to_csv,
     to_svg,
     uniform_report,
+    welfare,
 )
-from segmentix.sweeps import CSV_HEADER
+from segmentix.market import WelfareReport
+from segmentix.sweeps import CSV_HEADER, SWEEP_PRICE_TOL, SweepTable
 
 V12 = Valuations((1.0, 2.0))
 MU46 = Market((0.4, 0.6))
@@ -125,6 +129,31 @@ def test_every_row_is_optimal_against_every_other_rows_k(K):
         excess = gross[:, None] - ks[None, :] * info[:, None] - net[None, :]
         assert np.all(excess <= 1e-9 * np.maximum(1.0, np.abs(net))[None, :]), excess.max()
         assert sum(r.segmented for r in rows) > 10  # the grid reaches below k-bar
+
+
+@pytest.mark.parametrize("K", [2, 3, 12])
+def test_rows_that_keep_the_prior_whole_share_the_report_of_their_own_welfare_call(K):
+    # sweep_k accounts the rows that keep the prior whole once and reuses
+    # that report; each row must still carry the bits its own welfare call
+    # gives, so reports are compared by repr, which tells 0.0 from -0.0
+    rng = np.random.default_rng([K, 28])
+    for _ in range(3):
+        vals = Valuations(tuple(np.cumsum(rng.uniform(0.2, 2.0, K))))
+        prior = Market(tuple(rng.dirichlet(np.ones(K))))
+        kbar = segmentation_threshold(vals, prior)
+        # the first grid is mostly above k-bar, the second mostly below it
+        ks = (*KGridSpec(1e-3 * kbar, 1e300, 120).points(), *KGridSpec(1e-3 * kbar, 10.0 * kbar, 80).points())
+        table = sweep_k(vals, prior, sorted(set(ks)))
+        whole = [r.report for r in table.rows if r.n_segments == 1]
+        assert len(whole) > 100 and len(table.rows) - len(whole) > 50
+        assert all(rep is whole[0] for rep in whole)
+        for row in table.rows:
+            own = welfare(solve(MarketInstance(vals, prior, row.k)), vals, row.k, price_tol=SWEEP_PRICE_TOL)
+            assert repr(row.report) == repr(own), row.k
+        # the CSV formats a shared report once; distinct equal reports must read the same
+        copies = SweepTable(tuple(r._replace(report=WelfareReport(*r.report)) for r in table.rows))
+        assert copies.rows[-1].report is not copies.rows[-2].report
+        assert to_csv(copies) == to_csv(table)
 
 
 @pytest.mark.parametrize(
