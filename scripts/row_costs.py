@@ -7,17 +7,20 @@ each over 200 log-spaced cost scales from 0.01 to 100 times its top
 valuation. Every row is timed layer by layer, one call at a time,
 in one pass per layer as ``sweep_k`` makes them:
 
-    MarketInstance     building the row's instance
-    solve              the closed form
-    welfare            the row's own welfare call (a sweep shares one
-                       report among the rows that keep the prior whole)
-    verify_optimality  the certificate
-    to_csv             rendering a one-row table
+    MarketInstance           building the row's instance
+    solve/whole              the closed form, on rows that keep the prior
+                             whole (one segment)
+    solve/split              the closed form, on rows that split it
+    welfare                  the row's own welfare call (a sweep shares one
+                             report among the rows that keep the prior whole)
+    verify_optimality/whole  the certificate, on rows that keep the prior whole
+    verify_optimality/split  the certificate, on rows that split it
+    to_csv                   rendering a one-row table
 
 and ``sweep row`` is the whole ``sweep_k`` plus ``to_csv`` of a market
-divided by its rows, one figure per market. Each layer prints p50, p99
-and max in microseconds over all its calls, after the machine's core
-count. Compare two source trees with
+divided by its rows, one figure per market. Each layer prints its call
+count and p50, p99 and max in microseconds over all its calls, after the
+machine's core count. Compare two source trees with
 
     python scripts/row_costs.py --src OLD/src
     python scripts/row_costs.py --src NEW/src
@@ -43,7 +46,8 @@ KS = (2, 3, 12)
 SEED = 1
 MARKETS = 10  # per K
 ROWS = 200  # cost scales per market
-LAYERS = ("MarketInstance", "solve", "welfare", "verify_optimality", "to_csv")
+LAYERS = ("MarketInstance", "solve/whole", "solve/split", "welfare",
+          "verify_optimality/whole", "verify_optimality/split", "to_csv")
 
 
 def market(rng: random.Random, K: int) -> tuple[list[float], list[float]]:
@@ -100,17 +104,23 @@ def main() -> int:
             ks = [row.k for row in rows]
             # one pass per layer, as sweep_k makes them, each call timed on its own
             insts = timed(times["MarketInstance"], ((MarketInstance, vals, mu, k) for k in ks))
-            segs = timed(times["solve"], ((solve, inst) for inst in insts))
+            solve_t: list[float] = []
+            segs = timed(solve_t, ((solve, inst) for inst in insts))
             timed(times["welfare"], ((partial(welfare, price_tol=SWEEP_PRICE_TOL), seg, vals, k)
                                      for seg, k in zip(segs, ks)))
-            timed(times["verify_optimality"], ((verify_optimality, seg, vals, k) for seg, k in zip(segs, ks)))
+            verify_t: list[float] = []
+            timed(verify_t, ((verify_optimality, seg, vals, k) for seg, k in zip(segs, ks)))
+            for seg, ts, tv in zip(segs, solve_t, verify_t):
+                kind = "whole" if len(seg.segments) == 1 else "split"
+                times[f"solve/{kind}"].append(ts)
+                times[f"verify_optimality/{kind}"].append(tv)
             timed(times["to_csv"], [(to_csv, SweepTable((row,))) for row in rows])
         print(f"K={K} markets={MARKETS} rows={MARKETS * ROWS} seed={SEED}")
-        print(f"  {'layer':<20}{'p50_us':>10}{'p99_us':>10}{'max_us':>10}")
+        print(f"  {'layer':<26}{'calls':>7}{'p50_us':>10}{'p99_us':>10}{'max_us':>10}")
         for name, xs in times.items():
             xs.sort()
             p50, p99, top = (1e6 * quantile(xs, q) for q in (0.5, 0.99, 1.0))
-            print(f"  {name:<20}{p50:>10.2f}{p99:>10.2f}{top:>10.2f}")
+            print(f"  {name:<26}{len(xs):>7}{p50:>10.2f}{p99:>10.2f}{top:>10.2f}")
     return 0
 
 

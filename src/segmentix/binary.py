@@ -77,18 +77,28 @@ def tangency_markets(vals: Valuations, k: float) -> tuple[Market, Market]:
     ``1 - mu2_hi = exp(-w1/k) * expm1(-(w2-w1)/k) / expm1(-w2/k)`` and
     ``1 - mu1_hi = (1 - mu2_hi) - mu2_hi * expm1(-(w2-w1)/k)``.
     """
-    return _markets(*_require_two_types(vals), k)
+    c1, mu1, c2, mu2 = _posteriors(*_require_two_types(vals), k)
+    return Market((c1, mu1)), Market((c2, mu2))
 
 
-def _markets(w1: float, w2: float, k: float) -> tuple[Market, Market]:
+def _posteriors(w1: float, w2: float, k: float) -> tuple[float, float, float, float]:
+    """``tangency_markets``' raw weights ``(c1, mu1, c2, mu2)``, before ``Market`` normalizes them."""
     mu1, mu2 = _shares(w1, w2, k)
     em_d = math.expm1(-(w2 - w1) / k)
     c2 = math.exp(-w1 / k) * em_d / math.expm1(-w2 / k)  # 1 - mu2, no cancellation
     c1 = c2 - mu2 * em_d  # 1 - mu1, likewise
     # subnormal entries keep too few digits for the likelihood-ratio check;
     # exact zeros are what the certificate's zero-mass rule accepts
-    c1, mu1, c2, mu2 = [x if x >= sys.float_info.min else 0.0 for x in (c1, mu1, c2, mu2)]
-    return Market((c1, mu1)), Market((c2, mu2))
+    return tuple([x if x >= sys.float_info.min else 0.0 for x in (c1, mu1, c2, mu2)])
+
+
+# Market() divides weights that sum to s by s, then may round the larger one
+# again: a move of at most |1/s - 1| plus 2**-52, relative. While each raw
+# pair adds up to 1 within _RAW_SUM_TOL (closed forms with normal arguments
+# miss by a few ulp), that stays far inside _RAW_MARGIN, so a prior share
+# outside the raw pair by the margin is outside the normalized pair too.
+_RAW_MARGIN = 1e-12
+_RAW_SUM_TOL = 1e-13
 
 
 def solve_binary(inst: MarketInstance) -> Segmentation:
@@ -102,14 +112,28 @@ def solve_binary(inst: MarketInstance) -> Segmentation:
     each weight from its own difference. ``k = 0`` takes the
     full-discrimination limit; for tiny positive ``k`` the closed forms
     underflow gracefully to the same answer.
+
+    A prior clearly outside the raw closed-form pair (see ``_RAW_MARGIN``)
+    gets ``no_segmentation`` without either market being built; every other
+    call builds both and tests their normalized weights. The result, or the
+    error, is the same bits either way.
     """
     w1, w2 = _require_two_types(inst.vals)
     if inst.k == 0.0:
         return perfect_discrimination(inst.mu_star, inst.vals)
-    m_lo, m_hi = _markets(w1, w2, inst.k)
+    c1, mu1, c2, mu2 = _posteriors(w1, w2, inst.k)
     prior = inst.mu_star.weights
     i = 1 if prior[1] <= prior[0] else 0
-    mu, x_lo, x_hi = prior[i], m_lo.weights[i], m_hi.weights[i]
+    mu = prior[i]
+    x_lo, x_hi = (mu1, mu2) if i else (c1, c2)
+    if (
+        (mu < min(x_lo, x_hi) * (1.0 - _RAW_MARGIN) or mu > max(x_lo, x_hi) * (1.0 + _RAW_MARGIN))
+        and abs(c1 + mu1 - 1.0) <= _RAW_SUM_TOL
+        and abs(c2 + mu2 - 1.0) <= _RAW_SUM_TOL
+    ):
+        return no_segmentation(inst.mu_star, inst.vals)
+    m_lo, m_hi = Market((c1, mu1)), Market((c2, mu2))
+    x_lo, x_hi = m_lo.weights[i], m_hi.weights[i]
     if not min(x_lo, x_hi) < mu < max(x_lo, x_hi):
         return no_segmentation(inst.mu_star, inst.vals)
     segments = [

@@ -354,9 +354,25 @@ def net_objective(seg: Segmentation, vals: Valuations, k: float) -> float:
     return total - k * entropy(seg.prior)
 
 
+_last_whole: tuple = (None, None, None)  # no_segmentation's latest (mu_star, vals, result)
+
+
 def no_segmentation(mu_star: Market, vals: Valuations) -> Segmentation:
-    """The degenerate segmentation: the prior itself at its best uniform price."""
-    return Segmentation(mu_star, [Segment(mu_star, 1.0, optimal_price(mu_star, vals))])
+    """The degenerate segmentation: the prior itself at its best uniform price.
+
+    A call with the very objects of the previous call (``is``, not ``==``)
+    returns the previous result, so the rows of a sweep that keep the prior
+    whole share one object. That is safe because a ``Segmentation`` cannot
+    change, and exact because the memo holds its ``mu_star`` and ``vals``, so
+    no other object can take their identities.
+    """
+    global _last_whole
+    last_mu, last_vals, seg = _last_whole
+    if last_mu is mu_star and last_vals is vals:
+        return seg
+    seg = Segmentation(mu_star, [Segment(mu_star, 1.0, optimal_price(mu_star, vals))])
+    _last_whole = (mu_star, vals, seg)
+    return seg
 
 
 def perfect_discrimination(mu_star: Market, vals: Valuations) -> Segmentation:
@@ -418,10 +434,13 @@ def welfare(seg: Segmentation, vals: Valuations, k: float, price_tol: float = PR
     and >= 0.
 
     ``price_tol`` bounds how far each segment's assigned price may fall short
-    of revenue-maximal.
+    of revenue-maximal. It must be >= 0: a NaN or negative one raises
+    ``ValidationError("tolerance")``, as a NaN would pass every price.
     """
     if not (math.isfinite(k) and k >= 0.0):
         raise ValidationError("cost_scale", f"k must be finite and >= 0, got {k}")
+    if not price_tol >= 0.0:
+        raise ValidationError("tolerance", f"price_tol must be >= 0, got {price_tol}")
     if seg.bayes_residual > BAYES_TOL:
         raise ValidationError("bayes_plausibility", f"residual {seg.bayes_residual:.3e} exceeds {BAYES_TOL}")
     check_segment_prices(seg, vals, price_tol)

@@ -62,14 +62,6 @@ class OptimalityReport(NamedTuple):
     price_slacks: tuple[float, ...] = ()
 
 
-def _log_sum_exp(x: list[float]) -> float:
-    """log(sum(exp(x))) with the largest term taken out, so no exp overflows."""
-    top = max(x)
-    if math.isinf(top):
-        return top
-    return top + math.log(math.fsum([math.exp(v - top) for v in x]))
-
-
 def verify_optimality(seg: Segmentation, vals: Valuations, k: float, tol: float = VERIFY_TOL) -> OptimalityReport:
     """Check a segmentation against the first-order optimality certificate.
 
@@ -84,8 +76,9 @@ def verify_optimality(seg: Segmentation, vals: Valuations, k: float, tol: float 
     For k = 0 the optimum is full discrimination, so every segment must be
     a point mass charged exactly its own valuation.
 
-    ``k`` must be finite and >= 0, and the segmentation must have one type
-    per valuation; either failure raises its ``ValidationError``.
+    ``k`` must be finite and >= 0, ``tol`` must be >= 0 (a NaN one would
+    pass every check), and the segmentation must have one type per
+    valuation; each failure raises its ``ValidationError``.
 
     Arithmetic: every term is a payoff difference. For a served type i, j*
     is the segment where its invariant ``log post[i][j] - S[i][p_j]/k``
@@ -103,6 +96,8 @@ def verify_optimality(seg: Segmentation, vals: Valuations, k: float, tol: float 
     """
     if not (math.isfinite(k) and k >= 0.0):
         raise ValidationError("cost_scale", f"k must be finite and >= 0, got {k}")
+    if not tol >= 0.0:
+        raise ValidationError("tolerance", f"tol must be >= 0, got {tol}")
     K = len(vals.values)
     n = len(seg.prior.weights)
     if n != K:
@@ -117,7 +112,7 @@ def verify_optimality(seg: Segmentation, vals: Valuations, k: float, tol: float 
             if max(w) < 1.0 - 1e-12 or w[c.price_index] < 1.0 - 1e-12:
                 failures.append(f"discrimination_limit_segment_{j}")
         return OptimalityReport(0.0, 0.0, bayes, not failures, tuple(failures))
-    posts = [c.market.weights for c in seg.segments]
+    columns = list(zip(*[c.market.weights for c in seg.segments]))  # per type, its posterior in each segment
     price_idx = [c.price_index for c in seg.segments]
     values = vals.values
     zeros = (0.0,) * K
@@ -127,7 +122,8 @@ def verify_optimality(seg: Segmentation, vals: Valuations, k: float, tol: float 
         if mass <= 0.0:
             continue
         S_i = values[: i + 1] + zeros[i + 1 :]  # revenue from type i at each price
-        held = [(math.log(w[i]), p) for w, p in zip(posts, price_idx) if w[i] > 0.0]
+        col = columns[i]
+        held = [(math.log(x), p) for x, p in zip(col, price_idx) if x > 0.0]
         if not held:
             failures.append(f"type_{i}_unserved")
             continue
@@ -139,18 +135,23 @@ def verify_optimality(seg: Segmentation, vals: Valuations, k: float, tol: float 
                 top, top_pay = lp, S_i[p]
         term = [top + (pay - top_pay) / k for pay in S_i]
         ilr = max(ilr, -math.expm1(min([lp - term[p] for lp, p in held])))
-        for j, (w, p) in enumerate(zip(posts, price_idx)):
-            # a zero entry is fine only if the invariant would put its mass
-            # below what doubles can represent next to the other entries
-            if w[i] == 0.0 and term[p] >= _LOG_ZERO_MASS_TOL:
-                failures.append(f"zero_mass_type_{i}_segment_{j}")
+        if len(held) < len(col):
+            for j, (x, p) in enumerate(zip(col, price_idx)):
+                # a zero entry is fine only if the invariant would put its mass
+                # below what doubles can represent next to the other entries
+                if x == 0.0 and term[p] >= _LOG_ZERO_MASS_TOL:
+                    failures.append(f"zero_mass_type_{i}_segment_{j}")
         terms.append(term)
     if ilr > tol:
         failures.append("likelihood_ratio_invariance")
-    if terms:
-        price_slacks = tuple([math.expm1(min(_log_sum_exp(col), EXP_OVERFLOW)) for col in zip(*terms)])
-    else:
-        price_slacks = (-1.0,) * K
+    slacks = []
+    for at_t in zip(*terms):
+        # log-sum-exp with the largest term taken out, so no exp overflows
+        top = max(at_t)
+        if not math.isinf(top):
+            top += math.log(math.fsum([math.exp(v - top) for v in at_t]))
+        slacks.append(math.expm1(min(top, EXP_OVERFLOW)))
+    price_slacks = tuple(slacks) if terms else (-1.0,) * K
     slack_excess = max(price_slacks)
     if slack_excess > tol:
         failures.append("price_slack")

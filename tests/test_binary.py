@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from segmentix import (
     Market,
     MarketInstance,
+    Segment,
+    Segmentation,
     ValidationError,
     Valuations,
     binary_net_value,
@@ -17,6 +19,7 @@ from segmentix import (
     net_objective,
     net_segment_value,
     net_value_curve,
+    optimal_price,
     segmentation_threshold,
     solve_binary,
     solve_ri,
@@ -244,6 +247,64 @@ def test_solve_output_is_bayes_plausible_and_priced(share, logk):
     seg = solve_binary(inst)
     assert seg.bayes_residual < 1e-9
     welfare(seg, V12, inst.k)  # raises if any segment price is not optimal
+
+
+def _market_rule(inst):
+    """solve_binary's test on the normalized tangency markets alone, with no raw-share shortcut."""
+    m_lo, m_hi = tangency_markets(inst.vals, inst.k)
+    prior = inst.mu_star.weights
+    i = 1 if prior[1] <= prior[0] else 0
+    mu, x_lo, x_hi = prior[i], m_lo.weights[i], m_hi.weights[i]
+    if not min(x_lo, x_hi) < mu < max(x_lo, x_hi):
+        return Segmentation(inst.mu_star, [Segment(inst.mu_star, 1.0, optimal_price(inst.mu_star, inst.vals))])
+    return Segmentation(inst.mu_star, [
+        Segment(m_lo, (x_hi - mu) / (x_hi - x_lo), 0),
+        Segment(m_hi, (mu - x_lo) / (x_hi - x_lo), 1),
+    ])
+
+
+def _outcome(fn, inst):
+    try:
+        return fn(inst)
+    except ValidationError as e:
+        return e.invariant
+
+
+def test_raw_share_test_matches_market_test_near_ties():
+    # priors at the normalized tangency shares and up to 4 ulp either side,
+    # with either type the smaller one; k down to where shares flush to 0
+    rng = np.random.default_rng(29)
+    cases = []
+    for _ in range(150):
+        w1 = float(rng.uniform(0.5, 5.0))
+        w2 = w1 + float(rng.uniform(0.05, 5.0))
+        cases.append((w1, w2, w2 * 10.0 ** float(rng.uniform(-2.5, 2.5))))
+        cases.append((w1, w2, (w2 - w1) / float(rng.uniform(700.0, 760.0))))  # the low market's high share flushes
+    cases += [(1.0, 2.0, 1e-300 * 2.0), (0.7, 3.1, 1e-300 * 3.1), (1.0, 2.0, 1e300)]
+    ties = {0: 0, 1: 0}
+    for w1, w2, k in cases:
+        vals = Valuations((w1, w2))
+        pair = tangency_markets(vals, k)
+        for m in pair:
+            for i in (0, 1):
+                x = m.weights[i]
+                for step in range(-4, 5):
+                    s = x
+                    for _ in range(abs(step)):
+                        s = math.nextafter(s, math.copysign(math.inf, step))
+                    if not 0.0 <= s <= 1.0:
+                        continue
+                    prior = Market((s, 1.0 - s) if i == 0 else (1.0 - s, s))
+                    inst = MarketInstance(vals, prior, k)
+                    got = solve_binary(inst)
+                    assert got == _market_rule(inst), (w1, w2, k, prior)
+                    j = 1 if prior[1] <= prior[0] else 0
+                    ties[j] += prior[j] in (pair[0][j], pair[1][j])
+    assert min(ties.values()) > 50, ties  # exact ties, with each type the smaller share
+    # raw pairs that miss 1 by ~2.5e-12 (w/k subnormal), which Market() rejects: the same outcome
+    for w1, w2, k in ((1e-12, 2e-12, 1e300), (1e-5, 2e-5, 1e308)):
+        inst = MarketInstance(Valuations((w1, w2)), Market((0.9, 0.1)), k)
+        assert _outcome(solve_binary, inst) == _outcome(_market_rule, inst)
 
 
 def test_net_objective_beats_no_segmentation_when_segmenting():

@@ -344,6 +344,23 @@ def test_welfare_degenerate_segmentation():
     assert rep.segmented is False
 
 
+def test_welfare_rejects_nan_or_negative_price_tol():
+    # a NaN tolerance passed every price: V=(1, 2) prices mu=(0.4, 0.6) best at index 1
+    mu = Market((0.4, 0.6))
+    mispriced = Segmentation(mu, [Segment(mu, 1.0, 0)])
+    with pytest.raises(ValidationError) as err:
+        welfare(mispriced, V12, 0.3)
+    assert err.value.invariant == "segment_price_optimality"
+    for tol in (math.nan, -1e-10, -math.inf):
+        with pytest.raises(ValidationError) as err:
+            welfare(mispriced, V12, 0.3, price_tol=tol)
+        assert err.value.invariant == "tolerance"
+    with pytest.raises(ValidationError) as err:  # the cost scale is checked first
+        welfare(mispriced, V12, math.nan, price_tol=math.nan)
+    assert err.value.invariant == "cost_scale"
+    assert welfare(no_segmentation(mu, V12), V12, 0.3, price_tol=0.0).ps_gross == pytest.approx(1.2)
+
+
 def test_welfare_perfect_discrimination_at_zero_cost():
     mu = Market((0.4, 0.6))
     rep = welfare(perfect_discrimination(mu, V12), V12, 0.0)

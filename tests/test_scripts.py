@@ -96,12 +96,21 @@ def test_row_costs_prints_every_layer_for_every_k(tmp_path):
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert re.fullmatch(r"nproc \d+", lines[0])
-    layers = ("MarketInstance", "solve", "welfare", "verify_optimality", "to_csv", "sweep row")
-    for block, K in zip(range(1, len(lines), 8), (2, 3, 12)):
+    layers = ("MarketInstance", "solve/whole", "solve/split", "welfare", "verify_optimality/whole",
+              "verify_optimality/split", "to_csv", "sweep row")
+    for block, K in zip(range(1, len(lines), 10), (2, 3, 12)):
         assert lines[block] == f"K={K} markets=10 rows=2000 seed=1"
-        assert lines[block + 1].split() == ["layer", "p50_us", "p99_us", "max_us"]
-        for line, name in zip(lines[block + 2 : block + 8], layers):
+        assert lines[block + 1].split() == ["layer", "calls", "p50_us", "p99_us", "max_us"]
+        calls = {}
+        for line, name in zip(lines[block + 2 : block + 10], layers):
             assert line.startswith(f"  {name} ")
-            p50, p99, top = map(float, line[len(name) + 2 :].split())
-            assert 0.0 < p50 <= p99 <= top
-    assert len(lines) == 1 + 3 * 8
+            n, p50, p99, top = line[len(name) + 2 :].split()
+            calls[name] = int(n)
+            assert 0.0 < float(p50) <= float(p99) <= float(top)
+        # every row is timed once per layer, and is either whole or split
+        assert calls["MarketInstance"] == calls["welfare"] == calls["to_csv"] == 2000
+        assert calls["solve/whole"] == calls["verify_optimality/whole"] > 0
+        assert calls["solve/whole"] + calls["solve/split"] == 2000
+        assert calls["verify_optimality/split"] == calls["solve/split"] > 0
+        assert calls["sweep row"] == 10
+    assert len(lines) == 1 + 3 * 10

@@ -10,6 +10,7 @@ from segmentix import (
     MarketInstance,
     Segment,
     Segmentation,
+    ValidationError,
     Valuations,
     net_objective,
     no_segmentation,
@@ -208,6 +209,21 @@ def test_certificate_no_segmentation_slack():
     want = 0.4 * math.exp(0.2) + 0.6 * math.exp(-0.2) - 1.0
     assert report.price_slacks[0] == pytest.approx(want, abs=1e-12)
     assert report.price_slacks[0] < 0.0
+
+
+def test_certificate_rejects_nan_or_negative_tolerance():
+    # a NaN tolerance passed every segmentation: here one that keeps too much whole
+    seg = no_segmentation(MU46, V12)
+    assert not verify_optimality(seg, V12, 0.3).passed
+    for tol in (math.nan, -1e-8, -math.inf):
+        for k in (0.3, 0.0):
+            with pytest.raises(ValidationError) as err:
+                verify_optimality(seg, V12, k, tol=tol)
+            assert err.value.invariant == "tolerance"
+    with pytest.raises(ValidationError) as err:  # the cost scale is checked first
+        verify_optimality(seg, V12, math.nan, tol=math.nan)
+    assert err.value.invariant == "cost_scale"
+    verify_optimality(seg, V12, 5.0, tol=0.0)  # zero is a tolerance
 
 
 def test_certificate_zero_cost_accepts_only_point_masses():

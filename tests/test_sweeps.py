@@ -15,6 +15,8 @@ from segmentix import (
     boundary_always_segments,
     classify_monotonicity,
     default_k_grid,
+    no_segmentation,
+    optimal_price,
     segmentation_threshold,
     solve,
     surplus_triangle,
@@ -22,6 +24,7 @@ from segmentix import (
     to_csv,
     to_svg,
     uniform_report,
+    verify_optimality,
     welfare,
 )
 from segmentix.market import WelfareReport
@@ -154,6 +157,35 @@ def test_rows_that_keep_the_prior_whole_share_the_report_of_their_own_welfare_ca
         copies = SweepTable(tuple(r._replace(report=WelfareReport(*r.report)) for r in table.rows))
         assert copies.rows[-1].report is not copies.rows[-2].report
         assert to_csv(copies) == to_csv(table)
+
+
+@pytest.mark.parametrize("K", [2, 3])
+def test_whole_prior_rows_are_no_segmentation_and_pass_their_certificate(K):
+    rng = np.random.default_rng([K, 29])
+    for _ in range(3):
+        vals = Valuations(tuple(np.cumsum(rng.uniform(0.2, 2.0, K))))
+        prior = Market(tuple(rng.dirichlet(np.ones(K))))
+        kbar = segmentation_threshold(vals, prior)
+        table = sweep_k(vals, prior, KGridSpec(1e-2 * kbar, 1e2 * kbar, 200))
+        whole = no_segmentation(prior, vals)
+        kept = [row for row in table.rows if row.n_segments == 1]
+        assert 50 < len(kept) < len(table.rows)
+        for row in kept:
+            seg = solve(MarketInstance(vals, prior, row.k))
+            assert seg == whole and seg is whole, row.k  # one shared object
+            assert row.verify.passed and verify_optimality(seg, vals, row.k).passed, row.k
+        # an equal but distinct prior or ladder gets a segmentation of its own objects
+        twin = Market(prior.weights)
+        assert twin == prior and twin is not prior
+        got = no_segmentation(twin, vals)
+        assert got == whole and got.prior is twin and got.segments[0].market is twin
+        ladder = Valuations(vals.values)
+        assert no_segmentation(prior, ladder) == whole and no_segmentation(prior, ladder) is not whole
+        # another ladder with the same prior: priced for that ladder
+        other = Valuations(tuple(v * (1.0 + 3.0 * i) for i, v in enumerate(vals.values)))
+        got = no_segmentation(prior, other)
+        assert got is not whole and got.segments[0].price_index == optimal_price(prior, other)
+        assert no_segmentation(prior, vals) == whole
 
 
 @pytest.mark.parametrize(
