@@ -6,9 +6,9 @@ loads ``segmentix.market`` alone. ``segmentix.cli`` loads the rest per
 subcommand, when the subcommand runs.
 
 Only ``oracle`` and ``rationalize`` import numpy when they load; ``market``
-and ``binary`` import it inside the functions that compute on arrays,
-which neither solver calls, so ``solve``, ``verify`` and ``sweep`` load
-neither numpy nor the ``inspect`` it pulls in. No module loads the
+imports it inside the functions that compute on arrays, which neither
+solver calls, so ``solve``, ``verify`` and ``sweep`` load neither numpy
+nor the ``inspect`` it pulls in. No module loads the
 standard data-class module: result records are ``NamedTuple``s, which unpack
 and equal tuples of their values; validated values are ``__slots__`` classes.
 """
@@ -18,8 +18,7 @@ import importlib
 # submodule -> the names the package exports from it
 _SUBMODULE_EXPORTS = {
     "binary": (
-        "EnvelopeResult", "binary_net_value", "concave_envelope", "net_value_curve", "segmentation_threshold",
-        "solve_binary", "tangency_markets", "tangency_posteriors",
+        "segmentation_threshold", "solve_binary", "tangency_markets", "tangency_posteriors",
     ),
     "market": (
         "Market", "MarketInstance", "Segment", "Segmentation", "SolverError", "SurplusTriangle",

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING, NamedTuple
 
 from .market import (
+    WEIGHT_SUM_TOL,
     Market,
     MarketInstance,
     Segment,
@@ -25,22 +25,14 @@ from .market import (
     ValidationError,
     Valuations,
     _tail_revenues,
-    net_objective,
     no_segmentation,
     optimal_price,
     perfect_discrimination,
     seller_payoff,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
 
-# Grid points where the curve touches its envelope give a gap of exactly
-# zero (the hull keeps them as vertices), so this only needs to clear the
-# interpolation noise on linear stretches, ~1e-16 of the value scale. A
-# loose threshold would misplace the interval edges: the gap grows only
-# quadratically away from a tangency point.
-ENVELOPE_GAP_TOL = 1e-12
+_NORMAL_MIN = sys.float_info.min  # the smallest normal float
 
 
 def _require_two_types(vals: Valuations) -> tuple[float, float]:
@@ -63,9 +55,16 @@ def tangency_posteriors(vals: Valuations, k: float) -> tuple[float, float]:
 def _shares(w1: float, w2: float, k: float) -> tuple[float, float]:
     if k <= 0.0:
         raise ValidationError("cost_scale", "tangency posteriors need k > 0; k = 0 is the discrimination limit")
-    mu2 = math.expm1(-w1 / k) / math.expm1(-w2 / k)
+    em2 = math.expm1(-w2 / k)
+    if em2 == 0.0:  # w2/k, and w1/k with it, underflowed to 0
+        raise _underflow(w1, k)
+    mu2 = math.expm1(-w1 / k) / em2
     mu1 = mu2 * math.exp(-(w2 - w1) / k)
     return mu1, mu2
+
+
+def _underflow(w1: float, k: float) -> ValidationError:
+    return ValidationError("cost_scale", f"w1/k = {w1 / k!r} underflows, and the closed forms lose their digits")
 
 
 def tangency_markets(vals: Valuations, k: float) -> tuple[Market, Market]:
@@ -89,7 +88,13 @@ def _posteriors(w1: float, w2: float, k: float) -> tuple[float, float, float, fl
     c1 = c2 - mu2 * em_d  # 1 - mu1, likewise
     # subnormal entries keep too few digits for the likelihood-ratio check;
     # exact zeros are what the certificate's zero-mass rule accepts
-    return tuple([x if x >= sys.float_info.min else 0.0 for x in (c1, mu1, c2, mu2)])
+    c1, mu1, c2, mu2 = raw = tuple([x if x >= _NORMAL_MIN else 0.0 for x in (c1, mu1, c2, mu2)])
+    # with w1/k normal every term near 1 is good to a few ulp; a subnormal one keeps
+    # fewer digits, and a pair can miss 1 by more than Market() accepts: no instance
+    # whose pairs Market() takes raises here
+    if w1 / k < _NORMAL_MIN and (abs(c1 + mu1 - 1.0) > WEIGHT_SUM_TOL or abs(c2 + mu2 - 1.0) > WEIGHT_SUM_TOL):
+        raise _underflow(w1, k)
+    return raw
 
 
 # Market() divides weights that sum to s by s, then may round the larger one
@@ -111,7 +116,8 @@ def solve_binary(inst: MarketInstance) -> Segmentation:
     straddles, so the test and each segment weight use the smaller share,
     each weight from its own difference. ``k = 0`` takes the
     full-discrimination limit; for tiny positive ``k`` the closed forms
-    underflow gracefully to the same answer.
+    underflow gracefully to the same answer. A huge ``k`` whose w/k underflows
+    so far that they lose their digits raises ``ValidationError("cost_scale")``.
 
     A prior clearly outside the raw closed-form pair (see ``_RAW_MARGIN``)
     gets ``no_segmentation`` without either market being built; every other
@@ -184,102 +190,3 @@ def segmentation_threshold(vals: Valuations, mu_star: Market) -> float:
             s = nxt
         s_min = min(s_min, s)
     return 1.0 / s_min
-
-
-class EnvelopeResult(NamedTuple):
-    """Sampled net-value curve, its upper concave envelope, and the gap interval.
-
-    ``interval`` is the maximal grid interval on which the envelope exceeds
-    the curve by more than ``ENVELOPE_GAP_TOL`` (the region whose priors
-    strictly benefit from segmentation); ``None`` when there is no such
-    interval around the reference prior.
-    """
-
-    grid: np.ndarray
-    values: np.ndarray
-    envelope: np.ndarray
-    interval: tuple[float, float] | None
-
-
-def upper_concave_hull(x: np.ndarray, y: np.ndarray) -> tuple[list[float], list[float]]:
-    """Vertices of the upper concave hull of points sampled on an increasing grid.
-
-    Monotone-chain scan keeping only vertices with decreasing slopes, from
-    the first point to the last. O(n).
-    """
-    hull_x: list[float] = []
-    hull_y: list[float] = []
-    for xi, yi in zip(x.tolist(), y.tolist()):  # Python floats: same values, faster arithmetic
-        while len(hull_x) >= 2:
-            # drop the middle vertex if it lies on or below the new chord
-            x0, y0 = hull_x[-2], hull_y[-2]
-            x1, y1 = hull_x[-1], hull_y[-1]
-            if (y1 - y0) * (xi - x0) <= (yi - y0) * (x1 - x0):
-                hull_x.pop()
-                hull_y.pop()
-            else:
-                break
-        hull_x.append(xi)
-        hull_y.append(yi)
-    return hull_x, hull_y
-
-
-def net_value_curve(vals: Valuations, k: float, grid: np.ndarray) -> np.ndarray:
-    """Pointwise best revenue plus entropy credit along high-type shares."""
-    import numpy as np
-
-    w1, w2 = _require_two_types(vals)
-    x = np.asarray(grid, dtype=float)
-    ent = np.zeros_like(x)
-    inner = (x > 0.0) & (x < 1.0)
-    xi = x[inner]
-    ent[inner] = -(xi * np.log(xi) + (1.0 - xi) * np.log1p(-xi))
-    return np.maximum(w1, w2 * x) + k * ent
-
-
-def concave_envelope(
-    vals: Valuations,
-    k: float,
-    grid_n: int,
-    mu_star: Market | None = None,
-) -> EnvelopeResult:
-    """Concavify the two-type net-value curve on ``grid_n + 1`` points.
-
-    When ``mu_star`` is given the reported interval is the gap run containing
-    its high-type share (``None`` if that prior sits where curve and envelope
-    agree, i.e. no segmentation helps it); otherwise the longest gap run.
-    """
-    import numpy as np
-
-    _require_two_types(vals)
-    if grid_n < 2:
-        raise ValidationError("grid_size", f"grid_n must be >= 2, got {grid_n}")
-    if not (math.isfinite(k) and k >= 0.0):
-        raise ValidationError("cost_scale", f"k must be finite and >= 0, got {k}")
-    x = np.linspace(0.0, 1.0, grid_n + 1)
-    y = net_value_curve(vals, k, x)
-    env = np.interp(x, *upper_concave_hull(x, y))
-    gap = env - y > ENVELOPE_GAP_TOL
-    interval: tuple[float, float] | None = None
-    if gap.any():
-        # contiguous runs of grid points with a strict envelope gap
-        idx = np.nonzero(gap)[0]
-        breaks = np.nonzero(np.diff(idx) > 1)[0]
-        starts = np.concatenate([[0], breaks + 1])
-        ends = np.concatenate([breaks, [len(idx) - 1]])
-        runs = [(idx[s], idx[e]) for s, e in zip(starts, ends)]
-        if mu_star is None:
-            s, e = max(runs, key=lambda r: r[1] - r[0])
-            interval = (float(x[s]), float(x[e]))
-        else:
-            mu = mu_star[1]
-            for s, e in runs:
-                if x[s] <= mu <= x[e]:
-                    interval = (float(x[s]), float(x[e]))
-                    break
-    return EnvelopeResult(grid=x, values=y, envelope=env, interval=interval)
-
-
-def binary_net_value(inst: MarketInstance) -> float:
-    """Net seller payoff of the optimal two-type policy (revenue minus info cost)."""
-    return net_objective(solve_binary(inst), inst.vals, inst.k)

@@ -308,7 +308,9 @@ def price_region(market: Market, vals: Valuations) -> tuple[int, ...]:
 
 
 def check_segment_prices(seg: Segmentation, vals: Valuations, tol: float = PRICE_OPT_TOL) -> None:
-    """Reject any segment whose assigned price is not revenue-maximal within ``tol``."""
+    """Reject any segment whose assigned price is not revenue-maximal within ``tol``, which must be >= 0."""
+    if not tol >= 0.0:
+        raise ValidationError("tolerance", f"tol must be >= 0, got {tol}")
     for idx, s in enumerate(seg.segments):
         rev = _tail_revenues(s.market.weights, vals.values)
         best = max(rev)

@@ -21,8 +21,8 @@ from segmentix import (
     brute_force,
     brute_force_binary,
     classify_monotonicity,
-    concave_envelope,
     construct_cost,
+    entropy,
     foc_residuals,
     induced_segments,
     net_objective,
@@ -36,6 +36,7 @@ from segmentix import (
     verify_rationalization,
     welfare,
 )
+from segmentix import oracle
 
 V12 = Valuations((1.0, 2.0))
 
@@ -258,18 +259,28 @@ ENVELOPE_PAIRS = (
 
 
 def test_criterion_10_envelope_cross_check():
+    """The oracle's best grid pair against the closed forms, on 20 ladder/cost pairs.
+
+    ``oracle.pair_scan`` concavifies the net-value curve max(w1, w2 x) + k H(x)
+    on ``grid_n + 1`` points and returns its best pair around the prior. Below
+    k-bar each end lies within 2 grid steps of ``tangency_posteriors``; above
+    it no pair beats staying put, max(w1, w2 mu) + k H(mu).
+    """
     grid_n = 100_000
     mu = Market((0.6, 0.4))
+    x, tails, H = oracle._pair_grid(grid_n)
+    step = x[1] - x[0]
     assert len(ENVELOPE_PAIRS) == 20
     for w1, w2, k in ENVELOPE_PAIRS:
         vals = Valuations((w1, w2))
         kbar = segmentation_threshold(vals, mu)
-        result = concave_envelope(vals, k, grid_n, mu_star=mu)
+        g = oracle._net_value_points(vals.as_array(), k, tails, H)
+        value, pair = oracle.pair_scan(x, g, mu[1])
+        stay = max(w1, w2 * mu[1]) + k * entropy(mu)
         if k > kbar:
-            assert result.interval is None, (w1, w2, k)
+            assert value <= stay, (w1, w2, k)
             continue
-        assert result.interval is not None, (w1, w2, k)
+        assert value > stay, (w1, w2, k)
         x1, x2 = tangency_posteriors(vals, k)
-        step = result.grid[1] - result.grid[0]
-        assert abs(result.interval[0] - x1) <= 2.0 * step, (w1, w2, k)
-        assert abs(result.interval[1] - x2) <= 2.0 * step, (w1, w2, k)
+        assert abs(pair[0] - x1) <= 2.0 * step, (w1, w2, k)
+        assert abs(pair[1] - x2) <= 2.0 * step, (w1, w2, k)

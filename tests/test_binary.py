@@ -1,4 +1,4 @@
-"""Two-type closed forms: tangency pair, threshold, envelope, solver."""
+"""Two-type closed forms: tangency pair, threshold, solver."""
 
 import math
 
@@ -14,13 +14,11 @@ from segmentix import (
     Segmentation,
     ValidationError,
     Valuations,
-    binary_net_value,
-    concave_envelope,
     net_objective,
     net_segment_value,
-    net_value_curve,
     optimal_price,
     segmentation_threshold,
+    solve,
     solve_binary,
     solve_ri,
     tangency_markets,
@@ -28,7 +26,6 @@ from segmentix import (
     verify_optimality,
     welfare,
 )
-from segmentix.binary import ENVELOPE_GAP_TOL
 
 V12 = Valuations((1.0, 2.0))
 MU46 = Market((0.4, 0.6))
@@ -307,6 +304,25 @@ def test_raw_share_test_matches_market_test_near_ties():
         assert _outcome(solve_binary, inst) == _outcome(_market_rule, inst)
 
 
+def test_underflowing_w_over_k_is_a_cost_scale_error():
+    # w/k underflows to 0 (a bare ZeroDivisionError before), or to a subnormal
+    # whose closed forms miss 1 by ~2.5e-12 (blamed on market_weight_sum before)
+    for w1, w2, k in ((1e-300, 2e-300, 1e300), (1e-12, 2e-12, 1e300), (1e-5, 2e-5, 1e308)):
+        vals = Valuations((w1, w2))
+        for call in (solve, solve_binary):
+            with pytest.raises(ValidationError) as err:
+                call(MarketInstance(vals, Market((0.9, 0.1)), k))
+            assert err.value.invariant == "cost_scale", (w1, k)
+            assert err.value.message.startswith(f"w1/k = {w1 / k!r} underflows"), err.value.message
+        with pytest.raises(ValidationError) as err:
+            tangency_markets(vals, k)
+        assert err.value.invariant == "cost_scale", (w1, k)
+    # a subnormal w/k whose closed forms keep enough digits still solves
+    for w1, w2, k in ((1.0, 2.0, 1e308), (1e-10, 2e-10, 1e300)):
+        seg = solve_binary(MarketInstance(Valuations((w1, w2)), Market((0.9, 0.1)), k))
+        assert len(seg.segments) == 1 and verify_optimality(seg, Valuations((w1, w2)), k).passed
+
+
 def test_net_objective_beats_no_segmentation_when_segmenting():
     for share in (0.2, 0.4, 0.6, 0.8):
         mu = Market((1.0 - share, share))
@@ -316,101 +332,3 @@ def test_net_objective_beats_no_segmentation_when_segmenting():
         assert len(seg.segments) == 2
         uniform = max(1.0, 2.0 * share)
         assert net_objective(seg, V12, inst.k) > uniform
-
-
-# -------------------- concave envelope --------------------
-
-def test_envelope_interval_matches_closed_form():
-    res = concave_envelope(V12, 0.8, grid_n=100_000, mu_star=MU46)
-    lo, hi = tangency_posteriors(V12, 0.8)
-    step = 2.0 / 100_000
-    assert res.interval is not None
-    assert res.interval[0] == pytest.approx(lo, abs=step)
-    assert res.interval[1] == pytest.approx(hi, abs=step)
-
-
-def test_envelope_empty_when_cost_too_high():
-    res = concave_envelope(V12, 5.0, grid_n=20_000, mu_star=MU46)
-    assert res.interval is None
-
-
-def test_envelope_zero_cost_spans_everything():
-    res = concave_envelope(V12, 0.0, grid_n=20_000, mu_star=MU46)
-    assert res.interval is not None
-    assert res.interval[0] == pytest.approx(0.0, abs=1e-4)
-    assert res.interval[1] == pytest.approx(1.0, abs=1e-4)
-
-
-@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, -1.0])
-def test_envelope_rejects_a_cost_scale_that_is_not_finite_and_nonnegative(k):
-    # a NaN k once gave all-NaN curves and interval None, read as "no segmentation helps"
-    with pytest.raises(ValidationError) as err:
-        concave_envelope(V12, k, grid_n=50, mu_star=MU46)
-    assert err.value.invariant == "cost_scale"
-    assert err.value.message == f"k must be finite and >= 0, got {k}"
-
-
-def test_envelope_values_dominate_curve():
-    res = concave_envelope(V12, 0.8, grid_n=5_000)
-    assert np.all(res.envelope >= res.values - 1e-12)
-
-
-def _interpolated_envelope(x, y):
-    """Reference: the monotone-chain scan with its interpolation fused in."""
-    hull_x, hull_y = [], []
-    for xi, yi in zip(x, y):
-        while len(hull_x) >= 2:
-            x0, y0 = hull_x[-2], hull_y[-2]
-            x1, y1 = hull_x[-1], hull_y[-1]
-            if (y1 - y0) * (xi - x0) <= (yi - y0) * (x1 - x0):
-                hull_x.pop()
-                hull_y.pop()
-            else:
-                break
-        hull_x.append(float(xi))
-        hull_y.append(float(yi))
-    return np.interp(x, hull_x, hull_y)
-
-
-def _gap_run_around(x, gap, mu):
-    """Reference: the maximal run of gap points whose span contains mu."""
-    start = None
-    for i, g in enumerate(list(gap) + [False]):
-        if g and start is None:
-            start = i
-        elif not g and start is not None:
-            if x[start] <= mu <= x[i - 1]:
-                return (float(x[start]), float(x[i - 1]))
-            start = None
-    return None
-
-
-def test_envelope_bytes_match_interpolated_scan():
-    from test_acceptance import ENVELOPE_PAIRS
-
-    grid_n = 10_000
-    mu = Market((0.6, 0.4))
-    x = np.linspace(0.0, 1.0, grid_n + 1)
-    for w1, w2, k in ENVELOPE_PAIRS:
-        vals = Valuations((w1, w2))
-        res = concave_envelope(vals, k, grid_n, mu_star=mu)
-        y = net_value_curve(vals, k, x)
-        env = _interpolated_envelope(x, y)
-        assert res.grid.tobytes() == x.tobytes()
-        assert res.values.tobytes() == y.tobytes()
-        assert res.envelope.tobytes() == env.tobytes(), (w1, w2, k)
-        assert res.interval == _gap_run_around(x, env - y > ENVELOPE_GAP_TOL, mu[1]), (w1, w2, k)
-
-
-def test_binary_net_value_equals_objective():
-    inst = MarketInstance(V12, MU46, 0.8)
-    seg = solve_binary(inst)
-    assert binary_net_value(inst) == pytest.approx(net_objective(seg, V12, 0.8), abs=1e-15)
-
-
-def test_net_value_curve_shape():
-    xs = np.linspace(0.0, 1.0, 101)
-    ys = net_value_curve(V12, 0.8, xs)
-    assert ys[0] == pytest.approx(1.0, abs=1e-15)   # point mass on low type
-    assert ys[-1] == pytest.approx(2.0, abs=1e-15)  # point mass on high type
-    assert float(ys[50]) == pytest.approx(1.0 + 0.8 * math.log(2.0), abs=1e-12)

@@ -16,6 +16,7 @@ from segmentix import (
     Valuations,
     all_revenues,
     buyer_payoff,
+    check_segment_prices,
     entropy,
     net_objective,
     net_segment_value,
@@ -348,13 +349,19 @@ def test_welfare_rejects_nan_or_negative_price_tol():
     # a NaN tolerance passed every price: V=(1, 2) prices mu=(0.4, 0.6) best at index 1
     mu = Market((0.4, 0.6))
     mispriced = Segmentation(mu, [Segment(mu, 1.0, 0)])
-    with pytest.raises(ValidationError) as err:
-        welfare(mispriced, V12, 0.3)
-    assert err.value.invariant == "segment_price_optimality"
-    for tol in (math.nan, -1e-10, -math.inf):
+    checks = {  # each takes the tolerance as its last positional argument
+        "welfare": lambda seg, *tol: welfare(seg, V12, 0.3, *tol),
+        "check_segment_prices": lambda seg, *tol: check_segment_prices(seg, V12, *tol),
+    }
+    for name, check in checks.items():
         with pytest.raises(ValidationError) as err:
-            welfare(mispriced, V12, 0.3, price_tol=tol)
-        assert err.value.invariant == "tolerance"
+            check(mispriced)
+        assert err.value.invariant == "segment_price_optimality", name
+        for tol in (math.nan, -1e-10, -math.inf):
+            with pytest.raises(ValidationError) as err:
+                check(mispriced, tol)
+            assert err.value.invariant == "tolerance", (name, tol)
+        check(no_segmentation(mu, V12), 0.0)  # zero is a tolerance
     with pytest.raises(ValidationError) as err:  # the cost scale is checked first
         welfare(mispriced, V12, math.nan, price_tol=math.nan)
     assert err.value.invariant == "cost_scale"

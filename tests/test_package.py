@@ -18,8 +18,7 @@ import pytest
 import segmentix
 
 EXPORTED = {
-    "EnvelopeResult", "binary_net_value", "concave_envelope", "net_value_curve", "segmentation_threshold",
-    "solve_binary", "tangency_markets", "tangency_posteriors",
+    "segmentation_threshold", "solve_binary", "tangency_markets", "tangency_posteriors",
     "Market", "MarketInstance", "Segment", "Segmentation", "SurplusTriangle", "ValidationError",
     "Valuations", "WelfareReport", "all_revenues", "buyer_payoff", "check_segment_prices", "entropy",
     "net_objective", "net_segment_value", "no_segmentation", "optimal_price", "perfect_discrimination",
@@ -101,6 +100,19 @@ def test_module_level_imports_form_a_thin_dag():
 @pytest.mark.parametrize("module", ["files", "market", "binary", "solver", "sweeps"])
 def test_import_loads_no_numpy(module):
     assert _fresh_modules(f"import segmentix.{module}", prefix="numpy") == set()
+
+
+@pytest.mark.parametrize("module", ["files", "binary", "solver", "sweeps"])
+def test_source_imports_no_numpy_at_any_depth(module):
+    # every import statement, also inside functions and under ``if TYPE_CHECKING:``
+    tree = ast.parse((Path(segmentix.__file__).parent / f"{module}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported.add(node.module)
+    assert not {name for name in imported if name.split(".")[0] == "numpy"}
 
 
 MODULES = ["cli", "files", "market", "binary", "solver", "sweeps", "oracle", "rationalize"]

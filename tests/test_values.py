@@ -20,7 +20,6 @@ from segmentix import (
     Valuations,
     boundary_always_segments,
     brute_force,
-    concave_envelope,
     construct_cost,
     induced_segments,
     solve,
@@ -69,7 +68,6 @@ FIELDS = {
     "SweepRow": ("k", "report", "n_segments", "prices", "verify", "error"),
     "BoundaryReport": ("always_segments", "min_straddle_slack", "min_gain", "argmin_k"),
     "InducedSegments": ("mu1", "mu2", "tau1"),
-    "EnvelopeResult": ("grid", "values", "envelope", "interval"),
 }  # fmt: skip
 
 
@@ -102,7 +100,7 @@ def test_records_and_values_keep_their_semantics():
     assert repr(welfare(seg, vals, 0.8)) == WELFARE_REPR
     assert repr(verify_optimality(seg, vals, 0.8)) == OPTIMALITY_REPR
     objects = _objects()
-    assert {type(obj).__name__ for obj in objects} == set(FIELDS) - {"EnvelopeResult"}
+    assert {type(obj).__name__ for obj in objects} == set(FIELDS)
     for obj in objects:
         name = type(obj).__name__
         twin = _rebuilt(obj)
@@ -115,9 +113,6 @@ def test_records_and_values_keep_their_semantics():
         with pytest.raises(AttributeError):
             delattr(obj, FIELDS[name][0])
     assert pickle.loads(pickle.dumps(seg)).bayes_residual == seg.bayes_residual
-    envelope = concave_envelope(vals, 0.8, 50, mu)
-    with pytest.raises(AttributeError):
-        envelope.interval = None
     for m in (mu, Market((0.1, 0.2, 0.7)), *(s.market for s in seg.segments)):
         assert Market(m.weights) == m
     assert mu != mu.weights and vals != Valuations((1.0, 3.0))  # a value equals only its own class, field for field
