@@ -53,8 +53,8 @@ def tangency_posteriors(vals: Valuations, k: float) -> tuple[float, float]:
 
 
 def _shares(w1: float, w2: float, k: float) -> tuple[float, float]:
-    if k <= 0.0:
-        raise ValidationError("cost_scale", "tangency posteriors need k > 0; k = 0 is the discrimination limit")
+    if not 0.0 < k < math.inf:  # a NaN k would give a NaN pair
+        raise ValidationError("cost_scale", f"tangency posteriors need a finite k > 0, got {k}; k = 0 is the discrimination limit")
     em2 = math.expm1(-w2 / k)
     if em2 == 0.0:  # w2/k, and w1/k with it, underflowed to 0
         raise _underflow(w1, k)

@@ -69,6 +69,17 @@ def test_tangency_rejects_zero_cost():
     assert err.value.invariant == "cost_scale"
 
 
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, -1.0])
+def test_tangency_rejects_a_cost_scale_that_is_not_finite_and_positive(k):
+    # a NaN k once gave a NaN pair from tangency_posteriors, and an inf k
+    # was blamed on underflow
+    for call in (tangency_posteriors, tangency_markets):
+        with pytest.raises(ValidationError) as err:
+            call(V12, k)
+        assert err.value.invariant == "cost_scale"
+        assert err.value.message == f"tangency posteriors need a finite k > 0, got {k}; k = 0 is the discrimination limit"
+
+
 def test_tangency_markets_complements_are_stable():
     # complements computed by their own closed forms, not by 1 - x
     m_lo, m_hi = tangency_markets(V12, 0.03)

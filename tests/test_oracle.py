@@ -54,6 +54,44 @@ def test_binary_oracle_zero_cost_full_discrimination():
     assert res.value == pytest.approx(1.6, abs=1e-9)
 
 
+# -------------------- the grid pair: the two-type concave envelope --------------------
+
+def _grid_pair(vals, k, mu, grid_n):
+    x, tails, H = oracle._pair_grid(grid_n)
+    g = oracle._net_value_points(vals.as_array(), k, tails, H)
+    return x, oracle.pair_scan(x, g, mu)
+
+
+def test_net_value_points_shape():
+    x, tails, H = oracle._pair_grid(100)
+    g = oracle._net_value_points(V12.as_array(), 0.8, tails, H)
+    assert g[0] == pytest.approx(1.0, abs=1e-15)   # point mass on the low type
+    assert g[-1] == pytest.approx(2.0, abs=1e-15)  # point mass on the high type
+    assert float(g[50]) == pytest.approx(1.0 + 0.8 * math.log(2.0), abs=1e-12)
+
+
+def test_grid_pair_matches_closed_form():
+    x, (value, pair) = _grid_pair(V12, 0.8, MU46[1], 100_000)
+    lo, hi = tangency_posteriors(V12, 0.8)
+    step = x[1] - x[0]
+    assert value > max(1.0, 2.0 * MU46[1]) + 0.8 * entropy(MU46)
+    assert pair[0] == pytest.approx(lo, abs=2.0 * step)
+    assert pair[1] == pytest.approx(hi, abs=2.0 * step)
+
+
+def test_grid_pair_does_not_beat_staying_put_when_cost_too_high():
+    assert 5.0 > segmentation_threshold(V12, MU46)
+    _, (value, _) = _grid_pair(V12, 5.0, MU46[1], 20_000)
+    assert value <= max(1.0, 2.0 * MU46[1]) + 5.0 * entropy(MU46)
+
+
+def test_grid_pair_at_zero_cost_spans_the_grid():
+    # max(w1, w2 x) is convex: its envelope is the chord between the point masses
+    _, (value, pair) = _grid_pair(V12, 0.0, MU46[1], 20_000)
+    assert pair == (0.0, 1.0)
+    assert value == pytest.approx(1.6, abs=1e-15)
+
+
 def test_binary_oracle_sandwiches_solver():
     for share, k in ((0.3, 0.2), (0.6, 0.8), (0.8, 1.5), (0.45, 0.05)):
         mu = Market((1.0 - share, share))
