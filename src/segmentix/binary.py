@@ -47,12 +47,19 @@ def tangency_posteriors(vals: Valuations, k: float) -> tuple[float, float]:
     Computed as ``mu2_hi = expm1(-w1/k) / expm1(-w2/k)`` with
     ``mu1_hi = mu2_hi * exp(-(w2-w1)/k)``, which stays accurate for both
     very small and very large ``k`` (no large positive exponents appear).
-    The pair straddles the pricing boundary w1/w2 for every k > 0.
+    The pair straddles the pricing boundary w1/w2 for every k > 0. Where
+    w/k underflows so far that the closed forms lose their digits, it raises
+    ``ValidationError("cost_scale")``, as ``tangency_markets`` does.
     """
-    return _shares(*_require_two_types(vals), k)
+    w1, w2 = _require_two_types(vals)
+    mu1, mu2, _ = _shares(w1, w2, k)
+    if w1 / k < _NORMAL_MIN:
+        _posteriors(w1, w2, k)  # raises where tangency_markets does
+    return mu1, mu2
 
 
-def _shares(w1: float, w2: float, k: float) -> tuple[float, float]:
+def _shares(w1: float, w2: float, k: float) -> tuple[float, float, float]:
+    """The raw high-type shares ``(mu1, mu2)``, and ``expm1(-w2/k)``, which ``_posteriors`` reuses."""
     if not 0.0 < k < math.inf:  # a NaN k would give a NaN pair
         raise ValidationError("cost_scale", f"tangency posteriors need a finite k > 0, got {k}; k = 0 is the discrimination limit")
     em2 = math.expm1(-w2 / k)
@@ -60,7 +67,7 @@ def _shares(w1: float, w2: float, k: float) -> tuple[float, float]:
         raise _underflow(w1, k)
     mu2 = math.expm1(-w1 / k) / em2
     mu1 = mu2 * math.exp(-(w2 - w1) / k)
-    return mu1, mu2
+    return mu1, mu2, em2
 
 
 def _underflow(w1: float, k: float) -> ValidationError:
@@ -82,9 +89,9 @@ def tangency_markets(vals: Valuations, k: float) -> tuple[Market, Market]:
 
 def _posteriors(w1: float, w2: float, k: float) -> tuple[float, float, float, float]:
     """``tangency_markets``' raw weights ``(c1, mu1, c2, mu2)``, before ``Market`` normalizes them."""
-    mu1, mu2 = _shares(w1, w2, k)
+    mu1, mu2, em2 = _shares(w1, w2, k)
     em_d = math.expm1(-(w2 - w1) / k)
-    c2 = math.exp(-w1 / k) * em_d / math.expm1(-w2 / k)  # 1 - mu2, no cancellation
+    c2 = math.exp(-w1 / k) * em_d / em2  # 1 - mu2, no cancellation
     c1 = c2 - mu2 * em_d  # 1 - mu1, likewise
     # subnormal entries keep too few digits for the likelihood-ratio check;
     # exact zeros are what the certificate's zero-mass rule accepts

@@ -443,8 +443,6 @@ def welfare(seg: Segmentation, vals: Valuations, k: float, price_tol: float = PR
         raise ValidationError("cost_scale", f"k must be finite and >= 0, got {k}")
     if not price_tol >= 0.0:
         raise ValidationError("tolerance", f"price_tol must be >= 0, got {price_tol}")
-    if seg.bayes_residual > BAYES_TOL:
-        raise ValidationError("bayes_plausibility", f"residual {seg.bayes_residual:.3e} exceeds {BAYES_TOL}")
     check_segment_prices(seg, vals, price_tol)
     values = vals.values
     cs = 0.0

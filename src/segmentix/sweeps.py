@@ -76,10 +76,12 @@ def default_k_grid(vals: Valuations) -> KGridSpec:
 
 
 class SweepRow(NamedTuple):
-    """One sweep entry: the cost scale, welfare accounts, and solution shape.
+    """One sweep entry: the cost scale, welfare accounts, solution shape and certificate.
 
-    ``error`` is the stringified ``SolverError`` (which no solver raises) when
-    the row could not be solved; numeric fields are then absent.
+    ``verify`` passed. On a row that keeps the prior whole it is the first
+    such row's report, with that row's ``price_slacks`` (see ``sweep_k``).
+    ``error`` is the stringified ``SolverError`` (which no solver raises)
+    when the row could not be solved; numeric fields are then absent.
     """
 
     k: float
@@ -122,15 +124,22 @@ def sweep_k(
     the row's k. A row whose solve raises ``SolverError`` is recorded with
     its error and the sweep continues (no solver raises it). Once every row
     is solved, each solved row is accounted by ``welfare``, then each is
-    certified by ``verify_optimality``, in grid order. The rows that keep
-    the prior whole (one segment, ``mu_star`` itself at weight 1.0) share
-    one report per price: it is the ``welfare`` call of the first such row,
-    and every later one would give the same bits, since the information
+    certified by ``verify_optimality``, in grid order.
+
+    The rows that keep the prior whole (one segment, ``mu_star`` itself at
+    weight 1.0) share both reports of the first such row at their price.
+    Every later ``welfare`` call would give the same bits: the information
     cost ``k * (H - 1.0 * H)`` is 0.0 at every finite k > 0 and no other
-    account reads k. Every other row has a ``welfare`` call of its own. A
-    row whose accounts fail raises its ``ValidationError``, the first such
-    row in grid order. The grid is checked before any row is
-    solved: it must be non-empty, finite, positive and strictly increasing.
+    account reads k. A later certificate differs only in its price slacks,
+    expm1(h_t(1/k)) as in ``segmentation_threshold``; h_t is convex with
+    h_t(0) = 0, so a pass at the smallest k is a pass at every larger one.
+    A later whole-prior row's ``verify.price_slacks`` are thus the first's.
+
+    The first row in grid order whose accounts fail raises their
+    ``ValidationError``; after them, the first whose certificate fails
+    raises ``ValidationError("certificate")`` with its k, failures and
+    ``slack_excess``. The grid is checked before any row is solved: it must
+    be non-empty, finite, positive and strictly increasing.
     ``max_workers`` is accepted and ignored.
     """
     if k_grid is None:
@@ -147,20 +156,27 @@ def sweep_k(
         except SolverError as e:
             segs.append(str(e))
     solved = [(seg, k) for seg, k in zip(segs, ks) if not isinstance(seg, str)]
+    # per solved row, the row whose reports it takes: the first row, in grid
+    # order, that keeps the prior whole at its price, or the row itself
+    first_whole: dict[int, int] = {}
+    owner = []
+    for r, (seg, _) in enumerate(solved):
+        first = seg.segments[0]
+        whole = len(seg.segments) == 1 and first.market is mu_star and first.weight == 1.0  # see the docstring
+        owner.append(first_whole.setdefault(first.price_index, r) if whole else r)
     # a pass per function, not one loop per row: with the three calls
     # interleaved, each of them measured 23-30 % slower on K=2 sweeps
-    whole: dict[int, WelfareReport] = {}  # per price index: the report of the rows that keep the prior whole
-    accounted = []
-    for seg, k in solved:
-        first = seg.segments[0]
-        if len(seg.segments) == 1 and first.market is mu_star and first.weight == 1.0:  # see the docstring
-            if first.price_index not in whole:
-                whole[first.price_index] = welfare(seg, vals, k, price_tol=SWEEP_PRICE_TOL)
-            accounted.append(whole[first.price_index])
-        else:
-            accounted.append(welfare(seg, vals, k, price_tol=SWEEP_PRICE_TOL))
-    reports = iter(accounted)
-    verified = iter([verify_optimality(seg, vals, k) for seg, k in solved])
+    accounted: list[WelfareReport] = []
+    for r, (seg, k) in zip(owner, solved):
+        accounted.append(welfare(seg, vals, k, price_tol=SWEEP_PRICE_TOL) if r == len(accounted) else accounted[r])
+    verified: list[OptimalityReport] = []
+    for r, (seg, k) in zip(owner, solved):
+        cert = verify_optimality(seg, vals, k) if r == len(verified) else verified[r]
+        if not cert.passed:
+            raise ValidationError("certificate", f"row k={k!r} fails its optimality certificate: "
+                                  f"{', '.join(cert.failures)} (slack_excess {cert.slack_excess!r})")
+        verified.append(cert)
+    reports, certs = iter(accounted), iter(verified)
     values = vals.values
     rows = []
     for k, seg in zip(ks, segs):
@@ -168,7 +184,7 @@ def sweep_k(
             rows.append(SweepRow(k=k, report=None, n_segments=0, prices=(), verify=None, error=seg))
         else:
             prices = tuple([values[c.price_index] for c in seg.segments])
-            rows.append(SweepRow(k, next(reports), len(seg.segments), prices, next(verified)))
+            rows.append(SweepRow(k, next(reports), len(seg.segments), prices, next(certs)))
     return SweepTable(rows=tuple(rows))
 
 

@@ -317,7 +317,9 @@ def test_raw_share_test_matches_market_test_near_ties():
 
 def test_underflowing_w_over_k_is_a_cost_scale_error():
     # w/k underflows to 0 (a bare ZeroDivisionError before), or to a subnormal
-    # whose closed forms miss 1 by ~2.5e-12 (blamed on market_weight_sum before)
+    # whose closed forms miss 1 by ~2.5e-12 (blamed on market_weight_sum before;
+    # tangency_posteriors returned (0.4999999999987648, 0.4999999999987648)
+    # for V=(1e-12, 2e-12) at k=1e300, against the exact 0.5)
     for w1, w2, k in ((1e-300, 2e-300, 1e300), (1e-12, 2e-12, 1e300), (1e-5, 2e-5, 1e308)):
         vals = Valuations((w1, w2))
         for call in (solve, solve_binary):
@@ -325,13 +327,20 @@ def test_underflowing_w_over_k_is_a_cost_scale_error():
                 call(MarketInstance(vals, Market((0.9, 0.1)), k))
             assert err.value.invariant == "cost_scale", (w1, k)
             assert err.value.message.startswith(f"w1/k = {w1 / k!r} underflows"), err.value.message
-        with pytest.raises(ValidationError) as err:
-            tangency_markets(vals, k)
-        assert err.value.invariant == "cost_scale", (w1, k)
+        for call in (tangency_markets, tangency_posteriors):
+            with pytest.raises(ValidationError) as err:
+                call(vals, k)
+            assert err.value.invariant == "cost_scale", (call, w1, k)
     # a subnormal w/k whose closed forms keep enough digits still solves
     for w1, w2, k in ((1.0, 2.0, 1e308), (1e-10, 2e-10, 1e300)):
         seg = solve_binary(MarketInstance(Valuations((w1, w2)), Market((0.9, 0.1)), k))
         assert len(seg.segments) == 1 and verify_optimality(seg, Valuations((w1, w2)), k).passed
+    # where both closed forms return, the shares keep the bits of the formula, a subnormal one included
+    for w1, w2, k in ((1.0, 2.0, 0.8), (1.0, 2.0, 1e308), (1e-10, 2e-10, 1e300), (1.0, 3.0, 2.8e-3)):
+        tangency_markets(Valuations((w1, w2)), k)
+        mu2 = math.expm1(-w1 / k) / math.expm1(-w2 / k)
+        got = tangency_posteriors(Valuations((w1, w2)), k)
+        assert repr(got) == repr((mu2 * math.exp(-(w2 - w1) / k), mu2)), (w1, k)
 
 
 def test_net_objective_beats_no_segmentation_when_segmenting():

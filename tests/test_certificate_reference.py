@@ -95,7 +95,7 @@ def _reference_verify_optimality(seg, vals, k, tol=VERIFY_TOL):
         raise ValidationError("cost_scale", f"k must be finite and >= 0, got {k}")
     failures = []
     bayes = _reference_bayes_residual(seg)
-    if bayes > BAYES_TOL:
+    if bayes > market.BAYES_TOL:
         failures.append("bayes_plausibility")
 
     if k == 0.0:
@@ -198,8 +198,8 @@ def _reference_welfare(seg, vals, k, price_tol=PRICE_OPT_TOL):
     if not (math.isfinite(k) and k >= 0.0):
         raise ValidationError("cost_scale", f"k must be finite and >= 0, got {k}")
     bayes = _reference_bayes_residual(seg)
-    if bayes > BAYES_TOL:
-        raise ValidationError("bayes_plausibility", f"residual {bayes:.3e} exceeds {BAYES_TOL}")
+    if bayes > market.BAYES_TOL:
+        raise ValidationError("bayes_plausibility", f"residual {bayes:.3e} exceeds {market.BAYES_TOL}")
     for idx, s in enumerate(seg.segments):
         rev = _reference_all_revenues(s.market, vals)
         if rev[s.price_index] < float(np.max(rev)) - price_tol:
@@ -231,7 +231,6 @@ def _reference_welfare(seg, vals, k, price_tol=PRICE_OPT_TOL):
 # -------------------- seeded segmentations --------------------
 
 FAILURE_NAMES = (
-    "bayes_plausibility",
     "type_i_unserved",
     "zero_mass_type_i_segment_j",
     "likelihood_ratio_invariance",
@@ -285,9 +284,10 @@ def _variants(seg, rng):
     missed = list(seg.segments)
     missed[j] = Segment(Market(post), missed[j].weight, missed[j].price_index)
     if seg.segments[j].weight * d > BAYES_TOL:
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(market, "BAYES_TOL", 1.0)
-            out.append(Segmentation(prior, missed))
+        # the constructor rejects it, so no certificate or welfare call can be handed one
+        with pytest.raises(ValidationError) as err:
+            Segmentation(prior, missed)
+        assert err.value.invariant == "bayes_plausibility"
     # an unserved type: its prior mass below the Bayes tolerance, no segment holds it
     if len(served) < K:
         i0 = next(t for t in range(K) if prior[t] <= 0.0)
@@ -360,7 +360,7 @@ def test_certificate_and_welfare_match_reference_on_seeded_segmentations():
             if isinstance(w_got, tuple):
                 welfare_errors.add(w_got[1])
     assert set(FAILURE_NAMES) | {"discrimination_limit_segment_j"} <= kinds
-    assert {"bayes_plausibility", "segment_price_optimality"} <= welfare_errors
+    assert "segment_price_optimality" in welfare_errors
     assert any(k == 0.0 for _, _, k in cases)
     assert {len(vals) for _, vals, _ in cases} == set(range(2, 11))
 
@@ -480,6 +480,22 @@ def _reference_sweep_rows(vals, prior, grid):
     return SweepTable(rows=tuple(rows)), segs
 
 
+def _certified_at(prior, rows, segs):
+    """Per row, the k whose certificate ``sweep_k`` gives it, and whether the row keeps the prior whole.
+
+    A row that keeps the prior whole (one segment, the prior itself at
+    weight 1.0) carries the certificate of the first such row at its price,
+    in grid order; every other row carries its own.
+    """
+    first = {}
+    out = []
+    for row, seg in zip(rows, segs, strict=True):
+        c = seg.segments[0]
+        whole = len(seg.segments) == 1 and c.market is prior and c.weight == 1.0
+        out.append((first.setdefault(c.price_index, row.k) if whole else row.k, whole))
+    return out
+
+
 # the ids are the ones these cases had when they also carried solver options
 @pytest.mark.parametrize("K,n_points", [(2, 200), (3, 30)], ids=["2-200-None", "3-30-options1"])
 def test_sweep_bytes_match_reference_kernels(K, n_points):
@@ -488,11 +504,12 @@ def test_sweep_bytes_match_reference_kernels(K, n_points):
         got = sweep_k(vals, prior, grid)
         want, segs = _reference_sweep_rows(vals, prior, grid)
         assert to_csv(got) == to_csv(want)
-        # every field byte for byte but the certificate, which is checked against the 40-digit one
+        # every field byte for byte but the certificate, which is checked against
+        # the 40-digit one at the k where it was certified
         assert [repr(r._replace(verify=None)) for r in got.rows] == [repr(r) for r in want.rows]
-        for row, seg in zip(got.rows, segs, strict=True):
-            if seg is not None:
-                _assert_matches_reference(row.verify, seg, vals, row.k)
+        assert all(seg is not None for seg in segs)
+        for row, seg, (k, _) in zip(got.rows, segs, _certified_at(prior, got.rows, segs), strict=True):
+            _assert_matches_reference(row.verify, seg, vals, k)
 
 
 def test_pooled_sweep_matches_serial():
@@ -547,15 +564,17 @@ def test_cost_scale_must_be_finite_and_nonnegative():
 def test_row_that_serves_no_type():
     # every type the prior holds is missing from every segment: no type is
     # served, so every slack is -1; the reference agrees on it and on a
-    # segmentation that serves every type
+    # segmentation that serves every type. Only a constructor whose Bayes
+    # tolerance is raised builds such a row, and the reference, which
+    # checks Bayes plausibility itself, is run under that same tolerance
     vals = Valuations((1.0, 2.0, 3.0))
+    fine = no_segmentation(Market((0.2, 0.3, 0.5)), vals)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(market, "BAYES_TOL", 1.0)
         nobody = Segmentation(Market((0.5, 0.5, 0.0)), [Segment(Market((0.0, 0.0, 1.0)), 1.0, 2)])
-    assert verify_optimality(nobody, vals, 0.5).price_slacks == (-1.0, -1.0, -1.0)
-    fine = no_segmentation(Market((0.2, 0.3, 0.5)), vals)
-    for s, k in [(fine, 0.5), (nobody, 0.5), (fine, 2.0), (nobody, 0.0), (fine, 0.0)]:
-        _assert_matches_reference(verify_optimality(s, vals, k), s, vals, k)
+        assert verify_optimality(nobody, vals, 0.5).price_slacks == (-1.0, -1.0, -1.0)
+        for s, k in [(fine, 0.5), (nobody, 0.5), (fine, 2.0), (nobody, 0.0), (fine, 0.0)]:
+            _assert_matches_reference(verify_optimality(s, vals, k), s, vals, k)
 
 
 @pytest.mark.parametrize(
@@ -565,19 +584,23 @@ def test_row_that_serves_no_type():
 )
 def test_sweep_rows_equal_their_one_row_calls(K, n_points):
     # a sweep accounts and certifies its solved rows in passes after the
-    # solves; each row must have the bytes of welfare and
-    # verify_optimality called on its solve at its k
-    solved = 0
+    # solves; each row must have the bytes of welfare called on its solve at
+    # its k, and of verify_optimality called on its solve at the k where it
+    # was certified; a row that keeps the prior whole must pass its own too
+    solved = whole = 0
     for vals, prior in _seeded_markets(K, 3, seed=160 + K):
         grid = KGridSpec(1e-3 * vals[0], 1e2 * vals[-1], n_points)
-        for row in sweep_k(vals, prior, grid).rows:
-            if row.error is not None:
-                continue
+        rows = sweep_k(vals, prior, grid).rows
+        segs = [solve(MarketInstance(vals, prior, row.k)) for row in rows]
+        for row, seg, (k, kept) in zip(rows, segs, _certified_at(prior, rows, segs), strict=True):
+            assert row.error is None
             solved += 1
-            seg = solve(MarketInstance(vals, prior, row.k))
             assert repr(row.report) == repr(welfare(seg, vals, row.k, price_tol=SWEEP_PRICE_TOL))
-            assert repr(row.verify) == repr(verify_optimality(seg, vals, row.k))
-    assert solved >= 2 * n_points
+            assert repr(row.verify) == repr(verify_optimality(seg, vals, k))
+            if kept:
+                whole += 1
+                assert verify_optimality(seg, vals, row.k).passed, row.k
+    assert solved >= 2 * n_points and whole >= n_points // 2
 
 
 def test_sweep_raises_the_first_failing_row_in_grid_order(monkeypatch):

@@ -134,6 +134,28 @@ def test_sweep_bad_grid_string(tmp_path, capsys):
     assert "k_grid" in capsys.readouterr().err
 
 
+def test_sweep_exits_2_when_a_row_fails_its_certificate(tmp_path, capsys, monkeypatch):
+    # no seeded row fails its certificate; one that did must stop the sweep
+    # before anything is written, naming the first such row in grid order
+    import segmentix.sweeps
+
+    certify = segmentix.sweeps.verify_optimality
+
+    def failing(seg, vals, k):
+        rep = certify(seg, vals, k)
+        return rep._replace(passed=False, failures=("price_slack",), slack_excess=0.5) if k >= 1.0 else rep
+
+    monkeypatch.setattr(segmentix.sweeps, "verify_optimality", failing)
+    inp = write(tmp_path, "inst.json", {"valuations": [1.0, 2.0], "mu": [0.4, 0.6]})
+    out = tmp_path / "sweep.csv"
+    for fmt in ("csv", "svg"):
+        assert cli.main(["sweep", "--input", inp, "--output", str(out), "--format", fmt, "--k-grid", "0.1:10:3"]) == 2
+        assert capsys.readouterr().err == (
+            "error [certificate]: row k=1.0 fails its optimality certificate: price_slack (slack_excess 0.5)\n"
+        )
+        assert not out.exists()
+
+
 def test_sweeps_start_no_worker_process(tmp_path):
     inp = write(tmp_path, "inst.json", {"valuations": [1.0, 2.0], "mu": [0.4, 0.6]})
     src = str(Path(segmentix.__file__).resolve().parents[1])

@@ -3,6 +3,9 @@
 import math
 from decimal import Decimal, localcontext
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,9 @@ from segmentix import (
 )
 from segmentix.market import WelfareReport
 from segmentix.sweeps import CSV_HEADER, SWEEP_PRICE_TOL, SweepTable
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402
 
 V12 = Valuations((1.0, 2.0))
 MU46 = Market((0.4, 0.6))
@@ -186,6 +192,57 @@ def test_whole_prior_rows_are_no_segmentation_and_pass_their_certificate(K):
         got = no_segmentation(prior, other)
         assert got is not whole and got.segments[0].price_index == optimal_price(prior, other)
         assert no_segmentation(prior, vals) == whole
+
+
+def _shared_passes_where_own_fails(vals, prior, ks, own):
+    """The ks of an all-whole-prior sweep's rows whose shared certificate passes where their own fails.
+
+    ``own`` is each row's own certificate. A sweep that raises on a failing
+    certificate shares none, and must fail its first row's own.
+    """
+    try:
+        table = sweep_k(vals, prior, ks)
+    except ValidationError as e:
+        assert e.invariant == "certificate" and f"k={ks[0]!r}" in e.message and not own[0].passed
+        return []
+    assert all(r.verify is table.rows[0].verify for r in table.rows) and table.rows[0].verify.passed
+    return [r.k for r, o in zip(table.rows, own, strict=True) if r.verify.passed and not o.passed]
+
+
+@pytest.mark.parametrize("K", [2, 3, 5])
+def test_a_whole_prior_row_passes_its_own_certificate_wherever_the_shared_one_passes(K, monkeypatch):
+    # sweep_k certifies the first row that keeps the prior whole and gives its
+    # report to the later ones. That is sound if, in floats too, the prior's
+    # certificate passes at every k above one where it passes (the convexity
+    # argument in sweep_k's docstring). The workload's markets and its
+    # 0.01 w_K to 100 w_K grid, and a grid from 1e-3 w_1, are checked twice:
+    # on the sweep as it solves, and with every row forced to keep the prior
+    # whole, from each grid point on, so that the first whole row can fail
+    import segmentix.sweeps as sweeps
+
+    rng = np.random.default_rng([1, 3] if K == 2 else [K, 31])  # K = 2: the sweep workload's seed-1 draws
+    vs, mus = gen.markets(rng, 400 if K == 2 else 6, K)
+    for v, m in list(zip(vs, mus))[:6]:
+        vals, prior = Valuations(tuple(map(float, v))), Market(tuple(map(float, m)))
+        whole = no_segmentation(prior, vals)
+        for grid in (KGridSpec(0.01 * vals[-1], 100.0 * vals[-1], 200), KGridSpec(1e-3 * vals[0], 100.0 * vals[-1], 200)):
+            ks = grid.points()
+            own = [verify_optimality(whole, vals, k) for k in ks]
+            passed = [o.passed for o in own]
+            assert passed == sorted(passed) and passed[-1] and not passed[0], passed  # fail, then pass for good
+            for row in sweep_k(vals, prior, grid).rows:
+                assert row.verify.passed
+                if row.n_segments == 1:
+                    assert verify_optimality(solve(MarketInstance(vals, prior, row.k)), vals, row.k).passed, row.k
+            first = passed.index(True)
+            starts = sorted({0, first - 1, first, *range(0, len(ks), 25)})
+            with monkeypatch.context() as mp:
+                mp.setattr(sweeps, "solve", lambda inst: no_segmentation(inst.mu_star, inst.vals))
+                for c in starts:
+                    assert _shared_passes_where_own_fails(vals, prior, ks[c:], own[c:]) == [], ks[c]
+                # a mutant sharing the report of the largest whole-prior k is caught
+                mp.setattr(sweeps, "verify_optimality", lambda seg, vals, k, ks=ks: verify_optimality(seg, vals, ks[-1]))
+                assert _shared_passes_where_own_fails(vals, prior, ks, own) == list(ks[:first])
 
 
 @pytest.mark.parametrize(
