@@ -42,7 +42,6 @@ import os
 import random
 import sys
 import time
-from functools import partial
 
 KS = (2, 3, 12)
 SEED = 1
@@ -87,7 +86,7 @@ def main() -> int:
     from segmentix import (
         KGridSpec, Market, MarketInstance, Valuations, solve, sweep_k, to_csv, verify_optimality, welfare,
     )
-    from segmentix.sweeps import SWEEP_PRICE_TOL, SweepTable
+    from segmentix.sweeps import SweepTable
 
     clock = time.perf_counter
     print(f"nproc {os.cpu_count()}")
@@ -108,8 +107,7 @@ def main() -> int:
             insts = timed(times["MarketInstance"], ((MarketInstance, vals, mu, k) for k in ks))
             solve_t: list[float] = []
             segs = timed(solve_t, ((solve, inst) for inst in insts))
-            timed(times["welfare"], ((partial(welfare, price_tol=SWEEP_PRICE_TOL), seg, vals, k)
-                                     for seg, k in zip(segs, ks)))
+            timed(times["welfare"], ((welfare, seg, vals, k) for seg, k in zip(segs, ks)))
             certified = set()  # the prices whose whole-prior row is certified
             for seg, k, ts in zip(segs, ks, solve_t):
                 kind = "whole" if len(seg.segments) == 1 else "split"

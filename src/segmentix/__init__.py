@@ -5,9 +5,8 @@ so importing one submodule loads only what it imports: ``segmentix.files``
 loads ``segmentix.market`` alone. ``segmentix.cli`` loads the rest per
 subcommand, when the subcommand runs.
 
-Only ``oracle`` and ``rationalize`` import numpy when they load; ``market``
-imports it inside the functions that compute on arrays, which neither
-solver calls, so ``solve``, ``verify`` and ``sweep`` load neither numpy
+Only ``oracle`` and ``rationalize`` import numpy; no other module imports
+it, at any depth, so ``solve``, ``verify`` and ``sweep`` load neither numpy
 nor the ``inspect`` it pulls in. No module loads the
 standard data-class module: result records are ``NamedTuple``s, which unpack
 and equal tuples of their values; validated values are ``__slots__`` classes.
@@ -21,11 +20,9 @@ _SUBMODULE_EXPORTS = {
         "segmentation_threshold", "solve_binary", "tangency_markets", "tangency_posteriors",
     ),
     "market": (
-        "Market", "MarketInstance", "Segment", "Segmentation", "SolverError", "SurplusTriangle",
-        "ValidationError", "Valuations", "WelfareReport", "all_revenues", "buyer_payoff", "check_segment_prices",
-        "entropy", "net_objective", "net_segment_value", "no_segmentation", "optimal_price",
-        "perfect_discrimination", "price_region", "revenue", "seller_payoff", "surplus_triangle", "uniform_report",
-        "welfare",
+        "Market", "MarketInstance", "Segment", "Segmentation", "SurplusTriangle", "ValidationError", "Valuations",
+        "WelfareReport", "check_segment_prices", "entropy", "net_objective", "no_segmentation", "optimal_price",
+        "perfect_discrimination", "revenue", "seller_payoff", "surplus_triangle", "welfare",
     ),
     "oracle": ("OracleResult", "brute_force", "brute_force_binary", "brute_force_small"),
     "rationalize": (

@@ -2,8 +2,8 @@
 segmentations, rationalize welfare targets, and run grid oracles.
 
 Exit codes: 0 success, 2 validation failure (the violated invariant is
-named on stderr), 3 a ``SolverError``, which no solver raises. Outputs
-are deterministic: identical inputs produce byte-identical artifacts.
+named on stderr). Outputs are deterministic: identical inputs produce
+byte-identical artifacts.
 
 argparse checks flag names, types and choices. Every other argument check
 lives in ``_check_args``, which runs before any file is read and reports
@@ -36,7 +36,7 @@ from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 from . import files
-from .market import Segment, Segmentation, SolverError, ValidationError
+from .market import Segment, Segmentation, ValidationError
 
 if TYPE_CHECKING:
     from .sweeps import KGridSpec
@@ -222,9 +222,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         sys.stderr.write(f"error [{exc.invariant}]: {exc.message}\n")
         return 2
-    except SolverError as exc:
-        sys.stderr.write(f"error [no_convergence]: {exc}\n")
-        return 3
     return 0
 
 

@@ -9,10 +9,7 @@ rationalization) is built on the primitives defined here.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import NamedTuple, Sequence
 
 # Tolerances used by the constructors. These are part of the contract:
 # inputs inside the tolerance are normalized, inputs outside are rejected.
@@ -37,14 +34,6 @@ class ValidationError(ValueError):
         super().__init__(f"{invariant}: {message}")
         self.invariant = invariant
         self.message = message
-
-
-class SolverError(RuntimeError):
-    """A solver's failure. No solver raises it (both are closed forms); the CLI maps it to exit code 3.
-
-    It lives here, not in ``solver``, so a caller can catch it without
-    loading the solver; ``segmentix.solver`` re-exports it.
-    """
 
 
 _set = object.__setattr__  # how a constructor sets its read-only fields
@@ -103,11 +92,6 @@ class Valuations(_Frozen):
     def __getitem__(self, i: int) -> float:
         return self.values[i]
 
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.asarray(self.values, dtype=float)
-
 
 class Market(_Frozen):
     """Probability vector over buyer types, in a normal form: its weights ``fsum`` to exactly 1.
@@ -147,11 +131,6 @@ class Market(_Frozen):
 
     def __getitem__(self, i: int) -> float:
         return self.weights[i]
-
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.asarray(self.weights, dtype=float)
 
 
 class Segment(_Frozen):
@@ -252,11 +231,6 @@ def seller_payoff(price: float, valuation: float) -> float:
     return price if valuation >= price else 0.0
 
 
-def buyer_payoff(price: float, valuation: float) -> float:
-    """Surplus for one buyer: valuation minus price if she buys, zero otherwise."""
-    return valuation - price if valuation >= price else 0.0
-
-
 def revenue(market: Market, vals: Valuations, price_index: int) -> float:
     """Expected revenue on ``market`` when charging ``vals[price_index]``.
 
@@ -287,24 +261,10 @@ def _tail_revenues(weights: Sequence[float], values: Sequence[float]) -> list[fl
     return rev
 
 
-def all_revenues(market: Market, vals: Valuations) -> np.ndarray:
-    """Revenue at every candidate price (running tail sums)."""
-    import numpy as np
-
-    return np.array(_tail_revenues(market.weights, vals.values))
-
-
 def optimal_price(market: Market, vals: Valuations) -> int:
     """Index of the revenue-maximizing price, lowest index on ties."""
     rev = _tail_revenues(market.weights, vals.values)
     return rev.index(max(rev))  # the first maximizer, as np.argmax finds it
-
-
-def price_region(market: Market, vals: Valuations) -> tuple[int, ...]:
-    """All price indices whose revenue is within ``PRICE_OPT_TOL`` of the maximum."""
-    rev = _tail_revenues(market.weights, vals.values)
-    best = max(rev)
-    return tuple(i for i, r in enumerate(rev) if r >= best - PRICE_OPT_TOL)
 
 
 def check_segment_prices(seg: Segmentation, vals: Valuations, tol: float = PRICE_OPT_TOL) -> None:
@@ -332,16 +292,6 @@ def entropy(market: Market | Sequence[float]) -> float:
     """Shannon entropy of a weight vector in nats: ``-fsum(x * log(x))`` over its positive weights."""
     w = market.weights if isinstance(market, Market) else market
     return -math.fsum([x * math.log(x) for x in w if x > 0.0])
-
-
-def net_segment_value(market: Market, vals: Valuations, k: float) -> float:
-    """Maximal revenue on the market plus its entropy credit ``k * H``.
-
-    This is the quantity whose expectation the seller maximizes over
-    Bayes-plausible splits; the entropy credit is what makes information
-    about nearly-degenerate segments expensive to produce.
-    """
-    return max(_tail_revenues(market.weights, vals.values)) + k * entropy(market)
 
 
 def net_objective(seg: Segmentation, vals: Valuations, k: float) -> float:
@@ -392,11 +342,6 @@ def perfect_discrimination(mu_star: Market, vals: Valuations) -> Segmentation:
         point[i] = 1.0
         segments.append(Segment(Market(point), w, i))
     return Segmentation(mu_star, segments)
-
-
-def uniform_report(mu_star: Market, vals: Valuations) -> WelfareReport:
-    """Welfare when the seller does not segment and charges the single best price."""
-    return welfare(no_segmentation(mu_star, vals), vals, 0.0)
 
 
 class SurplusTriangle(NamedTuple):

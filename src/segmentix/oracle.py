@@ -142,7 +142,9 @@ class OracleResult(NamedTuple):
     of it relative to the value before the prior's entropy credit (three
     types); it is wider only where the rounds run out.
     ``resolution_bound`` is a crude overestimate of how much value the grid
-    alone can miss.
+    alone can miss. ``upper`` is the certified bound; ``resolution_bound``
+    and its ``oracle`` JSON key stay because the benchmark harness in
+    ``perfbench/`` reads them.
     """
 
     value: float
@@ -515,7 +517,7 @@ def brute_force_small(inst: MarketInstance, grid_n: int = 100) -> OracleResult:
     if grid_n < 4:
         raise ValidationError("grid_size", f"grid_n must be >= 4, got {grid_n}")
     vals, k = inst.vals, inst.k
-    v, mu = vals.as_array(), inst.mu_star.as_array()
+    v, mu = np.asarray(vals.values, dtype=float), np.asarray(inst.mu_star.weights, dtype=float)
 
     P, tails, H = _simplex_grid(grid_n)
     lam, _, basis = _grid_lp(P, _net_value_points(v, k, tails, H), mu, _prior_cell(grid_n, mu))

@@ -23,7 +23,6 @@ from .market import (
     MarketInstance,
     Segment,
     Segmentation,
-    SolverError,  # re-exported: callers catch it as ``segmentix.solver.SolverError``
     ValidationError,
     Valuations,
     no_segmentation,
@@ -149,7 +148,7 @@ def verify_optimality(seg: Segmentation, vals: Valuations, k: float, tol: float 
         if not math.isinf(top):
             top += math.log(math.fsum([math.exp(v - top) for v in at_t]))
         slacks.append(math.expm1(min(top, EXP_OVERFLOW)))
-    price_slacks = tuple(slacks) if terms else (-1.0,) * K
+    price_slacks = tuple(slacks)
     slack_excess = max(price_slacks)
     if slack_excess > tol:
         failures.append("price_slack")
@@ -193,8 +192,7 @@ def solve_ri(inst: MarketInstance) -> Segmentation:
     lowest vertex whose edge above is steeper than the tangent, in the same
     arithmetic. An edge's mass is a sum of masses, never a difference of
     tails. Weights are q_j s_j over their ``fsum``, s_j being column j's
-    sum. A type whose v/k underflows to 0 is never priced. Nothing raises
-    :class:`SolverError`.
+    sum. A type whose v/k underflows to 0 is never priced.
     """
     if inst.k == 0.0:
         return perfect_discrimination(inst.mu_star, inst.vals)

@@ -16,7 +16,6 @@ from .binary import tangency_posteriors
 from .market import (
     Market,
     MarketInstance,
-    Segmentation,
     ValidationError,
     Valuations,
     WelfareReport,
@@ -25,13 +24,9 @@ from .market import (
     binary_entropy,
     welfare,
 )
-from .solver import OptimalityReport, SolverError, solve, verify_optimality
+from .solver import OptimalityReport, solve, verify_optimality
 
 CSV_HEADER = "k,cs,ps_gross,info_cost,ps_net,ts_gross,ts_net,n_segments,prices"
-
-# welfare's price_tol for sweep rows: how far an assigned price may fall
-# short of revenue-maximal before the row is rejected
-SWEEP_PRICE_TOL = 1e-8
 
 
 class KGridSpec(_Frozen):
@@ -80,16 +75,16 @@ class SweepRow(NamedTuple):
 
     ``verify`` passed. On a row that keeps the prior whole it is the first
     such row's report, with that row's ``price_slacks`` (see ``sweep_k``).
-    ``error`` is the stringified ``SolverError`` (which no solver raises)
-    when the row could not be solved; numeric fields are then absent.
+    ``error`` is always ``None``: every row is solved. It stays because the
+    benchmark harness in ``perfbench/`` reads it.
     """
 
     k: float
-    report: WelfareReport | None
+    report: WelfareReport
     n_segments: int
     prices: tuple[float, ...]
-    verify: OptimalityReport | None
-    error: str | None = None
+    verify: OptimalityReport
+    error: None = None
 
 
 class SweepTable(_Frozen):
@@ -104,12 +99,8 @@ class SweepTable(_Frozen):
             raise ValidationError("sweep_order", "rows must be strictly increasing in k")
 
     def series(self, field: str) -> list[tuple[float, float]]:
-        """(k, value) pairs of one welfare account, skipping failed rows."""
-        out = []
-        for r in self.rows:
-            if r.report is not None:
-                out.append((r.k, getattr(r.report, field)))
-        return out
+        """(k, value) pairs of one welfare account."""
+        return [(r.k, getattr(r.report, field)) for r in self.rows]
 
 
 def sweep_k(
@@ -121,10 +112,9 @@ def sweep_k(
     """Solve one market at every cost scale on the grid, in grid order, in this process.
 
     Each row solves ``mu_star`` as given, so it is ``solve`` on that prior at
-    the row's k. A row whose solve raises ``SolverError`` is recorded with
-    its error and the sweep continues (no solver raises it). Once every row
-    is solved, each solved row is accounted by ``welfare``, then each is
-    certified by ``verify_optimality``, in grid order.
+    the row's k. Once every row is solved, each row is accounted by
+    ``welfare`` at its default ``price_tol``, then each is certified by
+    ``verify_optimality``, in grid order.
 
     The rows that keep the prior whole (one segment, ``mu_star`` itself at
     weight 1.0) share both reports of the first such row at their price.
@@ -140,7 +130,8 @@ def sweep_k(
     raises ``ValidationError("certificate")`` with its k, failures and
     ``slack_excess``. The grid is checked before any row is solved: it must
     be non-empty, finite, positive and strictly increasing.
-    ``max_workers`` is accepted and ignored.
+    ``max_workers`` is accepted and ignored; it stays because the benchmark
+    harness in ``perfbench/`` passes it.
     """
     if k_grid is None:
         k_grid = default_k_grid(vals)
@@ -149,43 +140,32 @@ def sweep_k(
     else:
         ks = [float(k) for k in k_grid]
         _check_k_grid(ks)
-    segs: list[Segmentation | str] = []  # per k: the solution, or why the solver failed
-    for k in ks:
-        try:
-            segs.append(solve(MarketInstance(vals, mu_star, k)))
-        except SolverError as e:
-            segs.append(str(e))
-    solved = [(seg, k) for seg, k in zip(segs, ks) if not isinstance(seg, str)]
-    # per solved row, the row whose reports it takes: the first row, in grid
-    # order, that keeps the prior whole at its price, or the row itself
+    segs = [solve(MarketInstance(vals, mu_star, k)) for k in ks]
+    # per row, the row whose reports it takes: the first row, in grid order,
+    # that keeps the prior whole at its price, or the row itself
     first_whole: dict[int, int] = {}
     owner = []
-    for r, (seg, _) in enumerate(solved):
+    for r, seg in enumerate(segs):
         first = seg.segments[0]
         whole = len(seg.segments) == 1 and first.market is mu_star and first.weight == 1.0  # see the docstring
         owner.append(first_whole.setdefault(first.price_index, r) if whole else r)
     # a pass per function, not one loop per row: with the three calls
     # interleaved, each of them measured 23-30 % slower on K=2 sweeps
     accounted: list[WelfareReport] = []
-    for r, (seg, k) in zip(owner, solved):
-        accounted.append(welfare(seg, vals, k, price_tol=SWEEP_PRICE_TOL) if r == len(accounted) else accounted[r])
+    for r, seg, k in zip(owner, segs, ks):
+        accounted.append(welfare(seg, vals, k) if r == len(accounted) else accounted[r])
     verified: list[OptimalityReport] = []
-    for r, (seg, k) in zip(owner, solved):
+    for r, seg, k in zip(owner, segs, ks):
         cert = verify_optimality(seg, vals, k) if r == len(verified) else verified[r]
         if not cert.passed:
             raise ValidationError("certificate", f"row k={k!r} fails its optimality certificate: "
                                   f"{', '.join(cert.failures)} (slack_excess {cert.slack_excess!r})")
         verified.append(cert)
-    reports, certs = iter(accounted), iter(verified)
     values = vals.values
-    rows = []
-    for k, seg in zip(ks, segs):
-        if isinstance(seg, str):
-            rows.append(SweepRow(k=k, report=None, n_segments=0, prices=(), verify=None, error=seg))
-        else:
-            prices = tuple([values[c.price_index] for c in seg.segments])
-            rows.append(SweepRow(k, next(reports), len(seg.segments), prices, next(certs)))
-    return SweepTable(rows=tuple(rows))
+    return SweepTable(rows=tuple([
+        SweepRow(k, rep, len(seg.segments), tuple([values[c.price_index] for c in seg.segments]), cert)
+        for k, seg, rep, cert in zip(ks, segs, accounted, verified)
+    ]))
 
 
 def classify_monotonicity(values: Iterable[float]) -> str:
@@ -266,7 +246,7 @@ def boundary_always_segments(vals: Valuations, k_grid: Sequence[float]) -> Bound
 
 
 def to_csv(table: SweepTable) -> str:
-    """Render a sweep as CSV text. Failed rows carry nan fields and no prices.
+    """Render a sweep as CSV text, one line per row.
 
     A report object that several rows hold (as ``sweep_k`` shares one) is
     formatted once; the key is its identity, as ``==`` does not tell 0.0
@@ -276,9 +256,6 @@ def to_csv(table: SweepTable) -> str:
     accounts: dict[int, str] = {}  # per report object: its six fields
     for row in table.rows:
         rep = row.report
-        if rep is None:
-            lines.append(f"{row.k!r},nan,nan,nan,nan,nan,nan,0,")
-            continue
         text = accounts.get(id(rep))
         if text is None:
             text = accounts[id(rep)] = (
@@ -299,7 +276,7 @@ def to_svg(table: SweepTable) -> str:
     all_k = [k for series in pts.values() for k, _ in series]
     all_v = [v for series in pts.values() for _, v in series]
     if not all_k:
-        raise ValidationError("sweep_empty", "no successful rows to chart")
+        raise ValidationError("sweep_empty", "no rows to chart")
     lx = [math.log10(k) for k in all_k]
     x0, x1 = min(lx), max(lx)
     y0, y1 = min(all_v), max(all_v)
@@ -323,10 +300,7 @@ def to_svg(table: SweepTable) -> str:
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#333"/>',
     ]
     for name in _SVG_SERIES:
-        series = pts[name]
-        if not series:
-            continue
-        coords = " ".join(f"{px(k):.2f},{py(v):.2f}" for k, v in series)
+        coords = " ".join(f"{px(k):.2f},{py(v):.2f}" for k, v in pts[name])
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{_SVG_COLORS[name]}" stroke-width="1.5"/>'
         )

@@ -274,7 +274,7 @@ def test_criterion_10_envelope_cross_check():
     for w1, w2, k in ENVELOPE_PAIRS:
         vals = Valuations((w1, w2))
         kbar = segmentation_threshold(vals, mu)
-        g = oracle._net_value_points(vals.as_array(), k, tails, H)
+        g = oracle._net_value_points(np.asarray(vals.values), k, tails, H)
         value, pair = oracle.pair_scan(x, g, mu[1])
         stay = max(w1, w2 * mu[1]) + k * entropy(mu)
         if k > kbar:

@@ -14,9 +14,10 @@ from segmentix import (
     Segmentation,
     ValidationError,
     Valuations,
+    entropy,
     net_objective,
-    net_segment_value,
     optimal_price,
+    revenue,
     segmentation_threshold,
     solve,
     solve_binary,
@@ -50,8 +51,9 @@ def test_tangency_satisfies_common_tangent_conditions():
         lo, hi = tangency_posteriors(V12, k)
         slope_lo = k * math.log((1.0 - lo) / lo)            # d/dx [w1 + kH(x)]
         slope_hi = 2.0 + k * math.log((1.0 - hi) / hi)      # d/dx [w2 x + kH(x)]
-        v_lo = net_segment_value(Market((1.0 - lo, lo)), V12, k)
-        v_hi = net_segment_value(Market((1.0 - hi, hi)), V12, k)
+        # net value of a segment: its best revenue plus k times its entropy
+        v_lo, v_hi = (max(revenue(m, V12, 0), revenue(m, V12, 1)) + k * entropy(m)
+                      for m in (Market((1.0 - lo, lo)), Market((1.0 - hi, hi))))
         chord = (v_hi - v_lo) / (hi - lo)
         assert slope_lo == pytest.approx(slope_hi, abs=1e-9)
         assert chord == pytest.approx(slope_lo, abs=1e-9)

@@ -32,16 +32,14 @@ from segmentix import (
     OptimalityReport,
     Segment,
     Segmentation,
-    SolverError,
     SweepRow,
     SweepTable,
     ValidationError,
     Valuations,
     WelfareReport,
-    all_revenues,
-    buyer_payoff,
     entropy,
     no_segmentation,
+    optimal_price,
     perfect_discrimination,
     revenue,
     solve,
@@ -52,7 +50,6 @@ from segmentix import (
 )
 from segmentix.market import BAYES_TOL, EXP_OVERFLOW, PRICE_OPT_TOL
 from segmentix.solver import _LOG_ZERO_MASS_TOL, VERIFY_TOL
-from segmentix.sweeps import SWEEP_PRICE_TOL
 
 # -------------------- the references --------------------
 
@@ -60,8 +57,8 @@ from segmentix.sweeps import SWEEP_PRICE_TOL
 def _reference_bayes_residual(seg):
     mixed = np.zeros(len(seg.prior))
     for s in seg.segments:
-        mixed += s.weight * s.market.as_array()
-    return float(np.max(np.abs(mixed - seg.prior.as_array())))
+        mixed += s.weight * np.asarray(s.market.weights)
+    return float(np.max(np.abs(mixed - np.asarray(seg.prior.weights))))
 
 
 # The float certificate's error in ilr_residual and in each price slack, in
@@ -184,8 +181,8 @@ def _assert_matches_reference(got, seg, vals, k):
 
 
 def _reference_all_revenues(m, vals):
-    w = m.as_array()
-    v = vals.as_array()
+    w = np.asarray(m.weights)
+    v = np.asarray(vals.values)
     tails = np.cumsum(w[::-1])[::-1]
     return v * tails
 
@@ -212,7 +209,7 @@ def _reference_welfare(seg, vals, k, price_tol=PRICE_OPT_TOL):
     avg_entropy = 0.0
     for s in seg.segments:
         p = vals[s.price_index]
-        cs += s.weight * math.fsum(w * buyer_payoff(p, v) for w, v in zip(s.market.weights, vals.values))
+        cs += s.weight * math.fsum(w * (v - p if v >= p else 0.0) for w, v in zip(s.market.weights, vals.values))
         ps_gross += s.weight * revenue(s.market, vals, s.price_index)
         avg_entropy += s.weight * _reference_entropy(s.market)
     info_cost = k * (_reference_entropy(seg.prior) - avg_entropy)
@@ -349,12 +346,12 @@ def test_certificate_and_welfare_match_reference_on_seeded_segmentations():
     for seg, vals, k in cases:
         assert repr(seg.bayes_residual) == repr(_reference_bayes_residual(seg))
         for m in (seg.prior, *(s.market for s in seg.segments)):
-            assert repr(all_revenues(m, vals).tolist()) == repr(_reference_all_revenues(m, vals).tolist())
+            assert repr(market._tail_revenues(m.weights, vals.values)) == repr(_reference_all_revenues(m, vals).tolist())
             assert repr(entropy(m)) == repr(_reference_entropy(m))
         got = verify_optimality(seg, vals, k)
         _assert_matches_reference(got, seg, vals, k)
         kinds.update(_failure_kind(f) for f in got.failures)
-        for tol in (PRICE_OPT_TOL, SWEEP_PRICE_TOL):
+        for tol in (PRICE_OPT_TOL, 1e-8):
             w_got = _outcome(welfare, seg, vals, k, price_tol=tol)
             assert w_got == _outcome(_reference_welfare, seg, vals, k, price_tol=tol), (seg, vals, k)
             if isinstance(w_got, tuple):
@@ -462,18 +459,13 @@ def _seeded_markets(K, n, seed):
 def _reference_sweep_rows(vals, prior, grid):
     """The rows of a sweep, each from ``solve`` on the prior and the all-numpy welfare, and their segmentations.
 
-    Rows carry no certificate (``verify=None``); each solved row's
-    segmentation is returned beside it for the 40-digit reference.
+    Rows carry no certificate (``verify=None``); each row's segmentation is
+    returned beside it for the 40-digit reference.
     """
     rows, segs = [], []
     for k in grid.points():
-        try:
-            seg = solve(MarketInstance(vals, prior, k))
-        except SolverError as e:
-            rows.append(SweepRow(k=k, report=None, n_segments=0, prices=(), verify=None, error=str(e)))
-            segs.append(None)
-            continue
-        rep = _reference_welfare(seg, vals, k, price_tol=SWEEP_PRICE_TOL)
+        seg = solve(MarketInstance(vals, prior, k))
+        rep = _reference_welfare(seg, vals, k)
         prices = tuple(vals[i] for i in seg.price_indices())
         rows.append(SweepRow(k, rep, len(seg.segments), prices, None))
         segs.append(seg)
@@ -507,7 +499,6 @@ def test_sweep_bytes_match_reference_kernels(K, n_points):
         # every field byte for byte but the certificate, which is checked against
         # the 40-digit one at the k where it was certified
         assert [repr(r._replace(verify=None)) for r in got.rows] == [repr(r) for r in want.rows]
-        assert all(seg is not None for seg in segs)
         for row, seg, (k, _) in zip(got.rows, segs, _certified_at(prior, got.rows, segs), strict=True):
             _assert_matches_reference(row.verify, seg, vals, k)
 
@@ -531,7 +522,7 @@ def test_length_mismatch_is_rejected():
             with pytest.raises(ValidationError, match="instance_shape"):
                 fn(seg, short, k)
     with pytest.raises(ValidationError, match="instance_shape"):
-        all_revenues(seg.prior, short)
+        optimal_price(seg.prior, short)
 
 
 def test_sweep_rows_solve_the_prior_passed():
@@ -543,8 +534,7 @@ def test_sweep_rows_solve_the_prior_passed():
     for row, k in zip(sweep_k(vals, prior, grid).rows, grid):
         seg = solve(MarketInstance(vals, prior, k))
         prices = tuple(vals[i] for i in seg.price_indices())
-        want = SweepRow(k, welfare(seg, vals, k, price_tol=SWEEP_PRICE_TOL), len(seg.segments), prices,
-                        verify_optimality(seg, vals, k))
+        want = SweepRow(k, welfare(seg, vals, k), len(seg.segments), prices, verify_optimality(seg, vals, k))
         assert repr(row) == repr(want)
 
 
@@ -561,20 +551,15 @@ def test_cost_scale_must_be_finite_and_nonnegative():
             assert _outcome(fn, seg, vals, k) == ("ValidationError", "cost_scale", str(want.value)), fn
 
 
-def test_row_that_serves_no_type():
-    # every type the prior holds is missing from every segment: no type is
-    # served, so every slack is -1; the reference agrees on it and on a
-    # segmentation that serves every type. Only a constructor whose Bayes
-    # tolerance is raised builds such a row, and the reference, which
-    # checks Bayes plausibility itself, is run under that same tolerance
+def test_row_that_keeps_the_prior_whole():
+    # the prior at its best uniform price, every type served, against the
+    # reference at and away from the discrimination limit. No constructed
+    # segmentation serves no type: the served masses would miss the prior
+    # by at least 1/K, far above BAYES_TOL
     vals = Valuations((1.0, 2.0, 3.0))
-    fine = no_segmentation(Market((0.2, 0.3, 0.5)), vals)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(market, "BAYES_TOL", 1.0)
-        nobody = Segmentation(Market((0.5, 0.5, 0.0)), [Segment(Market((0.0, 0.0, 1.0)), 1.0, 2)])
-        assert verify_optimality(nobody, vals, 0.5).price_slacks == (-1.0, -1.0, -1.0)
-        for s, k in [(fine, 0.5), (nobody, 0.5), (fine, 2.0), (nobody, 0.0), (fine, 0.0)]:
-            _assert_matches_reference(verify_optimality(s, vals, k), s, vals, k)
+    whole = no_segmentation(Market((0.2, 0.3, 0.5)), vals)
+    for k in (0.5, 2.0, 0.0):
+        _assert_matches_reference(verify_optimality(whole, vals, k), whole, vals, k)
 
 
 @pytest.mark.parametrize(
@@ -583,8 +568,7 @@ def test_row_that_serves_no_type():
     ids=["2-200-None", "3-30-options1", "4-30-options2", "5-30-options3"],  # as for the test above
 )
 def test_sweep_rows_equal_their_one_row_calls(K, n_points):
-    # a sweep accounts and certifies its solved rows in passes after the
-    # solves; each row must have the bytes of welfare called on its solve at
+    # a sweep accounts and certifies its rows in passes after the solves; each row must have the bytes of welfare called on its solve at
     # its k, and of verify_optimality called on its solve at the k where it
     # was certified; a row that keeps the prior whole must pass its own too
     solved = whole = 0
@@ -595,7 +579,7 @@ def test_sweep_rows_equal_their_one_row_calls(K, n_points):
         for row, seg, (k, kept) in zip(rows, segs, _certified_at(prior, rows, segs), strict=True):
             assert row.error is None
             solved += 1
-            assert repr(row.report) == repr(welfare(seg, vals, row.k, price_tol=SWEEP_PRICE_TOL))
+            assert repr(row.report) == repr(welfare(seg, vals, row.k))
             assert repr(row.verify) == repr(verify_optimality(seg, vals, k))
             if kept:
                 whole += 1
@@ -608,8 +592,6 @@ def test_sweep_raises_the_first_failing_row_in_grid_order(monkeypatch):
     grid = [0.1, 0.2, 0.3, 0.4, 0.5]
 
     def mispriced(inst):
-        if inst.k == 0.1:
-            raise SolverError("no convergence")
         if inst.k == 0.3:  # price 1 where price 2 earns 0.2 more
             return Segmentation(inst.mu_star, [Segment(inst.mu_star, 1.0, 0)])
         if inst.k == 0.5:  # the second segment is the mispriced one
@@ -617,9 +599,6 @@ def test_sweep_raises_the_first_failing_row_in_grid_order(monkeypatch):
         return solve(inst)
 
     monkeypatch.setattr(sweeps, "solve", mispriced)
-    want = _outcome(welfare, mispriced(MarketInstance(vals, prior, 0.3)), vals, 0.3, price_tol=SWEEP_PRICE_TOL)
+    want = _outcome(welfare, mispriced(MarketInstance(vals, prior, 0.3)), vals, 0.3)
     assert want[1] == "segment_price_optimality" and "segment 0 " in want[2]
     assert _outcome(sweep_k, vals, prior, grid) == want
-    # without the failing rows the SolverError row is recorded and the sweep goes on
-    table = sweep_k(vals, prior, [0.1, 0.2, 0.4])
-    assert [r.error for r in table.rows] == ["no convergence", None, None]

@@ -85,19 +85,6 @@ def test_solve_is_deterministic(tmp_path):
     assert open(out1, "rb").read() == open(out2, "rb").read()
 
 
-def test_solve_iteration_budget_exit_3(tmp_path, capsys, monkeypatch):
-    # no solver raises SolverError; the CLI still maps one to exit code 3
-    import segmentix.solver
-
-    def failing(inst):
-        raise segmentix.SolverError("no convergence")
-
-    monkeypatch.setattr(segmentix.solver, "solve", failing)
-    inp = write(tmp_path, "inst.json", {"valuations": [1.0, 2.0, 3.0], "mu": [0.3, 0.4, 0.3], "k": 0.5})
-    assert cli.main(["solve", "--input", inp]) == 3
-    assert capsys.readouterr().err == "error [no_convergence]: no convergence\n"
-
-
 # -------------------- sweep --------------------
 
 def test_sweep_csv_shape(tmp_path):

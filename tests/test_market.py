@@ -14,19 +14,14 @@ from segmentix import (
     Segmentation,
     ValidationError,
     Valuations,
-    all_revenues,
-    buyer_payoff,
     check_segment_prices,
     entropy,
     net_objective,
-    net_segment_value,
     no_segmentation,
     optimal_price,
     perfect_discrimination,
-    price_region,
     revenue,
     seller_payoff,
-    uniform_report,
     welfare,
 )
 from segmentix.market import binary_entropy
@@ -101,12 +96,9 @@ def test_market_normal_form_of_a_prior_that_renormalized_twice():
 
 # -------------------- payoffs and revenue --------------------
 
-def test_seller_and_buyer_payoffs():
+def test_seller_payoff():
     assert seller_payoff(1.0, 2.0) == 1.0
     assert seller_payoff(2.0, 1.0) == 0.0
-    assert buyer_payoff(1.0, 2.0) == 1.0
-    assert buyer_payoff(2.0, 2.0) == 0.0
-    assert buyer_payoff(2.0, 1.0) == 0.0
 
 
 def test_revenue_low_price_serves_everyone():
@@ -132,15 +124,14 @@ def test_revenue_and_net_objective_reject_length_mismatch():
 
 
 @given(st.integers(2, 5), st.data())
-def test_all_revenues_matches_direct_sum(k, data):
+def test_revenue_matches_direct_sum(k, data):
     raw = data.draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
     total = sum(raw)
     m = Market([r / total for r in raw])
     vals = Valuations([1.0 + i for i in range(k)])
-    rv = all_revenues(m, vals)
     for p in range(k):
         direct = sum(vals[p] * m[i] for i in range(k) if vals[i] >= vals[p])
-        assert rv[p] == pytest.approx(direct, abs=1e-12)
+        assert revenue(m, vals, p) == pytest.approx(direct, abs=1e-12)
 
 
 # -------------------- optimal pricing --------------------
@@ -163,16 +154,7 @@ def test_optimal_price_three_types():
     assert optimal_price(m, V123) == 1  # revenues (1, 4/3, 1)
 
 
-def test_price_region_boundary_contains_both():
-    assert price_region(Market((0.5, 0.5)), V12) == (0, 1)
-
-
-def test_price_region_interior():
-    assert price_region(Market((0.4, 0.6)), V12) == (1,)
-    assert price_region(Market((0.7, 0.3)), V12) == (0,)
-
-
-# -------------------- entropy and segment values --------------------
+# -------------------- entropy --------------------
 
 def test_entropy_uniform_binary():
     assert entropy(Market((0.5, 0.5))) == pytest.approx(math.log(2.0), abs=1e-15)
@@ -200,16 +182,6 @@ def test_binary_entropy_is_the_two_type_entropy(x):
     else:
         assert h == -(x * math.log(x) + (1.0 - x) * math.log1p(-x))
         assert h == pytest.approx(entropy((1.0 - x, x)), abs=1e-15)
-
-
-def test_net_segment_value_zero_cost_piecewise():
-    assert net_segment_value(Market((0.6, 0.4)), V12, 0.0) == 1.0
-    assert net_segment_value(Market((0.4, 0.6)), V12, 0.0) == pytest.approx(1.2, abs=1e-15)
-
-
-def test_net_segment_value_adds_scaled_entropy():
-    got = net_segment_value(Market((0.4, 0.6)), V12, 0.8)
-    assert got == pytest.approx(1.7384093336074051, abs=1e-12)
 
 
 # -------------------- segments and segmentations --------------------
@@ -389,9 +361,9 @@ def test_welfare_identities_and_bounds():
         assert rep.ts_gross <= 1.6 + 1e-12
 
 
-def test_uniform_report_picks_monopoly_price():
-    assert uniform_report(Market((0.4, 0.6)), V12).ps_gross == pytest.approx(1.2)
-    assert uniform_report(Market((0.7, 0.3)), V12).ps_gross == pytest.approx(1.0)
+def test_no_segmentation_picks_monopoly_price():
+    assert welfare(no_segmentation(Market((0.4, 0.6)), V12), V12, 0.0).ps_gross == pytest.approx(1.2)
+    assert welfare(no_segmentation(Market((0.7, 0.3)), V12), V12, 0.0).ps_gross == pytest.approx(1.0)
 
 
 def test_perfect_discrimination_info_cost_positive_when_k_positive():

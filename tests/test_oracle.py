@@ -58,13 +58,13 @@ def test_binary_oracle_zero_cost_full_discrimination():
 
 def _grid_pair(vals, k, mu, grid_n):
     x, tails, H = oracle._pair_grid(grid_n)
-    g = oracle._net_value_points(vals.as_array(), k, tails, H)
+    g = oracle._net_value_points(np.asarray(vals.values), k, tails, H)
     return x, oracle.pair_scan(x, g, mu)
 
 
 def test_net_value_points_shape():
     x, tails, H = oracle._pair_grid(100)
-    g = oracle._net_value_points(V12.as_array(), 0.8, tails, H)
+    g = oracle._net_value_points(np.asarray(V12.values), 0.8, tails, H)
     assert g[0] == pytest.approx(1.0, abs=1e-15)   # point mass on the low type
     assert g[-1] == pytest.approx(2.0, abs=1e-15)  # point mass on the high type
     assert float(g[50]) == pytest.approx(1.0 + 0.8 * math.log(2.0), abs=1e-12)
@@ -117,7 +117,7 @@ def test_pair_scan_matches_exhaustive_scan(exhaustive_pair_scan):
             kbar = segmentation_threshold(vals, mu)
             kbar = kbar if 0.0 < kbar < math.inf else vals[1]
             k = 0.0 if n % 5 == 0 else kbar * 10.0 ** float(rng.uniform(-4.0, 4.0))
-            g = oracle._net_value_points(vals.as_array(), k, tails, H)
+            g = oracle._net_value_points(np.asarray(vals.values), k, tails, H)
             value, pair = oracle.pair_scan(x, g, mu[1])
             ref_value, ref_pair = exhaustive_pair_scan(x, g, mu[1])
             assert (pair is None) == (ref_pair is None) == (share in (0.0, 1.0)), (grid_n, share)

@@ -20,13 +20,12 @@ import segmentix
 EXPORTED = {
     "segmentation_threshold", "solve_binary", "tangency_markets", "tangency_posteriors",
     "Market", "MarketInstance", "Segment", "Segmentation", "SurplusTriangle", "ValidationError",
-    "Valuations", "WelfareReport", "all_revenues", "buyer_payoff", "check_segment_prices", "entropy",
-    "net_objective", "net_segment_value", "no_segmentation", "optimal_price", "perfect_discrimination",
-    "price_region", "revenue", "seller_payoff", "surplus_triangle", "uniform_report", "welfare",
+    "Valuations", "WelfareReport", "check_segment_prices", "entropy", "net_objective", "no_segmentation",
+    "optimal_price", "perfect_discrimination", "revenue", "seller_payoff", "surplus_triangle", "welfare",
     "OracleResult", "brute_force", "brute_force_binary", "brute_force_small",
     "ConvexCostSpec", "InducedSegments", "RationalizationReport", "RationalizationTarget",
     "construct_cost", "foc_residuals", "induced_segments", "realized_welfare", "verify_rationalization",
-    "OptimalityReport", "SolverError", "solve", "solve_ri", "verify_optimality",
+    "OptimalityReport", "solve", "solve_ri", "verify_optimality",
     "BoundaryReport", "KGridSpec", "SweepRow", "SweepTable", "boundary_always_segments",
     "classify_monotonicity", "default_k_grid", "sweep_k", "to_csv", "to_svg",
 }  # fmt: skip
@@ -102,7 +101,7 @@ def test_import_loads_no_numpy(module):
     assert _fresh_modules(f"import segmentix.{module}", prefix="numpy") == set()
 
 
-@pytest.mark.parametrize("module", ["files", "binary", "solver", "sweeps"])
+@pytest.mark.parametrize("module", ["files", "market", "binary", "solver", "sweeps"])
 def test_source_imports_no_numpy_at_any_depth(module):
     # every import statement, also inside functions and under ``if TYPE_CHECKING:``
     tree = ast.parse((Path(segmentix.__file__).parent / f"{module}.py").read_text())

@@ -26,12 +26,11 @@ from segmentix import (
     sweep_k,
     to_csv,
     to_svg,
-    uniform_report,
     verify_optimality,
     welfare,
 )
 from segmentix.market import WelfareReport
-from segmentix.sweeps import CSV_HEADER, SWEEP_PRICE_TOL, SweepTable
+from segmentix.sweeps import CSV_HEADER, SweepTable
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402
@@ -104,7 +103,7 @@ def test_sweep_limits_match_uniform_and_efficient_endpoints():
     lo_row = table.rows[0].report
     assert lo_row.ts_gross == pytest.approx(1.6, abs=1e-9)
     assert lo_row.cs == pytest.approx(0.0, abs=1e-9)
-    uni = uniform_report(MU46, V12)
+    uni = welfare(no_segmentation(MU46, V12), V12, 0.0)
     for row in table.rows[2:]:
         assert row.report.cs == uni.cs
         assert row.report.ps_gross == uni.ps_gross
@@ -157,7 +156,7 @@ def test_rows_that_keep_the_prior_whole_share_the_report_of_their_own_welfare_ca
         assert len(whole) > 100 and len(table.rows) - len(whole) > 50
         assert all(rep is whole[0] for rep in whole)
         for row in table.rows:
-            own = welfare(solve(MarketInstance(vals, prior, row.k)), vals, row.k, price_tol=SWEEP_PRICE_TOL)
+            own = welfare(solve(MarketInstance(vals, prior, row.k)), vals, row.k)
             assert repr(row.report) == repr(own), row.k
         # the CSV formats a shared report once; distinct equal reports must read the same
         copies = SweepTable(tuple(r._replace(report=WelfareReport(*r.report)) for r in table.rows))
