@@ -24,7 +24,7 @@ from segmentix import (
     seller_payoff,
     welfare,
 )
-from segmentix.market import binary_entropy
+from segmentix.market import _tail_revenues, binary_entropy
 
 V12 = Valuations((1.0, 2.0))
 V123 = Valuations((1.0, 2.0, 3.0))
@@ -124,14 +124,18 @@ def test_revenue_and_net_objective_reject_length_mismatch():
 
 
 @given(st.integers(2, 5), st.data())
-def test_revenue_matches_direct_sum(k, data):
+def test_all_revenues_matches_direct_sum(k, data):
+    # the revenue at every price, one at a time and as the one pass that
+    # optimal_price and check_segment_prices read
     raw = data.draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
     total = sum(raw)
     m = Market([r / total for r in raw])
     vals = Valuations([1.0 + i for i in range(k)])
+    rv = _tail_revenues(m.weights, vals.values)
     for p in range(k):
         direct = sum(vals[p] * m[i] for i in range(k) if vals[i] >= vals[p])
         assert revenue(m, vals, p) == pytest.approx(direct, abs=1e-12)
+        assert rv[p] == pytest.approx(direct, abs=1e-12)
 
 
 # -------------------- optimal pricing --------------------
@@ -154,7 +158,28 @@ def test_optimal_price_three_types():
     assert optimal_price(m, V123) == 1  # revenues (1, 4/3, 1)
 
 
-# -------------------- entropy --------------------
+def _price_region(m, vals):
+    """The price indices that check_segment_prices accepts on ``m`` kept whole."""
+    region = []
+    for j in range(len(vals)):
+        try:
+            check_segment_prices(Segmentation(m, [Segment(m, 1.0, j)]), vals)
+        except ValidationError:
+            continue
+        region.append(j)
+    return tuple(region)
+
+
+def test_price_region_boundary_contains_both():
+    assert _price_region(Market((0.5, 0.5)), V12) == (0, 1)
+
+
+def test_price_region_interior():
+    assert _price_region(Market((0.4, 0.6)), V12) == (1,)
+    assert _price_region(Market((0.7, 0.3)), V12) == (0,)
+
+
+# -------------------- entropy and segment values --------------------
 
 def test_entropy_uniform_binary():
     assert entropy(Market((0.5, 0.5))) == pytest.approx(math.log(2.0), abs=1e-15)
@@ -182,6 +207,22 @@ def test_binary_entropy_is_the_two_type_entropy(x):
     else:
         assert h == -(x * math.log(x) + (1.0 - x) * math.log1p(-x))
         assert h == pytest.approx(entropy((1.0 - x, x)), abs=1e-15)
+
+
+def test_net_segment_value_zero_cost_piecewise():
+    # at k = 0 a segment kept whole is worth its best revenue: 1 below the
+    # price boundary at high-type share 1/2, twice that share above it
+    assert net_objective(no_segmentation(Market((0.6, 0.4)), V12), V12, 0.0) == 1.0
+    assert net_objective(no_segmentation(Market((0.4, 0.6)), V12), V12, 0.0) == pytest.approx(1.2, abs=1e-15)
+
+
+def test_net_segment_value_adds_scaled_entropy():
+    # each segment adds its weight times its revenue plus k times its entropy;
+    # net_objective then takes k times the prior's entropy off
+    k = 0.8
+    seg = Segmentation(Market((0.5, 0.5)), [Segment(Market((0.4, 0.6)), 0.5, 1), Segment(Market((0.6, 0.4)), 0.5, 0)])
+    got = net_objective(seg, V12, k) + k * math.log(2.0)
+    assert got == pytest.approx(0.5 * 1.7384093336074051 + 0.5 * 1.5384093336074051, abs=1e-12)
 
 
 # -------------------- segments and segmentations --------------------
@@ -361,7 +402,8 @@ def test_welfare_identities_and_bounds():
         assert rep.ts_gross <= 1.6 + 1e-12
 
 
-def test_no_segmentation_picks_monopoly_price():
+def test_uniform_report_picks_monopoly_price():
+    # the welfare report of the prior kept whole at its best uniform price
     assert welfare(no_segmentation(Market((0.4, 0.6)), V12), V12, 0.0).ps_gross == pytest.approx(1.2)
     assert welfare(no_segmentation(Market((0.7, 0.3)), V12), V12, 0.0).ps_gross == pytest.approx(1.0)
 
